@@ -5,9 +5,7 @@ coordinates in the power basis together with a positive common denominator,
 reduced so that gcd(den, *nums) == 1 (the zero vector has den == 1).  ``red``
 is the reduction table of the field: row t holds the integer coordinates of
 zeta^(phi+t) in the basis, so products can be folded back below degree phi.
-
-The compiled twin in ``_ckernel.pyx`` implements the same contracts; the two
-backends must agree bit for bit (see tests/test_kernel.py).
+The contracts are tested in tests/test_kernel.py.
 """
 
 from math import gcd

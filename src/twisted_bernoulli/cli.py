@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +30,6 @@ from . import volkenborn as vk
 from .characters import character_from_json, root_from_json
 from .errors import ConfigError, TwistedBernoulliError
 from .exact import INFINITY, cyclo_to_json, frac_to_str
-
-JOBS_ENV_VAR = "TWISTED_BERNOULLI_JOBS"
 
 
 @dataclass
@@ -270,24 +267,15 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON parameter file")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--format", default="json", choices=("json", "csv"))
-        cmd.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help=f"parallel workers for verify (default: ${JOBS_ENV_VAR} or 1)",
-        )
+        cmd.add_argument("--jobs", type=int, default=1, help="parallel workers for verify (default: 1)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
-        except ValueError:
-            jobs = 1
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("argument --jobs: must be >= 1")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             params = json.load(fh)
@@ -302,7 +290,7 @@ def main(argv=None) -> int:
         params=params,
         out=args.out,
         format=args.format,
-        jobs=max(jobs, 1),
+        jobs=args.jobs,
     )
     try:
         code, output = run(config)

@@ -575,15 +575,20 @@ _GRID_KEYS = {
 }
 
 
+def _is_int(val) -> bool:
+    """JSON integers only: true and false are not integers in a grid."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _as_int_list(grid, key, default=None):
     if key not in grid:
         if default is None:
             raise ConfigError(f"missing required key '{key}' in grid")
         return sorted(default)
     val = grid[key]
-    if isinstance(val, int):
+    if _is_int(val):
         return [val]
-    if not isinstance(val, list) or not all(isinstance(v, int) for v in val):
+    if not isinstance(val, list) or not all(_is_int(v) for v in val):
         raise ConfigError(f"key '{key}' must be an integer or list of integers")
     return sorted(val)
 
@@ -628,7 +633,7 @@ def expand_grid(grid: dict):
         if tag not in IDENTITY_TAGS:
             raise ConfigError(f"unknown identity tag '{tag}'")
     n_max = grid.get("n_max")
-    if n_max is not None and not isinstance(n_max, int):
+    if n_max is not None and not _is_int(n_max):
         raise ConfigError("key 'n_max' must be an integer")
     ds = _as_int_list(grid, "d")
     for tag in tags:
@@ -650,7 +655,7 @@ def expand_grid(grid: dict):
                     elif tag == "power_sum_series_check":
                         ns = _as_int_list(grid, "n", default=[1])
                         order = grid.get("series_order", 12)
-                        if not isinstance(order, int) or order < 1:
+                        if not _is_int(order) or order < 1:
                             raise ConfigError("key 'series_order' must be a positive integer")
                         for n in ns:
                             yield {**base, "n": n, "series_order": order}

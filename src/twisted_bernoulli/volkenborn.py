@@ -81,16 +81,13 @@ def _ambient(spec: IntegrandSpec):
     return cyclo_field(o if o > 2 else 1)
 
 
-def riemann_sum(spec: IntegrandSpec, p: int, level: int) -> CycloElem:
-    """Exact level-N sum (1/(d p^N)) sum_{x < d p^N} chi(x) xi^x x^n.
+def _level_sum(spec: IntegrandSpec, p: int, level: int, offset: int) -> CycloElem:
+    """(1/(d p^N)) sum_{offset <= x < offset + d p^N} chi(x) xi^x x^n.
 
     Terms are bucketed by x mod lcm(d, order(xi)) so the inner loop is pure
     integer arithmetic; only one short cyclotomic combination happens at the
     end.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    _validate_twist(spec, p)
     field = _ambient(spec)
     d, n = spec.d, spec.moment
     count = d * p**level
@@ -99,9 +96,9 @@ def riemann_sum(spec: IntegrandSpec, p: int, level: int) -> CycloElem:
     if n == 0:
         base, extra = divmod(count, period)
         for r in range(period):
-            buckets[r] = base + (1 if r < extra else 0)
+            buckets[r] = base + (1 if (r - offset) % period < extra else 0)
     else:
-        for x in range(count):
+        for x in range(offset, offset + count):
             buckets[x % period] += x**n
     acc = field.zero
     xi_pows = [as_cyclo(spec.xi**j, field.conductor) for j in range(spec.xi.order)]
@@ -113,6 +110,14 @@ def riemann_sum(spec: IntegrandSpec, p: int, level: int) -> CycloElem:
             continue
         acc = acc + cv * xi_pows[r % spec.xi.order] * total
     return acc * Fraction(1, count)
+
+
+def riemann_sum(spec: IntegrandSpec, p: int, level: int) -> CycloElem:
+    """Exact level-N sum (1/(d p^N)) sum_{x < d p^N} chi(x) xi^x x^n."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    _validate_twist(spec, p)
+    return _level_sum(spec, p, level, 0)
 
 
 @dataclass(frozen=True)
@@ -191,30 +196,10 @@ def shift_identity_check(spec: IntegrandSpec, p: int, n_shift: int, level: int) 
     if n_shift < 1:
         raise ValueError("n_shift must be >= 1")
     _validate_twist(spec, p)
-    field = _ambient(spec)
-    d = spec.d
-    count = d * p**level
-    shift = n_shift * d
-    xi_pows = [as_cyclo(spec.xi**j, field.conductor) for j in range(spec.xi.order)]
-    period = lcm(d, spec.xi.order)
-
-    def level_sum(offset: int) -> CycloElem:
-        buckets = [0] * period
-        for x in range(count):
-            buckets[x % period] += (x + offset) ** k
-        acc = field.zero
-        for r, total in enumerate(buckets):
-            if total == 0:
-                continue
-            cv = spec.chi.value_at(r, field)
-            if cv.is_zero():
-                continue
-            acc = acc + cv * xi_pows[(r + offset) % spec.xi.order] * total
-        return acc * Fraction(1, count)
-
-    shifted = level_sum(shift)
-    plain = level_sum(0)
-    tw = bn.twist_spec(spec.chi, spec.xi, conductor=field.conductor)
+    shift = n_shift * spec.d
+    shifted = _level_sum(spec, p, level, shift)
+    plain = _level_sum(spec, p, level, 0)
+    tw = bn.twist_spec(spec.chi, spec.xi, conductor=_ambient(spec).conductor)
     derivative = bn.power_sum(tw, k - 1, shift - 1) * k
     disc = shifted - plain - derivative
     return ShiftDiscrepancy(level=level, discrepancy=disc, valuation=padic_valuation(disc, p))

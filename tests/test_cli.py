@@ -234,33 +234,10 @@ def test_determinism_byte_identical(tmp_path):
     assert out1 == out2
 
 
-def test_jobs_env_var_used_when_flag_absent(tmp_path):
-    import os
-
-    params = {
-        "identity": "m1_numbers",
-        "d": [1],
-        "character": "all",
-        "xi": {"order": 1, "exponent": 0},
-        "w1": [1, 2],
-        "w2": [1],
-        "n_max": 2,
-    }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(params))
-    env = dict(os.environ, TWISTED_BERNOULLI_JOBS="2")
-    with_env = subprocess.run(
-        [sys.executable, "-m", "twisted_bernoulli", "verify", "--config", str(cfg)],
-        capture_output=True,
-        env=env,
-    )
-    flag_wins = subprocess.run(
-        [sys.executable, "-m", "twisted_bernoulli", "verify", "--config", str(cfg), "--jobs", "1"],
-        capture_output=True,
-        env=env,
-    )
-    assert with_env.returncode == 0 and flag_wins.returncode == 0
-    assert with_env.stdout == flag_wins.stdout
+def test_jobs_below_one_rejected(tmp_path):
+    proc = run_cli(tmp_path, "verify", [], jobs=0)
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stderr.decode()
 
 
 def test_jobs_flag_preserves_output(tmp_path):

@@ -294,6 +294,24 @@ def test_sweep_rejects_unknown_keys():
         list(idn.expand_grid({"identity": "eq_1_13", "d": [1], "xi": {"order": 1, "exponent": 0}, "bogus": 1}))
     with pytest.raises(ConfigError):
         list(idn.expand_grid({"identity": "nope", "d": [1], "xi": {"order": 1, "exponent": 0}}))
+    # booleans are not integers, wherever the grid takes one
+    xi = {"order": 1, "exponent": 0}
+    eq = {"identity": "eq_1_13", "d": [1], "xi": xi, "k": [1]}
+    thm = {"identity": "theorem1", "d": [1], "xi": xi, "n_max": 1}
+    pss = {"identity": "power_sum_series_check", "d": [1], "xi": xi}
+    for base, key, val in (
+        (eq, "d", True),
+        (eq, "k", [True]),
+        (eq, "shift", [1, True]),
+        (thm, "w1", [True]),
+        (thm, "w2", [False]),
+        (thm, "m", [True]),
+        (thm, "n_max", True),
+        (pss, "n", [True]),
+        (pss, "series_order", True),
+    ):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            list(idn.expand_grid({**base, key: val}))
 
 
 def test_sweep_collects_instance_errors():

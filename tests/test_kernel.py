@@ -1,21 +1,4 @@
-import random
-
-import pytest
-
-from twisted_bernoulli import _kernel as K
 from twisted_bernoulli._kernel import _pykernel
-from twisted_bernoulli.exact import cyclo_field
-
-try:
-    from twisted_bernoulli._kernel import _ckernel
-except ImportError:
-    _ckernel = None
-
-FIELDS = (1, 3, 4, 9, 12, 18)
-
-
-def rand_vec(rng, phi, span=40):
-    return tuple(rng.randint(-span, span) for _ in range(phi)), rng.randint(1, span)
 
 
 def test_normalize_contracts():
@@ -34,65 +17,3 @@ def test_vadd_uses_lcm_denominator():
 
 def test_vscale_zero_clears():
     assert _pykernel.vscale((3, 5), 7, 0, 1) == ((0, 0), 1)
-
-
-@pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-def test_backend_parity_on_random_inputs():
-    rng = random.Random(99)
-    for m in FIELDS:
-        field = cyclo_field(m)
-        phi = field.degree
-        red = field.reduction_rows
-        for _ in range(25):
-            a, ad = rand_vec(rng, phi)
-            b, bd = rand_vec(rng, phi)
-            assert _pykernel.normalize(list(a), ad) == _ckernel.normalize(list(a), ad)
-            assert _pykernel.vadd(a, ad, b, bd) == _ckernel.vadd(a, ad, b, bd)
-            assert _pykernel.vscale(a, ad, 7, 3) == _ckernel.vscale(a, ad, 7, 3)
-            assert _pykernel.vmulmod(a, ad, b, bd, red) == _ckernel.vmulmod(a, ad, b, bd, red)
-        # Cauchy coefficients over random coefficient lists
-        n = 6
-        anums = [rand_vec(rng, phi)[0] for _ in range(n + 1)]
-        adens = [rng.randint(1, 9) for _ in range(n + 1)]
-        bnums = [rand_vec(rng, phi)[0] for _ in range(n + 1)]
-        bdens = [rng.randint(1, 9) for _ in range(n + 1)]
-        for j in range(n + 1):
-            assert _pykernel.cauchy_coeff(anums, adens, bnums, bdens, j, red) == _ckernel.cauchy_coeff(
-                anums, adens, bnums, bdens, j, red
-            )
-
-
-def test_set_backend_switches_and_restores():
-    active = K.BACKEND
-    try:
-        K.set_backend("pure")
-        assert K.BACKEND == "pure"
-        assert K.vmulmod((1, 1), 1, (1, 1), 1, cyclo_field(3).reduction_rows) == ((0, 1), 1)
-    finally:
-        K.set_backend(active)
-    with pytest.raises(ValueError):
-        K.set_backend("vectorized")
-
-
-@pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-def test_full_stack_agrees_across_backends():
-    # one mid-size computation end to end under each backend
-    from twisted_bernoulli import bernoulli as bn
-    from twisted_bernoulli.characters import from_table
-    from twisted_bernoulli.exact import RootOfUnity
-
-    active = K.BACKEND
-    results = {}
-    try:
-        for name in K.available_backends():
-            K.set_backend(name)
-            bn._kernel_series.cache_clear()
-            bn.generating_series.cache_clear()
-            bn.numbers.cache_clear()
-            spec = bn.twist_spec(from_table(4, [0, 1, 0, -1]), RootOfUnity(9, 1))
-            fam = bn.numbers(spec, 2, 8)
-            results[name] = tuple(c.coeffs for c in fam.numbers)
-    finally:
-        K.set_backend(active)
-    vals = list(results.values())
-    assert all(v == vals[0] for v in vals)
