@@ -200,8 +200,15 @@ def enumerate_cyclic(d: int) -> list[DirichletCharacter]:
     chi_j sends the least primitive root g to zeta_phi(d)^j; the list is
     ordered by j with the principal character first.
     """
+    return list(_cyclic_characters(d))
+
+
+@lru_cache(maxsize=None)
+def _cyclic_characters(d: int) -> tuple[DirichletCharacter, ...]:
+    # cached: a sweep parses and serializes the character of every instance,
+    # and an index spec goes through this enumeration each time
     if d == 1:
-        return [principal(1)]
+        return (principal(1),)
     if not has_cyclic_units(d):
         raise NonCyclicUnitGroup(f"unit group mod {d} is not cyclic; supply a table")
     phi = totient(d)
@@ -218,7 +225,7 @@ def enumerate_cyclic(d: int) -> list[DirichletCharacter]:
         for a, t in dlog.items():
             vals[a] = RootOfUnity(phi, j * t)
         out.append(DirichletCharacter(d, vals))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,9 @@ def _cmd_verify(params: dict, jobs: int):
     if isinstance(params, dict) and "grids" in params:
         _require_keys(params, {"grids"}, {"include_sides"})
         grids = params["grids"]
-        include_sides = bool(params.get("include_sides", False))
+        include_sides = params.get("include_sides", False)
+        if not isinstance(include_sides, bool):
+            raise ConfigError("key 'include_sides' must be true or false")
     else:
         grids = params
         include_sides = False
@@ -137,9 +139,9 @@ def _cmd_volkenborn(params: dict):
         raise ConfigError("key 'modulus' disagrees with the character spec")
     xi = root_from_json(params["xi"])
     moments = params["moments"]
-    if isinstance(moments, int):
+    if idn._is_int(moments):
         moments = [moments]
-    if not isinstance(moments, list) or not all(isinstance(m, int) for m in moments):
+    if not isinstance(moments, list) or not all(idn._is_int(m) for m in moments):
         raise ConfigError("key 'moments' must be an integer or list of integers")
     level_max = params.get("level_max", vk.DEFAULT_LEVEL_CAP.get(p, 5))
     if not isinstance(level_max, int) or level_max < 2:

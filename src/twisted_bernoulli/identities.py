@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 from . import bernoulli as bn
@@ -163,29 +163,142 @@ def _accumulate_outer(mat, xpoly, ypoly):
 
 
 # ---------------------------------------------------------------------------
+# block memo: whole sides and their n-independent partial sums
+
+class _BlockMemo:
+    """Values computed for one (chi, xi, conductor) block at a time.
+
+    A sweep expands tag -> d -> chi -> xi -> w1 -> w2 -> m -> n, so instances
+    (w1, w2) and (w2, w1) and every n of them fall inside one block and share
+    its sides and partial sums.  A request for another block empties the memo
+    first, so memory stays bounded by one block.  A key names every argument
+    besides chi, xi and the conductor that changes the value; values are
+    immutable (BivariatePoly, CycloElem, tuples) because they are shared.
+    """
+
+    __slots__ = ("block", "values")
+
+    def __init__(self):
+        self.block = None
+        self.values = {}
+
+    def get(self, chi, xi, cond, key, build):
+        """The value under key in block (chi, xi, cond); build() on a miss."""
+        block = (chi, xi, cond)
+        if block != self.block:
+            self.block = block
+            self.values = {}
+        try:
+            return self.values[key]
+        except KeyError:
+            value = self.values[key] = build()
+            return value
+
+
+_MEMO = _BlockMemo()
+
+
+def _side_pair(chi, xi, cond, key, w1, w2, build):
+    """(side(w1, w2), side(w2, w1)) from the memo; build(wa, wb) on a miss.
+
+    ``build`` must look the side builder up by its module global at call
+    time, so that a wrapper installed on that name (perfbench's tracer) sees
+    every build.
+    """
+    return tuple(
+        _MEMO.get(chi, xi, cond, (*key, wa, wb), lambda: build(wa, wb))
+        for wa, wb in ((w1, w2), (w2, w1))
+    )
+
+
+def _block_memoized(fn):
+    """Memoize fn(chi, xi, cond, *key) in the block memo under (name, *key)."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(chi, xi, cond, *key):
+        return _MEMO.get(chi, xi, cond, (name, *key), lambda: fn(chi, xi, cond, *key))
+
+    return cached
+
+
+@_block_memoized
+def _theorem1_ypoly(chi, xi, cond, m, wa, wb, last_twist_wa, j) -> tuple[CycloElem, ...]:
+    """y coefficients of sum_k C(j, k) T_k(wa d - 1) B^(m-1)_(j-k)(wa y)."""
+    fld = cyclo_field(cond)
+    spec_b = _spec_for(chi, xi, wb, cond)
+    spec_last = _spec_for(chi, xi, wa if last_twist_wa else wb, cond)
+    ypoly = [fld.zero] * (j + 1)
+    for k in range(j + 1):
+        t = bn.power_sum(spec_b, k, wa * chi.modulus - 1) * comb(j, k)
+        if t.is_zero():
+            continue
+        sub = _affine_poly(spec_last, m - 1, j - k, Fraction(wa), Fraction(0))
+        for b, c in enumerate(sub):
+            if not c.is_zero():
+                ypoly[b] = ypoly[b] + t * c
+    return tuple(ypoly)
+
+
+@_block_memoized
+def _corollary2_inner(chi, xi, cond, m, wa, wb, j) -> CycloElem:
+    """sum_k C(j, k) T_k(wa d - 1) B^(m-1)_(j-k), both of the twist xi^wb."""
+    spec_b = _spec_for(chi, xi, wb, cond)
+    nums_b = bn.numbers(spec_b, m - 1, j).numbers
+    inner = cyclo_field(cond).zero
+    for k in range(j + 1):
+        t = bn.power_sum(spec_b, k, wa * chi.modulus - 1)
+        if not t.is_zero():
+            inner = inner + t * nums_b[j - k] * comb(j, k)
+    return inner
+
+
+@_block_memoized
+def _theorem3_xpoly(chi, xi, cond, m, wa, wb, k) -> tuple[CycloElem, ...]:
+    """x coefficients of sum_i chi(i) xi^(wb i) B^(m)_k(wb x + wb i / wa), i < wa d."""
+    fld = cyclo_field(cond)
+    spec_a = _spec_for(chi, xi, wa, cond)
+    xpoly = [fld.zero] * (k + 1)
+    for i in range(wa * chi.modulus):
+        cv = chi.value_at(i, fld)
+        if cv.is_zero():
+            continue
+        w = cv * as_cyclo(xi ** (wb * i), cond)
+        sub = _affine_poly(spec_a, m, k, Fraction(wb), Fraction(wb * i, wa))
+        for a, c in enumerate(sub):
+            if not c.is_zero():
+                xpoly[a] = xpoly[a] + w * c
+    return tuple(xpoly)
+
+
+@_block_memoized
+def _corollary4_inner(chi, xi, cond, m, wa, wb, k) -> CycloElem:
+    """sum_i chi(i) xi^(wb i) B^(m)_k(wb i / wa), i < wa d."""
+    fld = cyclo_field(cond)
+    spec_a = _spec_for(chi, xi, wa, cond)
+    inner = fld.zero
+    for i in range(chi.modulus * wa):
+        cv = chi.value_at(i, fld)
+        if cv.is_zero():
+            continue
+        inner = inner + cv * as_cyclo(xi ** (wb * i), cond) * _bern_at(
+            spec_a, m, k, Fraction(wb * i, wa)
+        )
+    return inner
+
+
+# ---------------------------------------------------------------------------
 # side builders; (wa, wb) = (w1, w2) gives the left side, swapping gives the
 # right side, so swap symmetry is structural
 
 def _theorem1_side(n, m, chi, xi, wa, wb, cond, last_twist_wa=False) -> BivariatePoly:
     fld = cyclo_field(cond)
-    d = chi.modulus
     spec_a = _spec_for(chi, xi, wa, cond)
-    spec_b = _spec_for(chi, xi, wb, cond)
-    spec_last = spec_a if last_twist_wa else spec_b
     mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
     for j in range(n + 1):
         scal = comb(n, j) * Fraction(wb) ** j * Fraction(wa) ** (n - j - 1)
         xpoly = [c * scal for c in _affine_poly(spec_a, m, n - j, Fraction(wb), Fraction(0))]
-        ypoly = [fld.zero] * (j + 1)
-        for k in range(j + 1):
-            t = bn.power_sum(spec_b, k, wa * d - 1) * comb(j, k)
-            if t.is_zero():
-                continue
-            sub = _affine_poly(spec_last, m - 1, j - k, Fraction(wa), Fraction(0))
-            for b, c in enumerate(sub):
-                if not c.is_zero():
-                    ypoly[b] = ypoly[b] + t * c
-        _accumulate_outer(mat, xpoly, ypoly)
+        _accumulate_outer(mat, xpoly, _theorem1_ypoly(chi, xi, cond, m, wa, wb, last_twist_wa, j))
     return BivariatePoly(fld, mat)
 
 
@@ -209,18 +322,11 @@ def _remark_m1_side(n, chi, xi, wa, wb, cond) -> BivariatePoly:
 
 def _corollary2_side(n, m, chi, xi, wa, wb, cond) -> CycloElem:
     fld = cyclo_field(cond)
-    d = chi.modulus
     spec_a = _spec_for(chi, xi, wa, cond)
-    spec_b = _spec_for(chi, xi, wb, cond)
     nums_a = bn.numbers(spec_a, m, n).numbers
-    nums_b = bn.numbers(spec_b, m - 1, n).numbers
     acc = fld.zero
     for j in range(n + 1):
-        inner = fld.zero
-        for k in range(j + 1):
-            t = bn.power_sum(spec_b, k, wa * d - 1)
-            if not t.is_zero():
-                inner = inner + t * nums_b[j - k] * comb(j, k)
+        inner = _corollary2_inner(chi, xi, cond, m, wa, wb, j)
         if not inner.is_zero():
             acc = acc + nums_a[n - j] * inner * (
                 comb(n, j) * Fraction(wb) ** j * Fraction(wa) ** (n - j - 1)
@@ -246,24 +352,12 @@ def _m1_numbers_side(n, chi, xi, wa, wb, cond) -> CycloElem:
 
 def _theorem3_side(n, m, chi, xi, wa, wb, cond) -> BivariatePoly:
     fld = cyclo_field(cond)
-    d = chi.modulus
-    spec_a = _spec_for(chi, xi, wa, cond)
     spec_b = _spec_for(chi, xi, wb, cond)
     mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
     for k in range(n + 1):
         scal = comb(n, k) * Fraction(wa) ** (k - 1) * Fraction(wb) ** (n - k)
         ypoly = [c * scal for c in _affine_poly(spec_b, m - 1, n - k, Fraction(wa), Fraction(0))]
-        xpoly = [fld.zero] * (k + 1)
-        for i in range(wa * d):
-            cv = chi.value_at(i, fld)
-            if cv.is_zero():
-                continue
-            w = cv * as_cyclo(xi ** (wb * i), cond)
-            sub = _affine_poly(spec_a, m, k, Fraction(wb), Fraction(wb * i, wa))
-            for a, c in enumerate(sub):
-                if not c.is_zero():
-                    xpoly[a] = xpoly[a] + w * c
-        _accumulate_outer(mat, xpoly, ypoly)
+        _accumulate_outer(mat, _theorem3_xpoly(chi, xi, cond, m, wa, wb, k), ypoly)
     return BivariatePoly(fld, mat)
 
 
@@ -287,20 +381,11 @@ def _remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights) -> BivariatePoly:
 
 def _corollary4_side(n, m, chi, xi, wa, wb, cond) -> CycloElem:
     fld = cyclo_field(cond)
-    d = chi.modulus
-    spec_a = _spec_for(chi, xi, wa, cond)
     spec_b = _spec_for(chi, xi, wb, cond)
     nums_b = bn.numbers(spec_b, m - 1, n).numbers
     acc = fld.zero
     for k in range(n + 1):
-        inner = fld.zero
-        for i in range(d * wa):
-            cv = chi.value_at(i, fld)
-            if cv.is_zero():
-                continue
-            inner = inner + cv * as_cyclo(xi ** (wb * i), cond) * _bern_at(
-                spec_a, m, k, Fraction(wb * i, wa)
-            )
+        inner = _corollary4_inner(chi, xi, cond, m, wa, wb, k)
         if not inner.is_zero():
             acc = acc + nums_b[n - k] * inner * (
                 comb(n, k) * Fraction(wa) ** (k - 1) * Fraction(wb) ** (n - k)
@@ -401,9 +486,15 @@ def check_theorem1(n, m, chi, xi, w1, w2) -> IdentityReport:
     if m < 1 or n < 0 or w1 < 1 or w2 < 1:
         raise ValueError("need m >= 1, n >= 0, w1, w2 >= 1")
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs = _theorem1_side(n, m, chi, xi, w1, w2, cond)
-    rhs = _theorem1_side(n, m, chi, xi, w2, w1, cond)
-    rhs_lit = _theorem1_side(n, m, chi, xi, w2, w1, cond, last_twist_wa=True)
+    lhs, rhs = _side_pair(
+        chi, xi, cond, ("theorem1", n, m, False), w1, w2,
+        lambda wa, wb: _theorem1_side(n, m, chi, xi, wa, wb, cond),
+    )
+    # with w1 = w2 the last factor has the same twist under either reading
+    rhs_lit = rhs if w1 == w2 else _MEMO.get(
+        chi, xi, cond, ("theorem1", n, m, True, w2, w1),
+        lambda: _theorem1_side(n, m, chi, xi, w2, w1, cond, last_twist_wa=True),
+    )
     readings = {
         "symmetric": lhs.first_mismatch(rhs) is None,
         "expansion_literal": lhs.first_mismatch(rhs_lit) is None,
@@ -416,8 +507,10 @@ def check_theorem1(n, m, chi, xi, w1, w2) -> IdentityReport:
 def check_remark_m1(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1, y = 0 form of the product formula, expanded independently."""
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs = _remark_m1_side(n, chi, xi, w1, w2, cond)
-    rhs = _remark_m1_side(n, chi, xi, w2, w1, cond)
+    lhs, rhs = _side_pair(
+        chi, xi, cond, ("remark_m1", n), w1, w2,
+        lambda wa, wb: _remark_m1_side(n, chi, xi, wa, wb, cond),
+    )
     params = _params(chi, xi, n=n, w1=w1, w2=w2)
     return _compare("remark_m1", params, lhs, rhs)
 
@@ -425,8 +518,10 @@ def check_remark_m1(n, chi, xi, w1, w2) -> IdentityReport:
 def check_corollary2(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Numbers-only product formula (x = y = 0)."""
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs = _corollary2_side(n, m, chi, xi, w1, w2, cond)
-    rhs = _corollary2_side(n, m, chi, xi, w2, w1, cond)
+    lhs, rhs = _side_pair(
+        chi, xi, cond, ("corollary2", n, m), w1, w2,
+        lambda wa, wb: _corollary2_side(n, m, chi, xi, wa, wb, cond),
+    )
     params = _params(chi, xi, n=n, m=m, w1=w1, w2=w2)
     return _compare("corollary2", params, lhs, rhs)
 
@@ -434,8 +529,10 @@ def check_corollary2(n, m, chi, xi, w1, w2) -> IdentityReport:
 def check_m1_numbers(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1 numbers identity: binomial pairing of numbers with power sums."""
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs = _m1_numbers_side(n, chi, xi, w1, w2, cond)
-    rhs = _m1_numbers_side(n, chi, xi, w2, w1, cond)
+    lhs, rhs = _side_pair(
+        chi, xi, cond, ("m1_numbers", n), w1, w2,
+        lambda wa, wb: _m1_numbers_side(n, chi, xi, wa, wb, cond),
+    )
     params = _params(chi, xi, n=n, w1=w1, w2=w2)
     return _compare("m1_numbers", params, lhs, rhs)
 
@@ -445,8 +542,10 @@ def check_theorem3(n, m, chi, xi, w1, w2) -> IdentityReport:
     if m < 1 or n < 0 or w1 < 1 or w2 < 1:
         raise ValueError("need m >= 1, n >= 0, w1, w2 >= 1")
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs = _theorem3_side(n, m, chi, xi, w1, w2, cond)
-    rhs = _theorem3_side(n, m, chi, xi, w2, w1, cond)
+    lhs, rhs = _side_pair(
+        chi, xi, cond, ("theorem3", n, m), w1, w2,
+        lambda wa, wb: _theorem3_side(n, m, chi, xi, wa, wb, cond),
+    )
     params = _params(chi, xi, n=n, m=m, w1=w1, w2=w2)
     return _compare("theorem3", params, lhs, rhs)
 
@@ -460,10 +559,14 @@ def check_remark_2_11(n, chi, xi, w1, w2) -> IdentityReport:
     the weighted ones.
     """
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs_w = _remark_2_11_side(n, chi, xi, w1, w2, cond, with_weights=True)
-    rhs_w = _remark_2_11_side(n, chi, xi, w2, w1, cond, with_weights=True)
-    lhs_p = _remark_2_11_side(n, chi, xi, w1, w2, cond, with_weights=False)
-    rhs_p = _remark_2_11_side(n, chi, xi, w2, w1, cond, with_weights=False)
+    lhs_w, rhs_w = _side_pair(
+        chi, xi, cond, ("remark_2_11", n, True), w1, w2,
+        lambda wa, wb: _remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights=True),
+    )
+    lhs_p, rhs_p = _side_pair(
+        chi, xi, cond, ("remark_2_11", n, False), w1, w2,
+        lambda wa, wb: _remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights=False),
+    )
     readings = {
         "weighted": lhs_w.first_mismatch(rhs_w) is None,
         "as_printed": lhs_p.first_mismatch(rhs_p) is None,
@@ -478,8 +581,10 @@ def check_remark_2_11(n, chi, xi, w1, w2) -> IdentityReport:
 def check_corollary4(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Numbers-level shifted-argument relation (x = y = 0)."""
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs = _corollary4_side(n, m, chi, xi, w1, w2, cond)
-    rhs = _corollary4_side(n, m, chi, xi, w2, w1, cond)
+    lhs, rhs = _side_pair(
+        chi, xi, cond, ("corollary4", n, m), w1, w2,
+        lambda wa, wb: _corollary4_side(n, m, chi, xi, wa, wb, cond),
+    )
     params = _params(chi, xi, n=n, m=m, w1=w1, w2=w2)
     return _compare("corollary4", params, lhs, rhs)
 
@@ -487,8 +592,10 @@ def check_corollary4(n, m, chi, xi, w1, w2) -> IdentityReport:
 def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1 numbers form of the shifted-argument relation (weights kept)."""
     cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs = _eq_2_12_side(n, chi, xi, w1, w2, cond)
-    rhs = _eq_2_12_side(n, chi, xi, w2, w1, cond)
+    lhs, rhs = _side_pair(
+        chi, xi, cond, ("eq_2_12", n), w1, w2,
+        lambda wa, wb: _eq_2_12_side(n, chi, xi, wa, wb, cond),
+    )
     params = _params(chi, xi, n=n, w1=w1, w2=w2)
     return _compare("eq_2_12", params, lhs, rhs)
 
@@ -580,16 +687,18 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _as_int_list(grid, key, default=None):
+def _as_int_list(grid, key, default=None, minimum=None):
     if key not in grid:
         if default is None:
             raise ConfigError(f"missing required key '{key}' in grid")
         return sorted(default)
     val = grid[key]
     if _is_int(val):
-        return [val]
+        val = [val]
     if not isinstance(val, list) or not all(_is_int(v) for v in val):
         raise ConfigError(f"key '{key}' must be an integer or list of integers")
+    if minimum is not None and any(v < minimum for v in val):
+        raise ConfigError(f"key '{key}' must hold integers >= {minimum}")
     return sorted(val)
 
 
@@ -633,9 +742,12 @@ def expand_grid(grid: dict):
         if tag not in IDENTITY_TAGS:
             raise ConfigError(f"unknown identity tag '{tag}'")
     n_max = grid.get("n_max")
-    if n_max is not None and not _is_int(n_max):
-        raise ConfigError("key 'n_max' must be an integer")
+    if n_max is not None and (not _is_int(n_max) or n_max < 0):
+        raise ConfigError("key 'n_max' must be an integer >= 0")
     ds = _as_int_list(grid, "d")
+    w1s = _as_int_list(grid, "w1", default=[1], minimum=1)
+    w2s = _as_int_list(grid, "w2", default=[1], minimum=1)
+    ms = _as_int_list(grid, "m", default=[1], minimum=1)
     for tag in tags:
         for d in ds:
             chars = _resolve_characters(grid, d)
@@ -662,9 +774,6 @@ def expand_grid(grid: dict):
                     else:
                         if n_max is None:
                             raise ConfigError(f"missing required key 'n_max' in grid for {tag}")
-                        w1s = _as_int_list(grid, "w1", default=[1])
-                        w2s = _as_int_list(grid, "w2", default=[1])
-                        ms = _as_int_list(grid, "m", default=[1])
                         uses_m = tag in ("theorem1", "corollary2", "theorem3", "corollary4")
                         for w1 in w1s:
                             for w2 in w2s:

@@ -131,6 +131,32 @@ def test_config_error_names_key(tmp_path):
     assert proc.returncode == 2
     assert "'k'" in proc.stderr.decode()
 
+    # JSON booleans are not moments, and include_sides takes only true/false
+    volk = {
+        "p": 3,
+        "check": "convergence",
+        "modulus": 1,
+        "character": {"kind": "principal"},
+        "xi": {"order": 1, "exponent": 0},
+        "level_max": 2,
+    }
+    grid = {
+        "identity": "m1_numbers",
+        "d": [1],
+        "character": {"kind": "principal"},
+        "xi": {"order": 1, "exponent": 0},
+        "n_max": 0,
+    }
+    for command, params, key in (
+        ("volkenborn", dict(volk, moments=[True]), "moments"),
+        ("volkenborn", dict(volk, moments=True), "moments"),
+        ("verify", {"grids": [grid], "include_sides": "no"}, "include_sides"),
+        ("verify", {"grids": [grid], "include_sides": 1}, "include_sides"),
+    ):
+        proc = run_cli(tmp_path, command, params)
+        assert proc.returncode == 2
+        assert f"'{key}'" in proc.stderr.decode()
+
 
 def test_unreadable_config(tmp_path):
     proc = subprocess.run(

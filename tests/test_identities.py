@@ -312,6 +312,10 @@ def test_sweep_rejects_unknown_keys():
     ):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             list(idn.expand_grid({**base, key: val}))
+    # weights and m start at 1, n_max at 0
+    for key, val in (("w1", [0]), ("w2", [1, -2]), ("m", 0), ("n_max", -1)):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            list(idn.expand_grid({**thm, key: val}))
 
 
 def test_sweep_collects_instance_errors():
@@ -355,3 +359,50 @@ def test_parallel_sweep_matches_serial():
     parallel, s2 = idn.sweep(grid, jobs=2)
     assert serial == parallel
     assert s1 == s2
+
+
+# --- block memo ----------------------------------------------------------------
+
+def test_memoized_sweep_matches_fresh_checks(monkeypatch):
+    # a key that omits wb, m, last_twist_wa or with_weights hands one
+    # instance another instance's side or reading
+    grid = {
+        "identity": [
+            "theorem1", "remark_m1", "corollary2", "m1_numbers",
+            "theorem3", "remark_2_11", "corollary4", "eq_2_12",
+        ],
+        "d": [3],
+        "character": "all",
+        "xi": {"order": 2, "exponent": 1},
+        "w1": [1, 2, 3],
+        "w2": [1, 2, 3],
+        "m": [1, 2],
+        "n_max": 2,
+    }
+    records, _ = idn.sweep(grid, include_sides=True)
+    fresh = []
+    for desc in idn.expand_grid(grid):
+        monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+        fresh.append(idn.report_to_record(idn.run_instance(desc), include_sides=True))
+    assert records == fresh
+
+
+def test_memo_holds_only_the_last_block(monkeypatch):
+    grid = {
+        "identity": "theorem1",
+        "d": [3],
+        "character": {"kind": "index", "j": 1},
+        "xi": [{"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}],
+        "w1": [1, 2],
+        "w2": [1, 2],
+        "m": [2],
+        "n_max": 2,
+    }
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    idn.sweep(grid)
+    both = idn._MEMO
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    idn.sweep({**grid, "xi": {"order": 2, "exponent": 1}})
+    last = idn._MEMO
+    assert both.block == (LEG3, MINUS, 1) == last.block
+    assert both.values == last.values
