@@ -234,10 +234,19 @@ def _cyclic_characters(d: int) -> tuple[DirichletCharacter, ...]:
 #   {"modulus": d, "kind": "table", "values": [null | {"order": o, "exponent": e}, ...]}
 #   {"modulus": d, "kind": "index", "j": int}       (j-th enumerated character)
 
+def _json_int(val, key: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a boolean) under key, at least minimum if given."""
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ConfigError(f"key '{key}' must be an integer, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"key '{key}' must be >= {minimum}, got {val}")
+    return val
+
+
 def root_from_json(obj) -> RootOfUnity:
     if not isinstance(obj, dict) or set(obj) != {"order", "exponent"}:
         raise ConfigError(f"root of unity must be {{order, exponent}}, got {obj!r}")
-    return RootOfUnity(int(obj["order"]), int(obj["exponent"]))
+    return RootOfUnity(_json_int(obj["order"], "order", 1), _json_int(obj["exponent"], "exponent"))
 
 
 def root_to_json(r: RootOfUnity) -> dict:
@@ -255,20 +264,22 @@ def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
     d = spec.get("modulus", modulus)
     if d is None:
         raise ConfigError("missing required key 'modulus' in character spec")
-    d = int(d)
+    d = _json_int(d, "modulus", 1)
     kind = spec.get("kind")
     if kind == "principal":
         return principal(d)
     if kind == "table":
         if "values" not in spec:
             raise ConfigError("missing required key 'values' in character spec")
+        if not isinstance(spec["values"], list):
+            raise ConfigError("key 'values' must be a list")
         vals = [None if v is None else root_from_json(v) for v in spec["values"]]
         return from_table(d, vals)
     if kind == "index":
         if "j" not in spec:
             raise ConfigError("missing required key 'j' in character spec")
         chars = enumerate_cyclic(d)
-        j = int(spec["j"])
+        j = _json_int(spec["j"], "j")
         if not 0 <= j < len(chars):
             raise ConfigError(f"character index j={j} out of range for modulus {d}")
         return chars[j]

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import bernoulli as bn
 from . import identities as idn
 from . import volkenborn as vk
-from .characters import character_from_json, root_from_json
+from .characters import _json_int, character_from_json, root_from_json
 from .errors import ConfigError, TwistedBernoulliError
 from .exact import INFINITY, cyclo_to_json, frac_to_str
 
@@ -58,12 +58,7 @@ def _require_keys(params: dict, required: set, optional: set = frozenset()):
 
 
 def _int_param(params: dict, key: str, minimum: int | None = None) -> int:
-    val = params[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"key '{key}' must be an integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"key '{key}' must be >= {minimum}")
-    return val
+    return _json_int(params[key], key, minimum)
 
 
 def _spec_from_params(params: dict) -> bn.TwistSpec:

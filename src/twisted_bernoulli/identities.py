@@ -7,6 +7,13 @@ field) or a single field element, and compares coefficient matrices entry
 by entry.  No sampling is involved in the verdict; random-point evaluation
 exists only as a sanity cross-check in the test suite.
 
+One table, ``_IDENTITIES``, describes each identity by its tag: instance
+parameters with their minima, side builder, readings and verdict rule.  One
+checker, ``_check_swap``, compares side(w1, w2) with side(w2, w1) for the
+eight swap identities; grid expansion and instance dispatch read the same
+table.  It names functions rather than holding them, so each call goes
+through the module global.
+
 Two identities are checked under two readings each (see the checker
 docstrings): the swapped-side expansion of the order-m product formula has
 one printed variant that differs from the symmetric form in a twist
@@ -20,18 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import product
 from math import comb
+from typing import NamedTuple
 
 from . import bernoulli as bn
 from .characters import (
     DirichletCharacter,
+    _json_int,
     character_from_json,
     character_to_json,
     enumerate_cyclic,
     root_from_json,
     root_to_json,
 )
-from .errors import ConfigError, NonCyclicUnitGroup
+from .errors import ConfigError, NonCyclicUnitGroup, TwistedBernoulliError
 from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_field, cyclo_to_json
 
 
@@ -196,19 +206,6 @@ class _BlockMemo:
 
 
 _MEMO = _BlockMemo()
-
-
-def _side_pair(chi, xi, cond, key, w1, w2, build):
-    """(side(w1, w2), side(w2, w1)) from the memo; build(wa, wb) on a miss.
-
-    ``build`` must look the side builder up by its module global at call
-    time, so that a wrapper installed on that name (perfbench's tracer) sees
-    every build.
-    """
-    return tuple(
-        _MEMO.get(chi, xi, cond, (*key, wa, wb), lambda: build(wa, wb))
-        for wa, wb in ((w1, w2), (w2, w1))
-    )
 
 
 def _block_memoized(fn):
@@ -407,6 +404,71 @@ def _eq_2_12_side(n, chi, xi, wa, wb, cond) -> CycloElem:
 
 
 # ---------------------------------------------------------------------------
+# the identity table
+
+class _Key(NamedTuple):
+    """One instance parameter of an identity."""
+
+    name: str  # checker keyword and report parameter
+    minimum: int
+    grid: str | None  # grid key that lists the values; None: only n_max gives them
+    default: tuple | None  # values when the grid lists none; None: minimum..n_max
+
+
+class _Identity(NamedTuple):
+    """How one identity is checked and how a grid expands into its instances.
+
+    ``keys`` are in expansion order.  A reading is (name, left-side keywords,
+    right-side keywords) of the side builder; the report keeps the sides of
+    the first reading, whose verdict decides unless any reading suffices.
+    """
+
+    checker: str
+    keys: tuple[_Key, ...]
+    side: str | None = None
+    readings: tuple = ((None, {}, {}),)
+    any_reading: bool = False
+    takes_spec: bool = False
+
+
+_W1 = _Key("w1", 1, "w1", (1,))
+_W2 = _Key("w2", 1, "w2", (1,))
+_M = _Key("m", 1, "m", (1,))
+_N = _Key("n", 0, None, None)
+
+_IDENTITIES = {
+    # eq_1_13 reports its shift as n, the name of its checker's argument
+    "eq_1_13": _Identity(
+        "check_eq_1_13", (_Key("k", 1, "k", None), _Key("n", 1, "shift", (1,))), takes_spec=True
+    ),
+    "theorem1": _Identity(
+        "check_theorem1", (_W1, _W2, _M, _N), "_theorem1_side",
+        (("symmetric", {}, {}), ("expansion_literal", {}, {"last_twist_wa": True})),
+    ),
+    "remark_m1": _Identity("check_remark_m1", (_W1, _W2, _N), "_remark_m1_side"),
+    "corollary2": _Identity("check_corollary2", (_W1, _W2, _M, _N), "_corollary2_side"),
+    "m1_numbers": _Identity("check_m1_numbers", (_W1, _W2, _N), "_m1_numbers_side"),
+    "theorem3": _Identity("check_theorem3", (_W1, _W2, _M, _N), "_theorem3_side"),
+    "remark_2_11": _Identity(
+        "check_remark_2_11", (_W1, _W2, _N), "_remark_2_11_side",
+        (
+            ("weighted", {"with_weights": True}, {"with_weights": True}),
+            ("as_printed", {"with_weights": False}, {"with_weights": False}),
+        ),
+        any_reading=True,
+    ),
+    "corollary4": _Identity("check_corollary4", (_W1, _W2, _M, _N), "_corollary4_side"),
+    "eq_2_12": _Identity("check_eq_2_12", (_W1, _W2, _N), "_eq_2_12_side"),
+    "power_sum_series_check": _Identity(
+        "check_power_sum_series",
+        (_Key("n", 1, "n", (1,)), _Key("series_order", 1, "series_order", (12,))),
+    ),
+}
+
+IDENTITY_TAGS = tuple(_IDENTITIES)
+
+
+# ---------------------------------------------------------------------------
 # reports and checkers
 
 @dataclass
@@ -427,21 +489,13 @@ class IdentityReport:
     error: str | None = None
 
 
-def _params(chi, xi, **kw) -> dict:
-    out = {}
-    for key in ("n", "m"):
-        if key in kw:
-            out[key] = kw[key]
-    out["d"] = chi.modulus
-    out["chi"] = character_to_json(chi)
-    out["xi"] = root_to_json(xi)
-    for key in ("w1", "w2", "k", "shift", "series_order"):
-        if key in kw:
-            out[key] = kw[key]
-    return out
+def _params(chi, xi, **args) -> dict:
+    """Report parameters: n and m, then d, chi and xi, then the other args in order."""
+    head = {key: args.pop(key) for key in ("n", "m") if key in args}
+    return {**head, "d": chi.modulus, "chi": character_to_json(chi), "xi": root_to_json(xi), **args}
 
 
-def _compare(identity, params, lhs, rhs, readings=None, holds=None) -> IdentityReport:
+def _compare(identity, params, lhs, rhs) -> IdentityReport:
     if isinstance(lhs, BivariatePoly):
         mismatch = lhs.first_mismatch(rhs)
         equal = mismatch is None
@@ -451,12 +505,46 @@ def _compare(identity, params, lhs, rhs, readings=None, holds=None) -> IdentityR
     return IdentityReport(
         identity=identity,
         params=params,
-        holds=equal if holds is None else holds,
+        holds=equal,
         lhs=lhs,
         rhs=rhs,
         first_mismatch=mismatch,
-        readings=readings,
     )
+
+
+def _check_swap(tag, chi, xi, **args) -> IdentityReport:
+    """Compare side(w1, w2) with side(w2, w1) under each reading of ``tag``.
+
+    Sides come from the block memo; a miss calls the side builder through its
+    module global, so that a wrapper installed on that name sees every build.
+    """
+    entry = _IDENTITIES[tag]
+    for key in entry.keys:
+        if args[key.name] < key.minimum:
+            raise ValueError("need " + ", ".join(f"{k.name} >= {k.minimum}" for k in entry.keys))
+    cond = bn.ambient_conductor(chi, xi.normalized())
+    head = (args["n"], args["m"]) if "m" in args else (args["n"],)
+
+    def side(wa, wb, kw):
+        if wa == wb and "last_twist_wa" in kw:  # the last twist is xi^wa = xi^wb either way
+            kw = {k: v for k, v in kw.items() if k != "last_twist_wa"}
+        return _MEMO.get(
+            chi, xi, cond, (tag, *head, wa, wb, *kw.items()),
+            lambda: globals()[entry.side](*head, chi, xi, wa, wb, cond, **kw),
+        )
+
+    w1, w2 = args["w1"], args["w2"]
+    params = _params(chi, xi, **args)
+    reps = [
+        _compare(tag, params, side(w1, w2, left), side(w2, w1, right))
+        for _, left, right in entry.readings
+    ]
+    rep = reps[0]
+    if len(reps) > 1:
+        rep.readings = {name: r.holds for (name, _, _), r in zip(entry.readings, reps)}
+        if entry.any_reading:
+            rep.holds = any(rep.readings.values())
+    return rep
 
 
 def check_eq_1_13(spec: bn.TwistSpec, k: int, n: int) -> IdentityReport:
@@ -483,71 +571,27 @@ def check_theorem1(n, m, chi, xi, w1, w2) -> IdentityReport:
     expansion, whose final factor keeps the twist of the unswapped side; it
     is reported but does not drive ``holds``.
     """
-    if m < 1 or n < 0 or w1 < 1 or w2 < 1:
-        raise ValueError("need m >= 1, n >= 0, w1, w2 >= 1")
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs, rhs = _side_pair(
-        chi, xi, cond, ("theorem1", n, m, False), w1, w2,
-        lambda wa, wb: _theorem1_side(n, m, chi, xi, wa, wb, cond),
-    )
-    # with w1 = w2 the last factor has the same twist under either reading
-    rhs_lit = rhs if w1 == w2 else _MEMO.get(
-        chi, xi, cond, ("theorem1", n, m, True, w2, w1),
-        lambda: _theorem1_side(n, m, chi, xi, w2, w1, cond, last_twist_wa=True),
-    )
-    readings = {
-        "symmetric": lhs.first_mismatch(rhs) is None,
-        "expansion_literal": lhs.first_mismatch(rhs_lit) is None,
-    }
-    params = _params(chi, xi, n=n, m=m, w1=w1, w2=w2)
-    rep = _compare("theorem1", params, lhs, rhs, readings=readings, holds=readings["symmetric"])
-    return rep
+    return _check_swap("theorem1", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_remark_m1(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1, y = 0 form of the product formula, expanded independently."""
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs, rhs = _side_pair(
-        chi, xi, cond, ("remark_m1", n), w1, w2,
-        lambda wa, wb: _remark_m1_side(n, chi, xi, wa, wb, cond),
-    )
-    params = _params(chi, xi, n=n, w1=w1, w2=w2)
-    return _compare("remark_m1", params, lhs, rhs)
+    return _check_swap("remark_m1", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_corollary2(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Numbers-only product formula (x = y = 0)."""
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs, rhs = _side_pair(
-        chi, xi, cond, ("corollary2", n, m), w1, w2,
-        lambda wa, wb: _corollary2_side(n, m, chi, xi, wa, wb, cond),
-    )
-    params = _params(chi, xi, n=n, m=m, w1=w1, w2=w2)
-    return _compare("corollary2", params, lhs, rhs)
+    return _check_swap("corollary2", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_m1_numbers(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1 numbers identity: binomial pairing of numbers with power sums."""
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs, rhs = _side_pair(
-        chi, xi, cond, ("m1_numbers", n), w1, w2,
-        lambda wa, wb: _m1_numbers_side(n, chi, xi, wa, wb, cond),
-    )
-    params = _params(chi, xi, n=n, w1=w1, w2=w2)
-    return _compare("m1_numbers", params, lhs, rhs)
+    return _check_swap("m1_numbers", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_theorem3(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Power-sum/polynomial relation with twist-weighted shifted arguments."""
-    if m < 1 or n < 0 or w1 < 1 or w2 < 1:
-        raise ValueError("need m >= 1, n >= 0, w1, w2 >= 1")
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs, rhs = _side_pair(
-        chi, xi, cond, ("theorem3", n, m), w1, w2,
-        lambda wa, wb: _theorem3_side(n, m, chi, xi, wa, wb, cond),
-    )
-    params = _params(chi, xi, n=n, m=m, w1=w1, w2=w2)
-    return _compare("theorem3", params, lhs, rhs)
+    return _check_swap("theorem3", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_remark_2_11(n, chi, xi, w1, w2) -> IdentityReport:
@@ -558,46 +602,17 @@ def check_remark_2_11(n, chi, xi, w1, w2) -> IdentityReport:
     ``holds`` is true when at least one reading holds; the stored sides are
     the weighted ones.
     """
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs_w, rhs_w = _side_pair(
-        chi, xi, cond, ("remark_2_11", n, True), w1, w2,
-        lambda wa, wb: _remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights=True),
-    )
-    lhs_p, rhs_p = _side_pair(
-        chi, xi, cond, ("remark_2_11", n, False), w1, w2,
-        lambda wa, wb: _remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights=False),
-    )
-    readings = {
-        "weighted": lhs_w.first_mismatch(rhs_w) is None,
-        "as_printed": lhs_p.first_mismatch(rhs_p) is None,
-    }
-    params = _params(chi, xi, n=n, w1=w1, w2=w2)
-    rep = _compare(
-        "remark_2_11", params, lhs_w, rhs_w, readings=readings, holds=any(readings.values())
-    )
-    return rep
+    return _check_swap("remark_2_11", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_corollary4(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Numbers-level shifted-argument relation (x = y = 0)."""
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs, rhs = _side_pair(
-        chi, xi, cond, ("corollary4", n, m), w1, w2,
-        lambda wa, wb: _corollary4_side(n, m, chi, xi, wa, wb, cond),
-    )
-    params = _params(chi, xi, n=n, m=m, w1=w1, w2=w2)
-    return _compare("corollary4", params, lhs, rhs)
+    return _check_swap("corollary4", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1 numbers form of the shifted-argument relation (weights kept)."""
-    cond = bn.ambient_conductor(chi, xi.normalized())
-    lhs, rhs = _side_pair(
-        chi, xi, cond, ("eq_2_12", n), w1, w2,
-        lambda wa, wb: _eq_2_12_side(n, chi, xi, wa, wb, cond),
-    )
-    params = _params(chi, xi, n=n, w1=w1, w2=w2)
-    return _compare("eq_2_12", params, lhs, rhs)
+    return _check_swap("eq_2_12", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
@@ -653,33 +668,10 @@ def report_to_record(rep: IdentityReport, include_sides: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 # grid sweeps
 
-IDENTITY_TAGS = (
-    "eq_1_13",
-    "theorem1",
-    "remark_m1",
-    "corollary2",
-    "m1_numbers",
-    "theorem3",
-    "remark_2_11",
-    "corollary4",
-    "eq_2_12",
-    "power_sum_series_check",
-)
+#: Minimum value of each grid key that lists instance values.
+_LISTED_MINIMA = {key.grid: key.minimum for e in _IDENTITIES.values() for key in e.keys if key.grid}
 
-_GRID_KEYS = {
-    "identity",
-    "d",
-    "character",
-    "xi",
-    "w1",
-    "w2",
-    "m",
-    "n_max",
-    "k",
-    "shift",
-    "n",
-    "series_order",
-}
+_GRID_KEYS = {"identity", "d", "character", "xi", "n_max", *_LISTED_MINIMA}
 
 
 def _is_int(val) -> bool:
@@ -687,149 +679,105 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _as_int_list(grid, key, default=None, minimum=None):
+def _grid_list(grid, key, kind, what) -> list:
+    """grid[key] as a non-empty list of kind; a lone value of kind is a list of one."""
     if key not in grid:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in grid")
-        return sorted(default)
+        raise ConfigError(f"missing required key '{key}' in grid")
     val = grid[key]
-    if _is_int(val):
-        val = [val]
-    if not isinstance(val, list) or not all(_is_int(v) for v in val):
-        raise ConfigError(f"key '{key}' must be an integer or list of integers")
-    if minimum is not None and any(v < minimum for v in val):
+    val = [val] if isinstance(val, kind) else val
+    if not isinstance(val, list) or not val or not all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in val
+    ):
+        raise ConfigError(f"key '{key}' must be {what} or a non-empty list of them")
+    return val
+
+
+def _as_int_list(grid, key, minimum):
+    val = _grid_list(grid, key, int, "an integer")
+    if any(v < minimum for v in val):
         raise ConfigError(f"key '{key}' must hold integers >= {minimum}")
     return sorted(val)
 
 
+def _key_values(tag, key: _Key, listed: dict, n_max):
+    """The values of one instance key in a grid for ``tag``."""
+    if key.grid in listed:
+        return listed[key.grid]
+    if key.default is not None:
+        return key.default
+    if n_max is None:
+        either = f"'{key.grid}' or " if key.grid else ""
+        raise ConfigError(f"grid for {tag} needs {either}'n_max'")
+    if n_max < key.minimum:
+        raise ConfigError(f"key 'n_max' must be >= {key.minimum} for {tag}")
+    return range(key.minimum, n_max + 1)
+
+
 def _resolve_characters(grid, d: int) -> list[DirichletCharacter]:
-    spec = grid.get("character", "all")
-    if spec == "all":
+    if grid.get("character", "all") == "all":
         try:
             return enumerate_cyclic(d)
         except NonCyclicUnitGroup as exc:
             raise ConfigError(f"character \"all\" needs a cyclic unit group: {exc}")
-    if isinstance(spec, dict):
-        spec = [spec]
-    if not isinstance(spec, list):
-        raise ConfigError("key 'character' must be \"all\", an object, or a list of objects")
-    return [character_from_json(s, modulus=d) for s in spec]
-
-
-def _resolve_roots(grid) -> list[RootOfUnity]:
-    val = grid.get("xi")
-    if val is None:
-        raise ConfigError("missing required key 'xi' in grid")
-    if isinstance(val, dict):
-        val = [val]
-    roots = [root_from_json(v) for v in val]
-    return sorted(roots, key=lambda r: (r.order, r.exponent))
+    specs = _grid_list(grid, "character", dict, '"all", an object')
+    return [character_from_json(s, modulus=d) for s in specs]
 
 
 def expand_grid(grid: dict):
-    """Yield instance descriptors for one grid object, in deterministic order."""
+    """Yield instance descriptors for one grid object, in deterministic order.
+
+    The order is tag, d, chi, xi, then the tag's table keys in table order.
+    A grid that would expand to no instance is a configuration error.
+    """
     if not isinstance(grid, dict):
         raise ConfigError("each grid must be a JSON object")
     for key in grid:
         if key not in _GRID_KEYS:
             raise ConfigError(f"unknown key '{key}' in grid")
-    tags = grid.get("identity")
-    if tags is None:
-        raise ConfigError("missing required key 'identity' in grid")
-    if isinstance(tags, str):
-        tags = [tags]
+    tags = _grid_list(grid, "identity", str, "an identity tag")
     for tag in tags:
-        if tag not in IDENTITY_TAGS:
+        if tag not in _IDENTITIES:
             raise ConfigError(f"unknown identity tag '{tag}'")
     n_max = grid.get("n_max")
-    if n_max is not None and (not _is_int(n_max) or n_max < 0):
-        raise ConfigError("key 'n_max' must be an integer >= 0")
-    ds = _as_int_list(grid, "d")
-    w1s = _as_int_list(grid, "w1", default=[1], minimum=1)
-    w2s = _as_int_list(grid, "w2", default=[1], minimum=1)
-    ms = _as_int_list(grid, "m", default=[1], minimum=1)
+    if n_max is not None:
+        _json_int(n_max, "n_max", 0)
+    ds = _as_int_list(grid, "d", 1)
+    listed = {key: _as_int_list(grid, key, low) for key, low in _LISTED_MINIMA.items() if key in grid}
+    chars = [character_to_json(chi) for d in ds for chi in _resolve_characters(grid, d)]
+    roots = [root_from_json(v) for v in _grid_list(grid, "xi", dict, "an object")]
+    roots = [root_to_json(r) for r in sorted(roots, key=lambda r: (r.order, r.exponent))]
     for tag in tags:
-        for d in ds:
-            chars = _resolve_characters(grid, d)
-            roots = _resolve_roots(grid)
-            for chi in chars:
-                chi_json = character_to_json(chi)
-                for xi in roots:
-                    base = {"identity": tag, "chi": chi_json, "xi": root_to_json(xi)}
-                    if tag == "eq_1_13":
-                        if n_max is None and "k" not in grid:
-                            raise ConfigError("grid for eq_1_13 needs 'k' or 'n_max'")
-                        ks = _as_int_list(grid, "k", default=range(1, (n_max or 0) + 1))
-                        shifts = _as_int_list(grid, "shift", default=[1])
-                        for k in ks:
-                            for shift in shifts:
-                                yield {**base, "k": k, "shift": shift}
-                    elif tag == "power_sum_series_check":
-                        ns = _as_int_list(grid, "n", default=[1])
-                        order = grid.get("series_order", 12)
-                        if not _is_int(order) or order < 1:
-                            raise ConfigError("key 'series_order' must be a positive integer")
-                        for n in ns:
-                            yield {**base, "n": n, "series_order": order}
-                    else:
-                        if n_max is None:
-                            raise ConfigError(f"missing required key 'n_max' in grid for {tag}")
-                        uses_m = tag in ("theorem1", "corollary2", "theorem3", "corollary4")
-                        for w1 in w1s:
-                            for w2 in w2s:
-                                for m in ms if uses_m else [None]:
-                                    for n in range(n_max + 1):
-                                        inst = {**base, "n": n, "w1": w1, "w2": w2}
-                                        if m is not None:
-                                            inst["m"] = m
-                                        yield inst
+        keys = _IDENTITIES[tag].keys
+        names = [key.name for key in keys]
+        axes = [_key_values(tag, key, listed, n_max) for key in keys]
+        for chi, xi, *values in product(chars, roots, *axes):
+            yield {"identity": tag, "chi": chi, "xi": xi, **dict(zip(names, values))}
+
+
+def _instance(desc: dict):
+    """(table entry, chi, xi, checker keywords) of one instance descriptor."""
+    entry = _IDENTITIES[desc["identity"]]
+    args = {key.name: desc[key.name] for key in entry.keys}
+    return entry, character_from_json(desc["chi"]), root_from_json(desc["xi"]), args
 
 
 def run_instance(desc: dict) -> IdentityReport:
-    """Dispatch one instance descriptor to its checker."""
-    tag = desc["identity"]
-    chi = character_from_json(desc["chi"])
-    xi = root_from_json(desc["xi"])
-    if tag == "eq_1_13":
-        spec = bn.twist_spec(chi, xi)
-        return check_eq_1_13(spec, desc["k"], desc["shift"])
-    if tag == "power_sum_series_check":
-        return check_power_sum_series(chi, xi, desc["n"], desc["series_order"])
-    args = (desc["n"], chi, xi, desc["w1"], desc["w2"])
-    if tag == "theorem1":
-        return check_theorem1(desc["n"], desc["m"], chi, xi, desc["w1"], desc["w2"])
-    if tag == "remark_m1":
-        return check_remark_m1(*args)
-    if tag == "corollary2":
-        return check_corollary2(desc["n"], desc["m"], chi, xi, desc["w1"], desc["w2"])
-    if tag == "m1_numbers":
-        return check_m1_numbers(*args)
-    if tag == "theorem3":
-        return check_theorem3(desc["n"], desc["m"], chi, xi, desc["w1"], desc["w2"])
-    if tag == "remark_2_11":
-        return check_remark_2_11(*args)
-    if tag == "corollary4":
-        return check_corollary4(desc["n"], desc["m"], chi, xi, desc["w1"], desc["w2"])
-    if tag == "eq_2_12":
-        return check_eq_2_12(*args)
-    raise ConfigError(f"unknown identity tag '{tag}'")
+    """Run one instance descriptor through its identity's checker."""
+    entry, chi, xi, args = _instance(desc)
+    lead = {"spec": bn.twist_spec(chi, xi)} if entry.takes_spec else {"chi": chi, "xi": xi}
+    return globals()[entry.checker](**lead, **args)
 
 
 def _record_for_instance(payload) -> dict:
     desc, include_sides = payload
     try:
         rep = run_instance(desc)
-    except Exception as exc:  # aggregate per-instance failures, keep sweeping
-        tag = desc["identity"]
-        chi = character_from_json(desc["chi"])
-        xi = root_from_json(desc["xi"])
-        params = _params(
-            chi, xi, **{k: v for k, v in desc.items() if k in ("n", "m", "w1", "w2", "k", "shift", "series_order")}
-        )
+    except TwistedBernoulliError as exc:  # a package error fails this instance only
+        _, chi, xi, args = _instance(desc)
         rep = IdentityReport(
-            identity=tag, params=params, holds=False, lhs=None, rhs=None, error=str(exc)
+            identity=desc["identity"], params=_params(chi, xi, **args), holds=False,
+            lhs=None, rhs=None, error=str(exc),
         )
-        return report_to_record(rep, include_sides)
     return report_to_record(rep, include_sides)
 
 

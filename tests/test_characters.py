@@ -11,6 +11,7 @@ from twisted_bernoulli.characters import (
     from_table,
     has_cyclic_units,
     principal,
+    root_from_json,
     unit_group_exponent,
 )
 from twisted_bernoulli.errors import (
@@ -217,3 +218,27 @@ def test_character_spec_rejects_unknown_keys():
         character_from_json({"kind": "principal"})
     with pytest.raises(ConfigError):
         character_from_json({"modulus": 3, "kind": "index", "j": 9})
+    # no coercion: orders and moduli are integers >= 1, exponents and j integers
+    for spec, key in (
+        ({"modulus": 2.0, "kind": "principal"}, "modulus"),
+        ({"modulus": True, "kind": "principal"}, "modulus"),
+        ({"modulus": 0, "kind": "principal"}, "modulus"),
+        ({"modulus": 3, "kind": "index", "j": 1.0}, "j"),
+        ({"modulus": 3, "kind": "index", "j": "1"}, "j"),
+        ({"modulus": 3, "kind": "index", "j": True}, "j"),
+        ({"modulus": 2, "kind": "table", "values": {"1": None}}, "values"),
+        ({"modulus": 2, "kind": "table", "values": [None, {"order": 1.5, "exponent": 0}]}, "order"),
+    ):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            character_from_json(spec)
+    for root, key in (
+        ({"order": 2.7, "exponent": 1}, "order"),
+        ({"order": 0, "exponent": 0}, "order"),
+        ({"order": -3, "exponent": 1}, "order"),
+        ({"order": True, "exponent": 0}, "order"),
+        ({"order": 3, "exponent": 1.0}, "exponent"),
+        ({"order": 3, "exponent": False}, "exponent"),
+        ({"order": 3, "exponent": None}, "exponent"),
+    ):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            root_from_json(root)

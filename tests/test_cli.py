@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 from twisted_bernoulli import cli
+from twisted_bernoulli import identities as idn
+from twisted_bernoulli.errors import NotMultiplicative
 from twisted_bernoulli.exact import cyclo_from_json, frac_from_str
 
 
@@ -105,7 +107,7 @@ def test_verify_single_instance_sides(tmp_path):
 
 
 def test_verify_failure_exit_code(tmp_path):
-    # k = 0 breaches the eq_1_13 precondition: recorded as an error, exit 1
+    # k = 0 breaches the eq_1_13 precondition: a configuration error naming k
     params = {
         "identity": "eq_1_13",
         "d": [1],
@@ -115,10 +117,27 @@ def test_verify_failure_exit_code(tmp_path):
         "shift": [1],
     }
     proc = run_cli(tmp_path, "verify", params)
-    assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    assert payload["summary"]["errors"] == 1
-    assert "error" in payload["reports"][0]
+    assert proc.returncode == 2
+    assert "'k'" in proc.stderr.decode()
+
+
+def test_verify_instance_error_exit_code(monkeypatch):
+    # a package error inside one instance is recorded, and the run exits 1
+    def failing(spec, k, n):
+        raise NotMultiplicative("injected")
+
+    monkeypatch.setattr(idn, "check_eq_1_13", failing)
+    grid = {
+        "identity": "eq_1_13",
+        "d": [1],
+        "xi": {"order": 1, "exponent": 0},
+        "k": [2],
+    }
+    code, out = cli.run(cli.RunConfig(command="verify", params=grid))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["summary"] == {"total": 1, "holds": 0, "failures": 0, "errors": 1}
+    assert payload["reports"][0]["error"] == "injected"
 
 
 def test_config_error_names_key(tmp_path):
@@ -152,6 +171,19 @@ def test_config_error_names_key(tmp_path):
         ("volkenborn", dict(volk, moments=True), "moments"),
         ("verify", {"grids": [grid], "include_sides": "no"}, "include_sides"),
         ("verify", {"grids": [grid], "include_sides": 1}, "include_sides"),
+        # character and root specs are not coerced, and start at 1
+        ("compute-numbers", dict(NUMS_PARAMS, xi={"order": 2.7, "exponent": 1}), "order"),
+        ("compute-numbers", dict(NUMS_PARAMS, xi={"order": 0, "exponent": 0}), "order"),
+        ("compute-numbers", dict(NUMS_PARAMS, modulus=0), "modulus"),
+        ("verify", dict(grid, xi={"order": 2, "exponent": "1"}), "exponent"),
+        # grid minima, and grids that expand to no instance
+        ("verify", dict(grid, identity="eq_1_13", k=[0]), "k"),
+        ("verify", dict(grid, identity="eq_1_13", k=[1], shift=[0]), "shift"),
+        ("verify", dict(grid, identity="power_sum_series_check", n=[0]), "n"),
+        ("verify", dict(grid, d=[0]), "d"),
+        ("verify", dict(grid, xi=[]), "xi"),
+        ("verify", dict(grid, d=[]), "d"),
+        ("verify", dict(grid, w1=[]), "w1"),
     ):
         proc = run_cli(tmp_path, command, params)
         assert proc.returncode == 2

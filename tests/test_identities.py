@@ -7,7 +7,7 @@ import pytest
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
 from twisted_bernoulli.characters import from_table, principal
-from twisted_bernoulli.errors import ConfigError
+from twisted_bernoulli.errors import ConfigError, NotMultiplicative
 from twisted_bernoulli.exact import RootOfUnity
 
 from _oracles import bernoulli_recurrence, classical_poly_at
@@ -248,6 +248,61 @@ def test_bivariate_equality_implies_pointwise_equality():
         assert rep.lhs.evaluate(x, y) == rep.rhs.evaluate(x, y)
 
 
+# --- swap checkers ---------------------------------------------------------------
+
+SWAP_TAGS = (
+    "theorem1", "remark_m1", "corollary2", "m1_numbers",
+    "theorem3", "remark_2_11", "corollary4", "eq_2_12",
+)
+ORDER_M_TAGS = ("theorem1", "corollary2", "theorem3", "corollary4")
+
+
+def swap_check(tag, n, m, w1, w2):
+    check = getattr(idn, f"check_{tag}")
+    if tag in ORDER_M_TAGS:
+        return check(n, m, P1, ONE, w1, w2)
+    return check(n, P1, ONE, w1, w2)
+
+
+@pytest.mark.parametrize("tag", SWAP_TAGS)
+def test_swap_checkers_reject_bad_arguments(tag):
+    assert swap_check(tag, 2, 1, 1, 2).holds
+    bad = [(-1, 1, 1, 2), (2, 1, 0, 2), (2, 1, 1, 0)]
+    if tag in ORDER_M_TAGS:
+        bad.append((2, 0, 1, 2))
+    for args in bad:
+        with pytest.raises(ValueError, match="need"):
+            swap_check(tag, *args)
+
+
+def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
+    # the names that perfbench's tracer wraps must be looked up at call time
+    checkers = {tag: f"check_{tag}" for tag in ("eq_1_13", *SWAP_TAGS)}
+    checkers["power_sum_series_check"] = "check_power_sum_series"
+    builders = {tag: f"_{tag}_side" for tag in SWAP_TAGS}
+    calls = {}
+
+    def counting(name):
+        fn = getattr(idn, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(idn, name, wrapper)
+
+    for name in (*checkers.values(), *builders.values()):
+        counting(name)
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    xi = {"order": 1, "exponent": 0}
+    for tag, checker in checkers.items():
+        desc = next(iter(idn.expand_grid({"identity": tag, "d": [1], "xi": xi, "k": [1], "n_max": 1})))
+        assert idn.run_instance(desc).holds
+        assert calls.get(checker) == 1
+        if tag in builders:
+            assert calls.get(builders[tag], 0) >= 1
+
+
 # --- sweep -----------------------------------------------------------------------------
 
 def test_sweep_empty_grid():
@@ -312,26 +367,70 @@ def test_sweep_rejects_unknown_keys():
     ):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             list(idn.expand_grid({**base, key: val}))
-    # weights and m start at 1, n_max at 0
-    for key, val in (("w1", [0]), ("w2", [1, -2]), ("m", 0), ("n_max", -1)):
+    # weights, m, k, shift, power-sum n and d start at 1, n_max at 0
+    for base, key, val in (
+        (thm, "w1", [0]),
+        (thm, "w2", [1, -2]),
+        (thm, "m", 0),
+        (thm, "n_max", -1),
+        (eq, "k", [0]),
+        (eq, "shift", [0]),
+        (pss, "n", [0]),
+        (pss, "series_order", 0),
+        (thm, "d", [0]),
+    ):
         with pytest.raises(ConfigError, match=f"'{key}'"):
-            list(idn.expand_grid({**thm, key: val}))
+            list(idn.expand_grid({**base, key: val}))
+    # a value of the wrong shape, or a grid that expands to no instance, names its key
+    for base, key, val in (
+        (thm, "xi", []),
+        (thm, "d", []),
+        (thm, "w1", []),
+        (thm, "m", []),
+        (eq, "k", []),
+        (eq, "character", []),
+        (thm, "identity", []),
+        (thm, "identity", 5),
+        (thm, "xi", 5),
+        (thm, "character", "some"),
+        ({k: v for k, v in eq.items() if k != "k"}, "n_max", 0),
+    ):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            list(idn.expand_grid({**base, key: val}))
+    # eq_1_13 without k, and every swap identity, needs n_max
+    for base in (eq, thm):
+        with pytest.raises(ConfigError, match="'n_max'"):
+            list(idn.expand_grid({k: v for k, v in base.items() if k not in ("k", "n_max")}))
 
 
-def test_sweep_collects_instance_errors():
-    # k = 0 violates the eq_1_13 precondition; the sweep must record, not abort
+def test_sweep_collects_instance_errors(monkeypatch):
+    # a package error fails its instance only: the sweep records it and goes on
+    check = idn.check_eq_1_13
+
+    def failing(spec, k, n):
+        if k == 2:
+            raise NotMultiplicative("injected")
+        return check(spec, k, n)
+
+    monkeypatch.setattr(idn, "check_eq_1_13", failing)
     grid = {
         "identity": "eq_1_13",
         "d": [1],
         "character": "all",
         "xi": {"order": 1, "exponent": 0},
-        "k": [0, 1],
-        "shift": [1],
+        "k": [1, 2],
+        "shift": [3],
     }
     records, summary = idn.sweep(grid)
-    assert summary["total"] == 2
-    assert summary["errors"] == 1
-    assert summary["holds"] == 1
+    assert summary == {"total": 2, "holds": 1, "failures": 0, "errors": 1}
+    assert records[1]["error"] == "injected"
+    # an error record names its parameters as the success record does
+    assert records[0]["params"] == {**records[1]["params"], "k": 1}
+    assert list(records[1]["params"]) == ["n", "d", "chi", "xi", "k"]
+    # any other exception is a programming error and ends the sweep
+    monkeypatch.setattr(idn, "check_eq_1_13", lambda spec, k, n: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        idn.sweep(grid)
 
 
 def test_report_record_includes_sides_on_failure_only():
