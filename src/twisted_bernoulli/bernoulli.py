@@ -119,35 +119,44 @@ def _round_order(n: int) -> int:
     return ((n + 7) // 8) * 8
 
 
-@lru_cache(maxsize=None)
-def _kernel_series(spec: TwistSpec, order: int) -> ps.TruncSeries:
-    """divide_cancel(t * sum_a chi(a) xi^a e^(a t), xi^d e^(d t) - 1)."""
+def _twisted_exp_sum(spec: TwistSpec, count: int) -> list[CycloElem]:
+    """Coefficients of t^0..t^(count-1) in sum_{a<d} chi(a) xi^a e^(a t).
+
+    The ordinary coefficient of t^i is sum_a chi(a) xi^a a^i / i!.
+    """
     field = spec.ambient
-    d = spec.chi.modulus
-    xi = as_cyclo(spec.xi, field.conductor)
-    # numerator t * sum_a chi(a) xi^a e^(a t): ordinary coefficient of t^(i+1)
-    # is sum_a w_a a^i / i!
     weights = []
-    for a in range(d):
+    for a in range(spec.chi.modulus):
         c = spec.chi.value_at(a, field)
         if not c.is_zero():
-            weights.append((a, c * xi**a))
-    num = [field.zero]
+            weights.append((a, c * as_cyclo(spec.xi**a, field.conductor)))
+    out = []
     fact = Fraction(1)
-    for i in range(order):
+    for i in range(count):
         if i:
             fact /= i
         acc = field.zero
         for a, w in weights:
             acc = acc + w * (fact * a**i)
-        num.append(acc)
-    numerator = ps.TruncSeries(field, num)
-    # denominator xi^d e^(d t) - 1
-    xid = xi**d
-    den = [c * xid for c in ps.exp_at(field.rational(d), order).coeffs]
-    den[0] = den[0] - field.one
-    denominator = ps.TruncSeries(field, den)
-    return ps.divide_cancel(numerator, denominator)
+        out.append(acc)
+    return out
+
+
+def _twisted_exp_minus_one(spec: TwistSpec, c: int, order: int) -> ps.TruncSeries:
+    """xi^c e^(c t) - 1 to the given truncation order."""
+    field = spec.ambient
+    xic = as_cyclo(spec.xi**c, field.conductor)
+    coeffs = [v * xic for v in ps.exp_at(field.rational(c), order).coeffs]
+    coeffs[0] = coeffs[0] - field.one
+    return ps.TruncSeries(field, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _kernel_series(spec: TwistSpec, order: int) -> ps.TruncSeries:
+    """divide_cancel(t * sum_a chi(a) xi^a e^(a t), xi^d e^(d t) - 1)."""
+    field = spec.ambient
+    numerator = ps.TruncSeries(field, [field.zero] + _twisted_exp_sum(spec, order))
+    return ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, spec.chi.modulus, order))
 
 
 @lru_cache(maxsize=None)
@@ -237,26 +246,11 @@ def power_sum_series_check(spec: TwistSpec, n: int, order: int) -> PowerSumSerie
         raise ValueError("need n >= 1 and order >= 1")
     field = spec.ambient
     d = spec.chi.modulus
-    xi = as_cyclo(spec.xi, field.conductor)
-    # (xi^(nd) e^(nd t) - 1)
-    head = [c * xi ** (n * d) for c in ps.exp_at(field.rational(n * d), order).coeffs]
-    head[0] = head[0] - field.one
-    # sum_{i<d} chi(i) xi^i e^(i t)
-    tail = [field.zero] * (order + 1)
-    fact = Fraction(1)
-    for j in range(order + 1):
-        if j:
-            fact /= j
-        acc = field.zero
-        for i in range(d):
-            c = spec.chi.value_at(i, field)
-            if not c.is_zero():
-                acc = acc + c * xi**i * (fact * i**j)
-        tail[j] = acc
-    numerator = ps.series_mul(ps.TruncSeries(field, head), ps.TruncSeries(field, tail))
-    den = [c * xi**d for c in ps.exp_at(field.rational(d), order).coeffs]
-    den[0] = den[0] - field.one
-    lhs = ps.divide_cancel(numerator, ps.TruncSeries(field, den))
+    numerator = ps.series_mul(
+        _twisted_exp_minus_one(spec, n * d, order),
+        ps.TruncSeries(field, _twisted_exp_sum(spec, order + 1)),
+    )
+    lhs = ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, d, order))
     rhs = tuple(
         power_sum(spec, k, n * d - 1) * Fraction(1, factorial(k)) for k in range(lhs.order + 1)
     )

@@ -29,7 +29,7 @@ from . import identities as idn
 from . import volkenborn as vk
 from .characters import _json_int, character_from_json, root_from_json
 from .errors import ConfigError, TwistedBernoulliError
-from .exact import INFINITY, cyclo_to_json, frac_to_str
+from .exact import INFINITY, _is_p_power, cyclo_to_json, frac_to_str, is_prime
 
 
 @dataclass
@@ -112,6 +112,8 @@ def _cmd_verify(params: dict, jobs: int):
         grids = [grids]
     if not isinstance(grids, list):
         raise ConfigError("verify config must be a grid object, a list, or {'grids': [...]}")
+    if not grids:
+        raise ConfigError("key 'grids' must list at least one grid; an empty sweep checks nothing")
     records, summary = idn.sweep(grids, include_sides=include_sides, jobs=jobs)
     payload = {"summary": summary, "reports": records}
     ok = summary["failures"] == 0 and summary["errors"] == 0
@@ -128,20 +130,31 @@ def _cmd_volkenborn(params: dict):
         {"p", "check", "modulus", "character", "xi", "moments"},
         {"level_max", "shift"},
     )
+    kind = params["check"]
+    if kind not in ("convergence", "shift"):
+        raise ConfigError("key 'check' must be \"convergence\" or \"shift\"")
     p = _int_param(params, "p", 2)
+    if not is_prime(p):
+        raise ConfigError(f"key 'p' must be a prime, got {p}")
     chi = character_from_json(params["character"], modulus=params["modulus"])
     if chi.modulus != params["modulus"]:
         raise ConfigError("key 'modulus' disagrees with the character spec")
+    if chi.value_conductor() != 1:
+        raise ConfigError("key 'character' must take rational values (orders one and two)")
     xi = root_from_json(params["xi"])
+    if not _is_p_power(xi.normalized().order, p):
+        raise ConfigError(f"key 'xi' must have order 1 or a power of p = {p}")
     moments = params["moments"]
     if idn._is_int(moments):
         moments = [moments]
     if not isinstance(moments, list) or not all(idn._is_int(m) for m in moments):
         raise ConfigError("key 'moments' must be an integer or list of integers")
+    least = 1 if kind == "shift" else 0
+    if not moments or min(moments) < least:
+        raise ConfigError(f"key 'moments' must list at least one integer, each >= {least} for {kind} checks")
     level_max = params.get("level_max", vk.DEFAULT_LEVEL_CAP.get(p, 5))
     if not isinstance(level_max, int) or level_max < 2:
         raise ConfigError("key 'level_max' must be an integer >= 2")
-    kind = params["check"]
     checks = []
     all_pass = True
     if kind == "convergence":
@@ -161,13 +174,11 @@ def _cmd_volkenborn(params: dict):
                     "passed": passed,
                 }
             )
-    elif kind == "shift":
+    else:
         if "shift" not in params:
             raise ConfigError("missing required key 'shift' in config")
         n_shift = _int_param(params, "shift", 1)
         for k in sorted(moments):
-            if k < 1:
-                raise ConfigError("shift checks need moments >= 1")
             spec = vk.integrand_spec(chi, xi, k)
             rows = []
             vals = []
@@ -180,8 +191,6 @@ def _cmd_volkenborn(params: dict):
             ).passes()
             all_pass = all_pass and passed
             checks.append({"moment": k, "shift": n_shift, "trace": rows, "passed": passed})
-    else:
-        raise ConfigError("key 'check' must be \"convergence\" or \"shift\"")
     return {"p": p, "check": kind, "checks": checks}, 0 if all_pass else 1
 
 

@@ -12,8 +12,11 @@ Conventions fixed here and relied on elsewhere:
 
 * binary operations require equal conductors; callers embed into an
   lcm-conductor field first (:func:`embed`),
-* the field norm is the product of all Galois conjugates, so the norm of a
-  rational q is q**phi(m),
+* the field norm is the product of all Galois conjugates sigma_s(e),
+  s in (Z/m)^*, so the norm of a rational q is q**phi(m); the inverse is the
+  product of the conjugates with s != 1 divided by the norm (Washington,
+  *Introduction to Cyclotomic Fields*, ch. 2); both are built from
+  :func:`galois_apply` and element multiplication,
 * the p-adic valuation is normalized with nu_p(p) = 1 and is only defined
   for rational elements or in fields of p-power conductor (totally ramified
   case, where it is independent of any choice of prime above p),
@@ -374,20 +377,17 @@ class CycloElem:
         return out
 
     def inverse(self) -> "CycloElem":
-        """Multiplicative inverse via extended gcd with the minimal polynomial."""
+        """Multiplicative inverse: the product of the other conjugates over the norm.
+
+        With c = prod_{s != 1} sigma_s(e), e * c is the field norm, a nonzero
+        rational, so e^-1 = c / (e * c).
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.is_rational():
             return self.field.rational(1 / self.rational_value())
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        phi = [Fraction(c) for c in self.field.minimal_polynomial]
-        g, u = _poly_xgcd_mod(a, phi)
-        # g is a nonzero constant; inverse = u / g
-        inv = [c / g for c in u]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return CycloElem(self.field, inv[: self.field.degree])
+        cofactor = _other_conjugates(self)
+        return cofactor * (1 / (self * cofactor).rational_value())
 
     # -- comparison --------------------------------------------------------
 
@@ -409,59 +409,6 @@ class CycloElem:
 
     def __repr__(self):
         return f"CycloElem(m={self.field.conductor}, {list(self.coeffs)})"
-
-
-def _poly_xgcd_mod(a, m):
-    """Return (g, u) with u*a == g (mod m), g a nonzero constant, over Fractions.
-
-    The cyclotomic modulus is irreducible over Q, so every nonzero residue of
-    smaller degree is a unit and the gcd ends at a nonzero constant.
-    """
-    r0, r1 = [Fraction(c) for c in m], [Fraction(c) for c in a]
-    u0, u1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) <= 1:
-            break
-        q, r = _poly_divmod_frac(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul_frac(q, u1))
-    if not r1 or r1[0] == 0:
-        raise DivisionByZero("element is a zero divisor modulo the minimal polynomial")
-    return r1[0], u1
-
-
-def _poly_divmod_frac(n, d):
-    n = list(n)
-    q = [Fraction(0)] * max(len(n) - len(d) + 1, 1)
-    for k in range(len(n) - len(d), -1, -1):
-        c = n[k + len(d) - 1] / d[-1]
-        q[k] = c
-        if c:
-            for j, y in enumerate(d):
-                n[k + j] -= c * y
-    while n and n[-1] == 0:
-        n.pop()
-    return q, n
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,43 +485,25 @@ def galois_apply(e: CycloElem, s: int) -> CycloElem:
 # ---------------------------------------------------------------------------
 # norm and p-adic valuation
 
+def _other_conjugates(e: CycloElem) -> CycloElem:
+    """prod sigma_s(e) over s in (Z/m)^*, s != 1: e times it is the norm."""
+    m = e.field.conductor
+    out = e.field.one
+    for s in range(2, m):
+        if gcd(s, m) == 1:
+            out = out * galois_apply(e, s)
+    return out
+
+
 def norm(e: CycloElem) -> Fraction:
-    """Field norm: product of all Galois conjugates.
+    """Field norm: product of all Galois conjugates sigma_s(e), s in (Z/m)^*.
 
-    Computed as the determinant of multiplication by e in the power basis,
-    which fixes the sign so that norm(q) == q**phi(m) for rational q.
+    The product is fixed by every sigma_s, hence rational; rational_value()
+    raises if it ever is not.  norm(q) == q**phi(m) for rational q.
     """
-    phi = e.field.degree
     if e.is_rational():
-        return e.rational_value() ** phi
-    cols = []
-    cur = e
-    z = _zeta_power(e.field.conductor, 1)
-    for _ in range(phi):
-        cols.append(cur.coeffs)
-        cur = cur * z
-    mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-    return _det_frac(mat)
-
-
-def _det_frac(mat) -> Fraction:
-    n = len(mat)
-    mat = [list(row) for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] / mat[col][col]
-            if f:
-                for c in range(col, n):
-                    mat[r][c] -= f * mat[col][c]
-    return det
+        return e.rational_value() ** e.field.degree
+    return (e * _other_conjugates(e)).rational_value()
 
 
 def rational_valuation(q: Fraction, p: int):

@@ -77,10 +77,12 @@ def test_power_sum(tmp_path):
 
 
 def test_verify_empty_grid(tmp_path):
-    proc = run_cli(tmp_path, "verify", [])
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["summary"]["total"] == 0
+    # a sweep that checks nothing is not evidence: no grid at all exits 2
+    for params in ([], {"grids": []}):
+        proc = run_cli(tmp_path, "verify", params)
+        assert proc.returncode == 2
+        assert "'grids'" in proc.stderr.decode()
+        assert proc.stdout == b""
 
 
 def test_verify_single_instance_sides(tmp_path):
@@ -184,6 +186,18 @@ def test_config_error_names_key(tmp_path):
         ("verify", dict(grid, xi=[]), "xi"),
         ("verify", dict(grid, d=[]), "d"),
         ("verify", dict(grid, w1=[]), "w1"),
+        # volkenborn: p prime, at least one moment in range, a twist of
+        # p-power order and a character with rational values
+        ("volkenborn", dict(volk, p=4, moments=[1]), "p"),
+        ("volkenborn", dict(volk, moments=[-1]), "moments"),
+        ("volkenborn", dict(volk, moments=[]), "moments"),
+        ("volkenborn", dict(volk, check="shift", shift=1, moments=[0]), "moments"),
+        ("volkenborn", dict(volk, xi={"order": 5, "exponent": 1}, moments=[1]), "xi"),
+        (
+            "volkenborn",
+            dict(volk, modulus=7, character={"kind": "index", "j": 1}, moments=[1]),
+            "character",
+        ),
     ):
         proc = run_cli(tmp_path, command, params)
         assert proc.returncode == 2
