@@ -119,14 +119,15 @@ def _round_order(n: int) -> int:
     return ((n + 7) // 8) * 8
 
 
-def _twisted_exp_sum(spec: TwistSpec, count: int) -> list[CycloElem]:
-    """Coefficients of t^0..t^(count-1) in sum_{a<d} chi(a) xi^a e^(a t).
+def _twisted_exp_sum(spec: TwistSpec, count: int, terms: int | None = None) -> list[CycloElem]:
+    """Coefficients of t^0..t^(count-1) in sum_{a<terms} chi(a) xi^a e^(a t).
 
-    The ordinary coefficient of t^i is sum_a chi(a) xi^a a^i / i!.
+    ``terms`` defaults to the modulus d.  The ordinary coefficient of t^i is
+    sum_a chi(a) xi^a a^i / i!.
     """
     field = spec.ambient
     weights = []
-    for a in range(spec.chi.modulus):
+    for a in range(spec.chi.modulus if terms is None else terms):
         c = spec.chi.value_at(a, field)
         if not c.is_zero():
             weights.append((a, c * as_cyclo(spec.xi**a, field.conductor)))
@@ -137,8 +138,8 @@ def _twisted_exp_sum(spec: TwistSpec, count: int) -> list[CycloElem]:
             fact /= i
         acc = field.zero
         for a, w in weights:
-            acc = acc + w * (fact * a**i)
-        out.append(acc)
+            acc = acc + w * a**i
+        out.append(acc * fact)
     return out
 
 

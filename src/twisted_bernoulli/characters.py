@@ -286,15 +286,21 @@ def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
     raise ConfigError(f"unknown character kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def _cyclic_index(d: int) -> dict[DirichletCharacter, int]:
+    """{chi_j: j} over the enumerated characters mod d."""
+    return {chi: j for j, chi in enumerate(_cyclic_characters(d))}
+
+
 def character_to_json(chi: DirichletCharacter) -> dict:
     """Stable spec for a character: principal / index when possible, else table."""
     d = chi.modulus
     if chi.is_principal():
         return {"modulus": d, "kind": "principal"}
     if has_cyclic_units(d):
-        for j, cand in enumerate(enumerate_cyclic(d)):
-            if cand == chi:
-                return {"modulus": d, "kind": "index", "j": j}
+        j = _cyclic_index(d).get(chi)
+        if j is not None:
+            return {"modulus": d, "kind": "index", "j": j}
     return {
         "modulus": d,
         "kind": "table",

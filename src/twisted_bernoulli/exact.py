@@ -475,11 +475,14 @@ def galois_apply(e: CycloElem, s: int) -> CycloElem:
     m = e.field.conductor
     if gcd(s, m) != 1:
         raise ValueError(f"{s} is not coprime to the conductor {m}")
-    acc = e.field.zero
-    for i, c in enumerate(e.coeffs):
-        if c:
-            acc = acc + _zeta_power(m, (i * s) % m) * c
-    return acc
+    # sigma_s moves coordinate i onto zeta^(i s), whose coordinates are integers
+    acc = [0] * e.field.degree
+    for i, v in enumerate(e.nums):
+        if v:
+            for j, z in enumerate(_zeta_power(m, (i * s) % m).nums):
+                if z:
+                    acc[j] += v * z
+    return CycloElem._raw(e.field, *K.normalize(acc, e.den))
 
 
 # ---------------------------------------------------------------------------

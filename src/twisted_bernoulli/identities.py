@@ -14,24 +14,57 @@ eight swap identities; grid expansion and instance dispatch read the same
 table.  It names functions rather than holding them, so each call goes
 through the module global.
 
+Every swap side is read off one series.  Write F^(k)_w(t) for the order-k
+generating series of chi and the twist xi^w, sum_n B^(k)_{n,chi,xi^w} t^n/n!,
+so that the degree-n polynomial B^(k)_n(u) has generating series
+F^(k)_w(t) e^(u t).  For the (wa, wb) side let
+
+    S(t) = sum_{i < wa d} chi(i) xi^(wb i) e^(wb i t),
+    H(t) = (1/wa) F^(m)_wa(wa t) S(t) F^(m-1)_wb(wb t).
+
+theorem1 prints the side as sum_j C(n, j) wb^j wa^(n-j-1) B^(m)_(n-j)(wb x)
+Y_j(y) with Y_j(y) = sum_k C(j, k) T_k(wa d - 1) B^(m-1)_(j-k)(wa y), T_k the
+power sums of the twist xi^wb.  The first factor has series
+F^(m)_wa(wa t) e^(wa wb x t) in wa t; Y_j has series
+P(s) F^(m-1)_wb(s) e^(wa wb y t) in s = wb t, where
+P(s) = sum_k T_k(wa d - 1) s^k / k! = S(t).  So the side is
+n! [t^n] H(t) e^(wa wb (x + y) t).  theorem3 prints
+sum_k C(n, k) wa^(k-1) wb^(n-k) X_k(x) B^(m-1)_(n-k)(wa y) with
+X_k(x) = sum_i chi(i) xi^(wb i) B^(m)_k(wb x + wb i / wa), and X_k has
+series F^(m)_wa(wa t) e^(wa wb x t) S(t) in wa t: the same H.  Each side is
+a projection of h_r = r! [t^r] H:
+
+* theorem1 and theorem3: the coefficient of x^a y^b is
+  n!/(a! b! r!) h_r (wa wb)^(a+b), with r = n - a - b;
+* remark_m1 and remark_2_11 (m = 1): the y = 0 column;
+* corollary2, m1_numbers, corollary4 and eq_2_12: h_n, the value at
+  x = y = 0 (m = 1 for the last two of these and for the remarks).
+
+The two families stay two routes to S: theorem1, remark_m1, corollary2 and
+m1_numbers build it from ``bernoulli.power_sum``; theorem3, remark_2_11,
+corollary4 and eq_2_12 sum its terms over i < wa d.  One H per (wa, wb, m,
+reading) serves every n of a block: its order is n rounded up to a multiple
+of 4, and the block memo holds it.
+
 Two identities are checked under two readings each (see the checker
-docstrings): the swapped-side expansion of the order-m product formula has
-one printed variant that differs from the symmetric form in a twist
-subscript, and the m = 1, y = 0 specialization of the power-sum/polynomial
-relation is printed without the twist weights that the general form
-carries.  Reports carry the verdict of every reading.
+docstrings), and a reading changes only the inputs of H.  The printed
+swapped expansion of theorem1 ("expansion_literal") twists F^(m-1) by xi^wa
+instead of xi^wb; remark_2_11 "as_printed" drops the weights xi^(wb i) from
+S, which the m = 1 specialization of the general form carries.  Reports
+carry the verdict of every reading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 from . import bernoulli as bn
+from . import powerseries as ps
 from .characters import (
     DirichletCharacter,
     _json_int,
@@ -128,10 +161,6 @@ class BivariatePoly:
         return f"BivariatePoly(m={self.field.conductor}, deg_x={self.deg_x}, deg_y={self.deg_y})"
 
 
-def _univar(field: CycloField, coeffs) -> BivariatePoly:
-    return BivariatePoly(field, [[c] for c in coeffs])
-
-
 # ---------------------------------------------------------------------------
 # cached building blocks
 
@@ -140,6 +169,8 @@ def _spec_for(chi: DirichletCharacter, xi: RootOfUnity, w: int, conductor: int) 
     return bn.twist_spec(chi, xi**w, conductor=conductor)
 
 
+# The side builders no longer call _affine_poly and _bern_at; the literal
+# reference sums in the tests do, and perfbench reads their cache counts.
 @lru_cache(maxsize=None)
 def _affine_poly(
     spec: bn.TwistSpec, k: int, degree: int, scale: Fraction, shift: Fraction
@@ -162,25 +193,15 @@ def _bern_at(spec: bn.TwistSpec, k: int, degree: int, point: Fraction) -> CycloE
     return bn.evaluate(bn.polynomial(spec, k, degree), point)
 
 
-def _accumulate_outer(mat, xpoly, ypoly):
-    for a, xc in enumerate(xpoly):
-        if xc.is_zero():
-            continue
-        row = mat[a]
-        for b, yc in enumerate(ypoly):
-            if not yc.is_zero():
-                row[b] = row[b] + xc * yc
-
-
 # ---------------------------------------------------------------------------
-# block memo: whole sides and their n-independent partial sums
+# block memo: whole sides and the series they are read from
 
 class _BlockMemo:
     """Values computed for one (chi, xi, conductor) block at a time.
 
     A sweep expands tag -> d -> chi -> xi -> w1 -> w2 -> m -> n, so instances
     (w1, w2) and (w2, w1) and every n of them fall inside one block and share
-    its sides and partial sums.  A request for another block empties the memo
+    its sides and series.  A request for another block empties the memo
     first, so memory stays bounded by one block.  A key names every argument
     besides chi, xi and the conductor that changes the value; values are
     immutable (BivariatePoly, CycloElem, tuples) because they are shared.
@@ -208,80 +229,71 @@ class _BlockMemo:
 _MEMO = _BlockMemo()
 
 
-def _block_memoized(fn):
-    """Memoize fn(chi, xi, cond, *key) in the block memo under (name, *key)."""
-    name = fn.__name__
+# ---------------------------------------------------------------------------
+# the series H of one (wa, wb, m, reading), and its projections
 
-    @wraps(fn)
-    def cached(chi, xi, cond, *key):
-        return _MEMO.get(chi, xi, cond, (name, *key), lambda: fn(chi, xi, cond, *key))
-
-    return cached
+def _scaled_numbers(spec, k, w, order, over=1) -> ps.TruncSeries:
+    """F^(k)(w t) / over to t^order, F^(k) the order-k series of spec."""
+    nums = bn.numbers(spec, k, order).numbers
+    return ps.TruncSeries(spec.ambient, [c * Fraction(w**r, over * factorial(r)) for r, c in enumerate(nums)])
 
 
-@_block_memoized
-def _theorem1_ypoly(chi, xi, cond, m, wa, wb, last_twist_wa, j) -> tuple[CycloElem, ...]:
-    """y coefficients of sum_k C(j, k) T_k(wa d - 1) B^(m-1)_(j-k)(wa y)."""
-    fld = cyclo_field(cond)
+def _power_sum_factor(chi, xi, cond, wa, wb, order) -> list[CycloElem]:
+    """S(t) to t^order from the power sums: [t^k] S = T_k(wa d - 1) wb^k / k!."""
     spec_b = _spec_for(chi, xi, wb, cond)
-    spec_last = _spec_for(chi, xi, wa if last_twist_wa else wb, cond)
-    ypoly = [fld.zero] * (j + 1)
-    for k in range(j + 1):
-        t = bn.power_sum(spec_b, k, wa * chi.modulus - 1) * comb(j, k)
-        if t.is_zero():
-            continue
-        sub = _affine_poly(spec_last, m - 1, j - k, Fraction(wa), Fraction(0))
-        for b, c in enumerate(sub):
-            if not c.is_zero():
-                ypoly[b] = ypoly[b] + t * c
-    return tuple(ypoly)
+    top = wa * chi.modulus - 1
+    return [bn.power_sum(spec_b, k, top) * Fraction(wb**k, factorial(k)) for k in range(order + 1)]
 
 
-@_block_memoized
-def _corollary2_inner(chi, xi, cond, m, wa, wb, j) -> CycloElem:
-    """sum_k C(j, k) T_k(wa d - 1) B^(m-1)_(j-k), both of the twist xi^wb."""
-    spec_b = _spec_for(chi, xi, wb, cond)
-    nums_b = bn.numbers(spec_b, m - 1, j).numbers
-    inner = cyclo_field(cond).zero
-    for k in range(j + 1):
-        t = bn.power_sum(spec_b, k, wa * chi.modulus - 1)
-        if not t.is_zero():
-            inner = inner + t * nums_b[j - k] * comb(j, k)
-    return inner
+def _shifted_exp_factor(chi, xi, cond, wa, wb, order, with_weights) -> list[CycloElem]:
+    """S(t) to t^order from its terms chi(i) xi^(wb i) e^(wb i t), i < wa d.
+
+    Without weights the factors xi^(wb i) are dropped: the twist is xi^0 = 1.
+    """
+    spec = _spec_for(chi, xi, wb if with_weights else 0, cond)
+    return [c * wb**k for k, c in enumerate(bn._twisted_exp_sum(spec, order + 1, wa * chi.modulus))]
 
 
-@_block_memoized
-def _theorem3_xpoly(chi, xi, cond, m, wa, wb, k) -> tuple[CycloElem, ...]:
-    """x coefficients of sum_i chi(i) xi^(wb i) B^(m)_k(wb x + wb i / wa), i < wa d."""
+def _series_h(chi, xi, cond, route, n, m, wa, wb, last_w=None, with_weights=True):
+    """Ordinary coefficients of H(t) to an order >= n, shared in the block memo.
+
+    ``route`` names how S is built: "power_sum" or "shifted".  ``last_w``
+    twists F^(m-1) by xi^last_w (default wb); ``with_weights`` keeps the
+    xi^(wb i) in S on the shifted route.  The order is n rounded up to a
+    multiple of 4, so that nearby n share one product.
+    """
+    order = 4 * max(1, -(-n // 4))
+    last_w = wb if last_w is None or m == 1 else last_w  # F^(0) = 1 carries no twist
+    key = ("H", route, m, wa, wb, last_w, with_weights, order)
+
+    def build():
+        if route == "power_sum":
+            s = _power_sum_factor(chi, xi, cond, wa, wb, order)
+        else:
+            s = _shifted_exp_factor(chi, xi, cond, wa, wb, order, with_weights)
+        spec_a = _spec_for(chi, xi, wa, cond)
+        lead = _scaled_numbers(spec_a, m, wa, order, over=wa)
+        h = ps.series_mul(lead, ps.TruncSeries(spec_a.ambient, s))
+        if m > 1:  # F^(0) = 1
+            h = ps.series_mul(h, _scaled_numbers(_spec_for(chi, xi, last_w, cond), m - 1, wb, order))
+        return h.coeffs
+
+    return _MEMO.get(chi, xi, cond, key, build)
+
+
+def _xy_poly(coeffs, n, c, cond, with_y=True) -> BivariatePoly:
+    """n! [t^n] H(t) e^(c (x + y) t), from the ordinary coefficients of H.
+
+    The coefficient of x^a y^b is n!/(a! b!) coeffs[r] c^(a+b), which is
+    n!/(a! b! r!) h_r c^(a+b) with r = n - a - b; with_y=False keeps only
+    the y = 0 column.
+    """
     fld = cyclo_field(cond)
-    spec_a = _spec_for(chi, xi, wa, cond)
-    xpoly = [fld.zero] * (k + 1)
-    for i in range(wa * chi.modulus):
-        cv = chi.value_at(i, fld)
-        if cv.is_zero():
-            continue
-        w = cv * as_cyclo(xi ** (wb * i), cond)
-        sub = _affine_poly(spec_a, m, k, Fraction(wb), Fraction(wb * i, wa))
-        for a, c in enumerate(sub):
-            if not c.is_zero():
-                xpoly[a] = xpoly[a] + w * c
-    return tuple(xpoly)
-
-
-@_block_memoized
-def _corollary4_inner(chi, xi, cond, m, wa, wb, k) -> CycloElem:
-    """sum_i chi(i) xi^(wb i) B^(m)_k(wb i / wa), i < wa d."""
-    fld = cyclo_field(cond)
-    spec_a = _spec_for(chi, xi, wa, cond)
-    inner = fld.zero
-    for i in range(chi.modulus * wa):
-        cv = chi.value_at(i, fld)
-        if cv.is_zero():
-            continue
-        inner = inner + cv * as_cyclo(xi ** (wb * i), cond) * _bern_at(
-            spec_a, m, k, Fraction(wb * i, wa)
-        )
-    return inner
+    mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        for b in range(n - a + 1 if with_y else 1):
+            mat[a][b] = coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
+    return BivariatePoly(fld, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -289,118 +301,37 @@ def _corollary4_inner(chi, xi, cond, m, wa, wb, k) -> CycloElem:
 # right side, so swap symmetry is structural
 
 def _theorem1_side(n, m, chi, xi, wa, wb, cond, last_twist_wa=False) -> BivariatePoly:
-    fld = cyclo_field(cond)
-    spec_a = _spec_for(chi, xi, wa, cond)
-    mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        scal = comb(n, j) * Fraction(wb) ** j * Fraction(wa) ** (n - j - 1)
-        xpoly = [c * scal for c in _affine_poly(spec_a, m, n - j, Fraction(wb), Fraction(0))]
-        _accumulate_outer(mat, xpoly, _theorem1_ypoly(chi, xi, cond, m, wa, wb, last_twist_wa, j))
-    return BivariatePoly(fld, mat)
+    h = _series_h(chi, xi, cond, "power_sum", n, m, wa, wb, wa if last_twist_wa else wb)
+    return _xy_poly(h, n, wa * wb, cond)
 
 
 def _remark_m1_side(n, chi, xi, wa, wb, cond) -> BivariatePoly:
-    fld = cyclo_field(cond)
-    d = chi.modulus
-    spec_a = _spec_for(chi, xi, wa, cond)
-    spec_b = _spec_for(chi, xi, wb, cond)
-    acc = [fld.zero] * (n + 1)
-    for j in range(n + 1):
-        t = bn.power_sum(spec_b, j, wa * d - 1)
-        if t.is_zero():
-            continue
-        t = t * (comb(n, j) * Fraction(wb) ** j * Fraction(wa) ** (n - j - 1))
-        sub = _affine_poly(spec_a, 1, n - j, Fraction(wb), Fraction(0))
-        for a, c in enumerate(sub):
-            if not c.is_zero():
-                acc[a] = acc[a] + t * c
-    return _univar(fld, acc)
+    return _xy_poly(_series_h(chi, xi, cond, "power_sum", n, 1, wa, wb), n, wa * wb, cond, with_y=False)
 
 
 def _corollary2_side(n, m, chi, xi, wa, wb, cond) -> CycloElem:
-    fld = cyclo_field(cond)
-    spec_a = _spec_for(chi, xi, wa, cond)
-    nums_a = bn.numbers(spec_a, m, n).numbers
-    acc = fld.zero
-    for j in range(n + 1):
-        inner = _corollary2_inner(chi, xi, cond, m, wa, wb, j)
-        if not inner.is_zero():
-            acc = acc + nums_a[n - j] * inner * (
-                comb(n, j) * Fraction(wb) ** j * Fraction(wa) ** (n - j - 1)
-            )
-    return acc
+    return _series_h(chi, xi, cond, "power_sum", n, m, wa, wb)[n] * factorial(n)
 
 
 def _m1_numbers_side(n, chi, xi, wa, wb, cond) -> CycloElem:
-    fld = cyclo_field(cond)
-    d = chi.modulus
-    spec_a = _spec_for(chi, xi, wa, cond)
-    spec_b = _spec_for(chi, xi, wb, cond)
-    nums_a = bn.numbers(spec_a, 1, n).numbers
-    acc = fld.zero
-    for j in range(n + 1):
-        t = bn.power_sum(spec_b, j, wa * d - 1)
-        if not t.is_zero():
-            acc = acc + nums_a[n - j] * t * (
-                comb(n, j) * Fraction(wb) ** j * Fraction(wa) ** (n - j - 1)
-            )
-    return acc
+    return _series_h(chi, xi, cond, "power_sum", n, 1, wa, wb)[n] * factorial(n)
 
 
 def _theorem3_side(n, m, chi, xi, wa, wb, cond) -> BivariatePoly:
-    fld = cyclo_field(cond)
-    spec_b = _spec_for(chi, xi, wb, cond)
-    mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        scal = comb(n, k) * Fraction(wa) ** (k - 1) * Fraction(wb) ** (n - k)
-        ypoly = [c * scal for c in _affine_poly(spec_b, m - 1, n - k, Fraction(wa), Fraction(0))]
-        _accumulate_outer(mat, _theorem3_xpoly(chi, xi, cond, m, wa, wb, k), ypoly)
-    return BivariatePoly(fld, mat)
+    return _xy_poly(_series_h(chi, xi, cond, "shifted", n, m, wa, wb), n, wa * wb, cond)
 
 
 def _remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights) -> BivariatePoly:
-    fld = cyclo_field(cond)
-    d = chi.modulus
-    spec_a = _spec_for(chi, xi, wa, cond)
-    acc = [fld.zero] * (n + 1)
-    lead = Fraction(wa) ** (n - 1)
-    for i in range(wa * d):
-        cv = chi.value_at(i, fld)
-        if cv.is_zero():
-            continue
-        w = cv * as_cyclo(xi ** (wb * i), cond) if with_weights else cv
-        sub = _affine_poly(spec_a, 1, n, Fraction(wb), Fraction(wb * i, wa))
-        for a, c in enumerate(sub):
-            if not c.is_zero():
-                acc[a] = acc[a] + w * c
-    return _univar(fld, [c * lead for c in acc])
+    h = _series_h(chi, xi, cond, "shifted", n, 1, wa, wb, with_weights=with_weights)
+    return _xy_poly(h, n, wa * wb, cond, with_y=False)
 
 
 def _corollary4_side(n, m, chi, xi, wa, wb, cond) -> CycloElem:
-    fld = cyclo_field(cond)
-    spec_b = _spec_for(chi, xi, wb, cond)
-    nums_b = bn.numbers(spec_b, m - 1, n).numbers
-    acc = fld.zero
-    for k in range(n + 1):
-        inner = _corollary4_inner(chi, xi, cond, m, wa, wb, k)
-        if not inner.is_zero():
-            acc = acc + nums_b[n - k] * inner * (
-                comb(n, k) * Fraction(wa) ** (k - 1) * Fraction(wb) ** (n - k)
-            )
-    return acc
+    return _series_h(chi, xi, cond, "shifted", n, m, wa, wb)[n] * factorial(n)
 
 
 def _eq_2_12_side(n, chi, xi, wa, wb, cond) -> CycloElem:
-    fld = cyclo_field(cond)
-    d = chi.modulus
-    spec_a = _spec_for(chi, xi, wa, cond)
-    acc = fld.zero
-    for i in range(d * wa):
-        cv = chi.value_at(i, fld)
-        if cv.is_zero():
-            continue
-        acc = acc + cv * as_cyclo(xi ** (wb * i), cond) * _bern_at(spec_a, 1, n, Fraction(wb * i, wa))
-    return acc * Fraction(wa) ** (n - 1)
+    return _series_h(chi, xi, cond, "shifted", n, 1, wa, wb)[n] * factorial(n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ criterion.  The identity sweep uses configs/acceptance_grid.json, the same
 file documented for the CLI.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from _oracles import bernoulli_recurrence
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID_CONFIG = ROOT / "configs" / "acceptance_grid.json"
+# sha256 of the sweep output; it changes only when what a user gets changes
+GRID_SHA256 = "3513fd287a7bacc324ca2c74fabd891bf31da4a0c4ec521ae4347499b0cbada1"
 
 ONE = RootOfUnity(1, 0)
 
@@ -230,5 +233,6 @@ def test_criterion_6_vanishing_head():
 
 def test_criterion_7_determinism(sweep_runs):
     outputs, _ = sweep_runs
-    ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
-    _report(7, f"two sweep runs byte-identical ({len(outputs[0])} bytes)", ok)
+    digest = hashlib.sha256(outputs[0]).hexdigest()
+    ok = outputs[0] == outputs[1] and digest == GRID_SHA256
+    _report(7, f"two sweep runs byte-identical, sha256 {digest[:8]}... ({len(outputs[0])} bytes)", ok)

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
-from twisted_bernoulli.characters import from_table, principal
+from twisted_bernoulli.characters import enumerate_cyclic, from_table, principal
 from twisted_bernoulli.errors import ConfigError, NotMultiplicative
 from twisted_bernoulli.exact import RootOfUnity
 
+import _oracles
 from _oracles import bernoulli_recurrence, classical_poly_at
 
 ONE = RootOfUnity(1, 0)
@@ -273,6 +275,83 @@ def test_swap_checkers_reject_bad_arguments(tag):
     for args in bad:
         with pytest.raises(ValueError, match="need"):
             swap_check(tag, *args)
+
+
+# --- every side against the literal sums, and the two routes to S ------------------
+
+XIS = (ONE, MINUS, RootOfUnity(3, 1), RootOfUnity(4, 1), RootOfUnity(9, 1))
+WEIGHTS = (1, 2, 3)
+
+# each side builder under every keyword set that a reading of its identity
+# uses, with its orders m (None: the builder takes no m); the literal reading
+# twists F^(m-1), and F^(0) = 1 carries no twist, so it starts at m = 2
+M3 = (1, 2, 3)
+BUILDER_READINGS = [
+    ("theorem1", {}, M3),
+    ("theorem1", {"last_twist_wa": True}, (2, 3)),
+    ("remark_m1", {}, (None,)),
+    ("corollary2", {}, M3),
+    ("m1_numbers", {}, (None,)),
+    ("theorem3", {}, M3),
+    ("remark_2_11", {"with_weights": True}, (None,)),
+    ("remark_2_11", {"with_weights": False}, (None,)),
+    ("corollary4", {}, M3),
+    ("eq_2_12", {}, (None,)),
+]
+
+# d <= 4; the two mod-4 tables of the acceptance grid are the characters mod 4
+ORACLE_CHARACTERS = tuple(
+    dict.fromkeys([chi for d in range(1, 5) for chi in enumerate_cyclic(d)] + [from_table(4, [0, 1, 0, 1]), CHI4])
+)
+
+
+def side_cases(characters, n_max):
+    """(n, chi, xi, wa, wb, conductor) over one grid, block by block."""
+    for chi, xi in product(characters, XIS):
+        cond = bn.ambient_conductor(chi, xi.normalized())
+        for wa, wb, n in product(WEIGHTS, WEIGHTS, range(n_max + 1)):
+            yield n, chi, xi, wa, wb, cond
+
+
+@pytest.mark.parametrize("chi", ORACLE_CHARACTERS, ids=lambda chi: chi.label())
+def test_sides_equal_the_literal_printed_sums(chi, monkeypatch):
+    # the swap checks cannot see an error that is symmetric in w1 and w2
+    # (a side scaled by w1 + w2, a twist xi^(w1 w2)); the literal sums can
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    count = 0
+    for n, _, xi, wa, wb, cond in side_cases([chi], 4):
+        for tag, kw, ms in BUILDER_READINGS:
+            for m in ms:
+                head = (n,) if m is None else (n, m)
+                side = getattr(idn, f"_{tag}_side")(*head, chi, xi, wa, wb, cond, **kw)
+                literal = getattr(_oracles, f"{tag}_side")(*head, chi, xi, wa, wb, cond, **kw)
+                assert side == literal, (tag, kw, head, xi, wa, wb)
+                count += 1
+    assert len(ORACLE_CHARACTERS) == 6
+    assert count == len(XIS) * 9 * 5 * 19  # 19 sides per (xi, wa, wb, n)
+
+
+def test_power_sum_and_shifted_routes_agree(monkeypatch):
+    # the T family builds S(t) from power sums, the theorem3 family from the
+    # enumerated exponential sum; both give the same sides
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    characters = [chi for d in range(1, 6) for chi in enumerate_cyclic(d)]
+    pairs = (
+        ("theorem1", "theorem3", (1, 2, 3), {}),
+        ("corollary2", "corollary4", (1, 2, 3), {}),
+        ("remark_m1", "remark_2_11", (None,), {"with_weights": True}),
+        ("m1_numbers", "eq_2_12", (None,), {}),
+    )
+    count = 0
+    for n, chi, xi, wa, wb, cond in side_cases(characters, 4):
+        for power_sum_tag, shifted_tag, ms, kw in pairs:
+            for m in ms:
+                head = (n,) if m is None else (n, m)
+                left = getattr(idn, f"_{power_sum_tag}_side")(*head, chi, xi, wa, wb, cond)
+                right = getattr(idn, f"_{shifted_tag}_side")(*head, chi, xi, wa, wb, cond, **kw)
+                assert left == right, (power_sum_tag, head, chi, xi, wa, wb)
+                count += 1
+    assert count == 18000
 
 
 def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
