@@ -14,6 +14,11 @@ The twist may be a root of unity of any finite order; the p-adic module
 restricts to twists of p-power order where the valuation theory applies.
 All results are cached: families, polynomials and power sums are immutable
 and reused across identity checks.
+
+The twisted sums sum_a chi(a) xi^a a^i behind the power sums and the
+exponential sums are accumulated in integers: each weight chi(a) xi^a is the
+element product of two roots of unity, so its coordinates are integers, and
+a sum is one integer coordinate vector reduced once by the kernel.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
+from . import _kernel as K
 from . import powerseries as ps
 from .characters import DirichletCharacter
 from .errors import NonDivisibleConductor
@@ -119,28 +125,42 @@ def _round_order(n: int) -> int:
     return ((n + 7) // 8) * 8
 
 
+@lru_cache(maxsize=None)
+def _twist_weights(spec: TwistSpec, terms: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(a, coordinates of chi(a) xi^a) for each a < terms with chi(a) != 0.
+
+    The weight is the element product of two roots of unity, so its
+    coordinates are integers over the denominator 1; it depends on a only
+    modulo lcm(d, order of xi), so at most that many products are formed.
+    """
+    field = spec.ambient
+    period = lcm(spec.chi.modulus, spec.xi.order)
+    base = []
+    for r in range(min(terms, period)):
+        c = spec.chi.value_at(r, field)
+        base.append(None if c.is_zero() else (c * as_cyclo(spec.xi**r, field.conductor)).nums)
+    return tuple((a, base[a % period]) for a in range(terms) if base[a % period] is not None)
+
+
+def _weighted_power_sum(field: CycloField, weights, i: int, den: int) -> CycloElem:
+    """sum_a w_a a^i / den, accumulated as one integer coordinate vector (0^0 = 1)."""
+    acc = [0] * field.degree
+    for a, w in weights:
+        ai = a**i  # Python's 0**0 is 1
+        if ai:
+            acc = [x + v * ai for x, v in zip(acc, w)]
+    return CycloElem._raw(field, *K.normalize(acc, den))
+
+
 def _twisted_exp_sum(spec: TwistSpec, count: int, terms: int | None = None) -> list[CycloElem]:
     """Coefficients of t^0..t^(count-1) in sum_{a<terms} chi(a) xi^a e^(a t).
 
     ``terms`` defaults to the modulus d.  The ordinary coefficient of t^i is
-    sum_a chi(a) xi^a a^i / i!.
+    sum_a chi(a) xi^a a^i / i!, summed in integer coordinates and reduced
+    once per coefficient.
     """
-    field = spec.ambient
-    weights = []
-    for a in range(spec.chi.modulus if terms is None else terms):
-        c = spec.chi.value_at(a, field)
-        if not c.is_zero():
-            weights.append((a, c * as_cyclo(spec.xi**a, field.conductor)))
-    out = []
-    fact = Fraction(1)
-    for i in range(count):
-        if i:
-            fact /= i
-        acc = field.zero
-        for a, w in weights:
-            acc = acc + w * a**i
-        out.append(acc * fact)
-    return out
+    weights = _twist_weights(spec, spec.chi.modulus if terms is None else terms)
+    return [_weighted_power_sum(spec.ambient, weights, i, factorial(i)) for i in range(count)]
 
 
 def _twisted_exp_minus_one(spec: TwistSpec, c: int, order: int) -> ps.TruncSeries:
@@ -210,18 +230,7 @@ def power_sum(spec: TwistSpec, k: int, n: int) -> CycloElem:
     """T_k(n) = sum_{l=0..n} chi(l) xi^l l^k, with 0^0 = 1."""
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
-    field = spec.ambient
-    xi = spec.xi
-    xi_pows = [as_cyclo(xi**j, field.conductor) for j in range(xi.order)]
-    acc = field.zero
-    for l in range(n + 1):
-        c = spec.chi.value_at(l, field)
-        if c.is_zero():
-            continue
-        lk = 1 if (l == 0 and k == 0) else l**k
-        if lk:
-            acc = acc + c * xi_pows[l % xi.order] * lk
-    return acc
+    return _weighted_power_sum(spec.ambient, _twist_weights(spec, n + 1), k, 1)
 
 
 @dataclass(frozen=True)

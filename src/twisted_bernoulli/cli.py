@@ -155,6 +155,12 @@ def _cmd_volkenborn(params: dict):
     level_max = params.get("level_max", vk.DEFAULT_LEVEL_CAP.get(p, 5))
     if not isinstance(level_max, int) or level_max < 2:
         raise ConfigError("key 'level_max' must be an integer >= 2")
+    top = vk.max_level(chi.modulus, p)
+    if level_max > top:
+        raise ConfigError(
+            f"key 'level_max' is {level_max}, but a level above {top} sums more than "
+            f"{vk.MAX_LEVEL_TERMS} terms d * p^N for d = {chi.modulus} and p = {p}"
+        )
     checks = []
     all_pass = True
     if kind == "convergence":

@@ -347,9 +347,12 @@ class CycloElem:
                 self.field,
                 *K.vmulmod(self.nums, self.den, other.nums, other.den, self.field.reduction_rows),
             )
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloElem._raw(self.field, *K.vscale(self.nums, self.den, q.numerator, q.denominator))
+        if isinstance(other, int):  # bool included; no Fraction for an integer scalar
+            return CycloElem._raw(self.field, *K.vscale(self.nums, self.den, other, 1))
+        if isinstance(other, Fraction):
+            return CycloElem._raw(
+                self.field, *K.vscale(self.nums, self.den, other.numerator, other.denominator)
+            )
         return NotImplemented
 
     __rmul__ = __mul__

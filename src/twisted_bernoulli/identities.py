@@ -44,7 +44,17 @@ The two families stay two routes to S: theorem1, remark_m1, corollary2 and
 m1_numbers build it from ``bernoulli.power_sum``; theorem3, remark_2_11,
 corollary4 and eq_2_12 sum its terms over i < wa d.  One H per (wa, wb, m,
 reading) serves every n of a block: its order is n rounded up to a multiple
-of 4, and the block memo holds it.
+of 4.  H is (lead S) F^(m-1) with lead = (1/wa) F^(m)_wa(wa t), and the
+block memo holds H and each value it is built from, under a key naming
+everything besides (chi, xi, conductor) that the value depends on:
+
+* ("S", route, wa, wb, with_weights, order): S, shared by every m;
+* ("F", tw, k, w, over, order): F^(k)_tw(w t) / over; the lead is
+  (wa, m, wa, wa) and the last factor (last twist, m - 1, wb, 1);
+* ("LS", route, m, wa, wb, with_weights, order): lead S, shared by both
+  readings of theorem1, which differ only in the last factor;
+* ("H", route, m, wa, wb, last twist, with_weights, order): H itself, one
+  series product over the shared values when m > 1.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -204,7 +214,8 @@ class _BlockMemo:
     its sides and series.  A request for another block empties the memo
     first, so memory stays bounded by one block.  A key names every argument
     besides chi, xi and the conductor that changes the value; values are
-    immutable (BivariatePoly, CycloElem, tuples) because they are shared.
+    immutable (BivariatePoly, CycloElem, TruncSeries, tuples) because they
+    are shared.
     """
 
     __slots__ = ("block", "values")
@@ -232,26 +243,37 @@ _MEMO = _BlockMemo()
 # ---------------------------------------------------------------------------
 # the series H of one (wa, wb, m, reading), and its projections
 
-def _scaled_numbers(spec, k, w, order, over=1) -> ps.TruncSeries:
-    """F^(k)(w t) / over to t^order, F^(k) the order-k series of spec."""
-    nums = bn.numbers(spec, k, order).numbers
-    return ps.TruncSeries(spec.ambient, [c * Fraction(w**r, over * factorial(r)) for r, c in enumerate(nums)])
+def _scaled_numbers(chi, xi, cond, tw, k, w, order, over=1) -> ps.TruncSeries:
+    """F^(k)(w t) / over to t^order, F^(k) the order-k series of the twist xi^tw."""
+
+    def build():
+        nums = bn.numbers(_spec_for(chi, xi, tw, cond), k, order).numbers
+        return ps.TruncSeries(
+            cyclo_field(cond), [c * Fraction(w**r, over * factorial(r)) for r, c in enumerate(nums)]
+        )
+
+    return _MEMO.get(chi, xi, cond, ("F", tw, k, w, over, order), build)
 
 
-def _power_sum_factor(chi, xi, cond, wa, wb, order) -> list[CycloElem]:
-    """S(t) to t^order from the power sums: [t^k] S = T_k(wa d - 1) wb^k / k!."""
-    spec_b = _spec_for(chi, xi, wb, cond)
-    top = wa * chi.modulus - 1
-    return [bn.power_sum(spec_b, k, top) * Fraction(wb**k, factorial(k)) for k in range(order + 1)]
+def _s_factor(chi, xi, cond, route, wa, wb, with_weights, order) -> ps.TruncSeries:
+    """S(t) to t^order, from the power sums or from its terms.
 
-
-def _shifted_exp_factor(chi, xi, cond, wa, wb, order, with_weights) -> list[CycloElem]:
-    """S(t) to t^order from its terms chi(i) xi^(wb i) e^(wb i t), i < wa d.
-
-    Without weights the factors xi^(wb i) are dropped: the twist is xi^0 = 1.
+    "power_sum": [t^k] S = T_k(wa d - 1) wb^k / k!, T_k the power sums of
+    xi^wb.  "shifted": the terms chi(i) xi^(wb i) e^(wb i t), i < wa d;
+    without weights the factors xi^(wb i) are dropped (the twist is xi^0).
     """
-    spec = _spec_for(chi, xi, wb if with_weights else 0, cond)
-    return [c * wb**k for k, c in enumerate(bn._twisted_exp_sum(spec, order + 1, wa * chi.modulus))]
+
+    def build():
+        if route == "power_sum":
+            spec_b = _spec_for(chi, xi, wb, cond)
+            top = wa * chi.modulus - 1
+            s = [bn.power_sum(spec_b, k, top) * Fraction(wb**k, factorial(k)) for k in range(order + 1)]
+        else:
+            spec = _spec_for(chi, xi, wb if with_weights else 0, cond)
+            s = [c * wb**k for k, c in enumerate(bn._twisted_exp_sum(spec, order + 1, wa * chi.modulus))]
+        return ps.TruncSeries(cyclo_field(cond), s)
+
+    return _MEMO.get(chi, xi, cond, ("S", route, wa, wb, with_weights, order), build)
 
 
 def _series_h(chi, xi, cond, route, n, m, wa, wb, last_w=None, with_weights=True):
@@ -260,25 +282,23 @@ def _series_h(chi, xi, cond, route, n, m, wa, wb, last_w=None, with_weights=True
     ``route`` names how S is built: "power_sum" or "shifted".  ``last_w``
     twists F^(m-1) by xi^last_w (default wb); ``with_weights`` keeps the
     xi^(wb i) in S on the shifted route.  The order is n rounded up to a
-    multiple of 4, so that nearby n share one product.
+    multiple of 4, so that nearby n share one product.  H is the product
+    (lead S) F^(m-1), and the block memo holds each factor and lead S apart.
     """
     order = 4 * max(1, -(-n // 4))
     last_w = wb if last_w is None or m == 1 else last_w  # F^(0) = 1 carries no twist
-    key = ("H", route, m, wa, wb, last_w, with_weights, order)
+
+    def lead_s():
+        lead = _scaled_numbers(chi, xi, cond, wa, m, wa, order, over=wa)
+        return ps.series_mul(lead, _s_factor(chi, xi, cond, route, wa, wb, with_weights, order))
 
     def build():
-        if route == "power_sum":
-            s = _power_sum_factor(chi, xi, cond, wa, wb, order)
-        else:
-            s = _shifted_exp_factor(chi, xi, cond, wa, wb, order, with_weights)
-        spec_a = _spec_for(chi, xi, wa, cond)
-        lead = _scaled_numbers(spec_a, m, wa, order, over=wa)
-        h = ps.series_mul(lead, ps.TruncSeries(spec_a.ambient, s))
+        h = _MEMO.get(chi, xi, cond, ("LS", route, m, wa, wb, with_weights, order), lead_s)
         if m > 1:  # F^(0) = 1
-            h = ps.series_mul(h, _scaled_numbers(_spec_for(chi, xi, last_w, cond), m - 1, wb, order))
+            h = ps.series_mul(h, _scaled_numbers(chi, xi, cond, last_w, m - 1, wb, order))
         return h.coeffs
 
-    return _MEMO.get(chi, xi, cond, key, build)
+    return _MEMO.get(chi, xi, cond, ("H", route, m, wa, wb, last_w, with_weights, order), build)
 
 
 def _xy_poly(coeffs, n, c, cond, with_y=True) -> BivariatePoly:

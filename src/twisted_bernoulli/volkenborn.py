@@ -38,6 +38,19 @@ from .exact import (
 #: Default level caps keeping d * p^N terms per sum manageable.
 DEFAULT_LEVEL_CAP = {2: 7, 3: 7, 5: 5}
 
+#: Most terms d * p^N that one level sum may enumerate.  The largest example
+#: config sums 3^7 = 2 187 terms per level and the largest benchmark shape
+#: 4 * 3^9 = 78 732; the CLI refuses a ``level_max`` above :func:`max_level`.
+MAX_LEVEL_TERMS = 10**7
+
+
+def max_level(d: int, p: int) -> int:
+    """The largest level N with d * p^N <= MAX_LEVEL_TERMS; 0 when level 1 exceeds it."""
+    level, terms = 0, d * p
+    while terms <= MAX_LEVEL_TERMS:
+        level, terms = level + 1, terms * p
+    return level
+
 
 @dataclass(frozen=True)
 class IntegrandSpec:

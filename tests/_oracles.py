@@ -138,6 +138,48 @@ def classical_poly_at(n, x):
     return sum(comb(n, j) * B[j] * Fraction(x) ** (n - j) for j in range(n + 1))
 
 
+# --- twisted sums, one element operation per term ----------------------------
+#
+# The bodies that bernoulli._twisted_exp_sum and bernoulli.power_sum had
+# before they summed in integer coordinates: every term is a field product
+# chi(a) * xi^a followed by a field sum.
+
+def twisted_exp_sum(spec, count, terms=None):
+    """Coefficients of t^0..t^(count-1) in sum_{a<terms} chi(a) xi^a e^(a t)."""
+    field = spec.ambient
+    weights = []
+    for a in range(spec.chi.modulus if terms is None else terms):
+        c = spec.chi.value_at(a, field)
+        if not c.is_zero():
+            weights.append((a, c * as_cyclo(spec.xi**a, field.conductor)))
+    out = []
+    fact = Fraction(1)
+    for i in range(count):
+        if i:
+            fact /= i
+        acc = field.zero
+        for a, w in weights:
+            acc = acc + w * a**i
+        out.append(acc * fact)
+    return out
+
+
+def power_sum(spec, k, n):
+    """T_k(n) = sum_{l=0..n} chi(l) xi^l l^k, with 0^0 = 1."""
+    field = spec.ambient
+    xi = spec.xi
+    xi_pows = [as_cyclo(xi**j, field.conductor) for j in range(xi.order)]
+    acc = field.zero
+    for l in range(n + 1):
+        c = spec.chi.value_at(l, field)
+        if c.is_zero():
+            continue
+        lk = 1 if (l == 0 and k == 0) else l**k
+        if lk:
+            acc = acc + c * xi_pows[l % xi.order] * lk
+    return acc
+
+
 # --- literal per-n sums of the printed swap identities ----------------------
 #
 # Each function expands the (wa, wb) side of one identity term by term, as

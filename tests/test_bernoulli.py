@@ -10,6 +10,7 @@ from twisted_bernoulli.characters import enumerate_cyclic, from_table, principal
 from twisted_bernoulli.errors import NonDivisibleConductor
 from twisted_bernoulli.exact import RootOfUnity, as_cyclo, cyclo_field, galois_apply
 
+import _oracles
 from _oracles import bernoulli_recurrence, classical_poly_at, twisted_minus_one
 
 ONE = RootOfUnity(1, 0)
@@ -110,6 +111,44 @@ def test_power_sum_examples():
     assert bn.power_sum(spec4, 1, 5).rational_value() == 3
     # 0^0 = 1 with the modulus-one convention
     assert bn.power_sum(CLASSICAL, 0, 3).rational_value() == 4
+
+
+# every character mod d <= 5, and the two mod-4 tables of the acceptance grid
+SUM_CHARACTERS = [chi for d in range(1, 6) for chi in enumerate_cyclic(d)] + [
+    from_table(4, [0, 1, 0, 1]),
+    from_table(4, [0, 1, 0, -1]),
+]
+
+
+def _raw(elems):
+    return [(c.field.conductor, c.nums, c.den) for c in elems]
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4, 6, 9), ids=lambda o: f"xi{o}")
+def test_integer_sums_match_term_by_term_oracle(order):
+    # the library sums chi(a) xi^a a^i in integer coordinates; the oracle
+    # makes one field product and one field sum per term
+    xi = RootOfUnity(order, 1)
+    for chi in SUM_CHARACTERS:
+        spec = bn.twist_spec(chi, xi)
+        for terms in (None, *range(3 * chi.modulus + 1)):
+            got = bn._twisted_exp_sum(spec, 9, terms)
+            assert _raw(got) == _raw(_oracles.twisted_exp_sum(spec, 9, terms)), (chi, terms)
+        got = [bn.power_sum(spec, k, n) for k in range(9) for n in range(21)]
+        want = [_oracles.power_sum(spec, k, n) for k in range(9) for n in range(21)]
+        assert _raw(got) == _raw(want), chi
+    if order == 3:
+        # chi(2) xi^2 = -zeta_3^2 has order 6: it lies in Q(zeta_3), but
+        # as_cyclo takes no root of order 6 there, so the weight must be the
+        # product of the elements chi(2) and xi^2
+        spec = bn.twist_spec(from_table(3, [0, 1, -1]), xi)
+        assert spec.ambient.conductor == 3
+        with pytest.raises(NonDivisibleConductor):
+            as_cyclo(RootOfUnity(6, 5), 3)
+    if order == 1:
+        # 0^0 = 1: the modulus-one character is 1 at a = 0
+        assert bn._twisted_exp_sum(CLASSICAL, 1, 1)[0] == 1
+        assert bn.power_sum(CLASSICAL, 0, 0) == 1
 
 
 def test_power_sum_series_check_examples():

@@ -193,6 +193,9 @@ def test_config_error_names_key(tmp_path):
         ("volkenborn", dict(volk, moments=[]), "moments"),
         ("volkenborn", dict(volk, check="shift", shift=1, moments=[0]), "moments"),
         ("volkenborn", dict(volk, xi={"order": 5, "exponent": 1}, moments=[1]), "xi"),
+        # a level of more than volkenborn.MAX_LEVEL_TERMS terms d p^N
+        ("volkenborn", dict(volk, level_max=30, moments=[1]), "level_max"),
+        ("volkenborn", dict(volk, modulus=4, character={"kind": "principal"}, level_max=14, moments=[1]), "level_max"),
         (
             "volkenborn",
             dict(volk, modulus=7, character={"kind": "index", "j": 1}, moments=[1]),

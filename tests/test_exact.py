@@ -157,6 +157,20 @@ def test_scalar_coercion():
     assert (z3 * 2) / 2 == z3
 
 
+@pytest.mark.parametrize("m", range(1, 31))
+def test_scalar_product_equals_fraction_product(m):
+    # an int scalar skips Fraction; every scalar kind must give the product
+    # of each Fraction coordinate with Fraction(k), in lowest terms
+    rng = random.Random(m)
+    field = cyclo_field(m)
+    for e in (rand_elem(rng, m), rand_elem(rng, m, span=40), field.zero, field.one):
+        for k in (3, 12, -1, -6, 0, True, False, Fraction(-5, 6), Fraction(4)):
+            want = field.element([c * Fraction(k) for c in e.coeffs])
+            for got in (e * k, k * e):
+                assert (got.field.conductor, got.nums, got.den) == (m, want.nums, want.den), (e, k)
+                assert got.coeffs == tuple(c * Fraction(k) for c in e.coeffs)
+
+
 def test_powers():
     z9 = as_cyclo(RootOfUnity(9, 1), 9)
     assert z9**9 == 1

@@ -541,28 +541,43 @@ def test_parallel_sweep_matches_serial():
 
 # --- block memo ----------------------------------------------------------------
 
+class _Unshared:
+    """A block memo that shares nothing: every request builds its value."""
+
+    def get(self, chi, xi, cond, key, build):
+        return build()
+
+
 def test_memoized_sweep_matches_fresh_checks(monkeypatch):
-    # a key that omits wb, m, last_twist_wa or with_weights hands one
-    # instance another instance's side or reading
+    # each memo key (sides; H, its factors S and F and the partial product
+    # lead S) must name route, wa, wb, with_weights, m, twist and order: a key
+    # that omits one hands a side or factor of one instance, reading or order
+    # to another.  The reference builds every value anew.  The two routes to
+    # S agree by theorem, so the shifted one is doubled here to keep them apart.
+    exp_sum = bn._twisted_exp_sum
+    monkeypatch.setattr(bn, "_twisted_exp_sum", lambda *args: [2 * c for c in exp_sum(*args)])
     grid = {
-        "identity": [
-            "theorem1", "remark_m1", "corollary2", "m1_numbers",
-            "theorem3", "remark_2_11", "corollary4", "eq_2_12",
-        ],
+        "identity": list(SWAP_TAGS),
         "d": [3],
-        "character": "all",
+        "character": {"kind": "index", "j": 1},
         "xi": {"order": 2, "exponent": 1},
         "w1": [1, 2, 3],
         "w2": [1, 2, 3],
-        "m": [1, 2],
-        "n_max": 2,
+        "m": [1, 2, 3],
+        "n_max": 5,
     }
-    records, _ = idn.sweep(grid, include_sides=True)
-    fresh = []
-    for desc in idn.expand_grid(grid):
-        monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
-        fresh.append(idn.report_to_record(idn.run_instance(desc), include_sides=True))
-    assert records == fresh
+    # one character: every tag falls in one block and shares its memo; with
+    # both characters the sweep changes block between tags
+    grids = [grid, {**grid, "character": "all", "m": [1, 2], "n_max": 2}]
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    records, _ = idn.sweep(grids, include_sides=True)
+    monkeypatch.setattr(idn, "_MEMO", _Unshared())
+    descs = [desc for g in grids for desc in idn.expand_grid(g)]
+    assert records == [idn.report_to_record(idn.run_instance(d), include_sides=True) for d in descs]
+    # the second reading of theorem1 and of remark_2_11 fails somewhere, so
+    # a reading handed the first one's values shows
+    for tag, reading in (("theorem1", "expansion_literal"), ("remark_2_11", "as_printed")):
+        assert not all(r["readings"][reading] for r in records if r["identity"] == tag)
 
 
 def test_memo_holds_only_the_last_block(monkeypatch):

@@ -157,3 +157,12 @@ def test_trace_passes_criterion_edges():
     assert not mk([Fraction(1)] * 6).passes()
     # noisy start is forgiven when N0 <= 3 works
     assert mk([Fraction(5), Fraction(1), Fraction(2), Fraction(3), Fraction(4)]).passes()
+
+
+def test_max_level_keeps_each_level_within_the_term_budget():
+    for d, p in ((1, 2), (1, 3), (4, 3), (3, 5), (7, 2)):
+        top = vk.max_level(d, p)
+        assert d * p**top <= vk.MAX_LEVEL_TERMS < d * p ** (top + 1)
+    assert vk.max_level(1, 2) == 23 and vk.max_level(4, 3) == 13
+    # a modulus above the budget leaves no level
+    assert vk.max_level(vk.MAX_LEVEL_TERMS + 1, 2) == 0
