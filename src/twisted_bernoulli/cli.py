@@ -134,6 +134,14 @@ def _cmd_volkenborn(params: dict):
     if kind not in ("convergence", "shift"):
         raise ConfigError("key 'check' must be \"convergence\" or \"shift\"")
     p = _int_param(params, "p", 2)
+    d = _int_param(params, "modulus", 1)
+    # every trace sums level 2 (level_max >= 2); bound p before the
+    # trial-division primality test, whose cost grows with sqrt(p)
+    if d * p * p > vk.MAX_LEVEL_TERMS:
+        raise ConfigError(
+            f"key 'p' is {p}, but level 2 sums d * p^2 terms, more than {vk.MAX_LEVEL_TERMS} "
+            f"for d = {d}"
+        )
     if not is_prime(p):
         raise ConfigError(f"key 'p' must be a prime, got {p}")
     chi = character_from_json(params["character"], modulus=params["modulus"])

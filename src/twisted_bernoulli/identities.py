@@ -3,9 +3,11 @@ the generalized twisted Bernoulli numbers and polynomials of higher order.
 
 Every checker expands both sides of one identity as an exact object, either
 a bivariate polynomial in x and y (coefficients in the ambient cyclotomic
-field) or a single field element, and compares coefficient matrices entry
-by entry.  No sampling is involved in the verdict; random-point evaluation
-exists only as a sanity cross-check in the test suite.
+field) or a single field element, and compares them exactly: field elements
+directly, polynomials by their coefficient matrices, which for the sides
+below comes down to comparing coefficients of one series (see the end of
+this docstring).  No sampling is involved in the verdict; random-point
+evaluation exists only as a sanity cross-check in the test suite.
 
 One table, ``_IDENTITIES``, describes each identity by its tag: instance
 parameters with their minima, side builder, readings and verdict rule.  One
@@ -62,10 +64,20 @@ swapped expansion of theorem1 ("expansion_literal") twists F^(m-1) by xi^wa
 instead of xi^wb; remark_2_11 "as_printed" drops the weights xi^(wb i) from
 S, which the m = 1 specialization of the general form carries.  Reports
 carry the verdict of every reading.
+
+A bivariate side keeps its slice h_0..h_n of H and fills its matrix only
+when read, for output or by a caller.  The verdict needs no matrix: both
+sides of a swap share n and c = w1 w2, so entry (a, b) of either is the same
+nonzero integer n!/(a! b!) c^(a+b) times its own coefficient of index
+r = n - a - b, and every r <= n occurs, at (n - r, 0).  The matrices are
+equal iff the slices are, and the first mismatch in row-major order is
+(0, n - r*) for the x, y sides and (n - r*, 0) for the y = 0 sides, r* the
+largest index where the slices differ (``BivariatePoly.first_mismatch``).
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -91,32 +103,69 @@ from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_field, cy
 # ---------------------------------------------------------------------------
 # bivariate polynomials over one field
 
-class BivariatePoly:
-    """Coefficient matrix rows[i][j] = coefficient of x^i y^j, trimmed."""
+def _trimmed(field: CycloField, rows) -> tuple:
+    """rows as a tuple matrix without trailing zero columns and rows; [[0]] if zero."""
+    rows = [list(r) for r in rows]
+    width = 0
+    for r in rows:
+        for j in range(len(r) - 1, -1, -1):
+            if not r[j].is_zero():
+                width = max(width, j + 1)
+                break
+    rows = [r[:width] for r in rows]
+    while rows and all(c.is_zero() for c in rows[-1]):
+        rows.pop()
+    if not rows:
+        rows = [[field.zero]]
+        width = 1
+    return tuple(tuple(r + [field.zero] * (width - len(r))) for r in rows)
 
-    __slots__ = ("field", "rows")
+
+class BivariatePoly:
+    """Coefficient matrix rows[i][j] = coefficient of x^i y^j, trimmed.
+
+    ``from_series`` makes a polynomial n! [t^n] H(t) e^(c (x + y) t) that
+    keeps only the slice h_0..h_n of H it is read from and fills its matrix
+    the first time ``rows`` is read.  Two such polynomials with equal n, c,
+    layout and field are compared on their slices (``first_mismatch``).
+    """
+
+    __slots__ = ("field", "_rows", "_series")
 
     def __init__(self, field: CycloField, rows):
-        rows = [list(r) for r in rows]
-        # trim trailing zero columns, then rows
-        width = 0
-        for r in rows:
-            for j in range(len(r) - 1, -1, -1):
-                if not r[j].is_zero():
-                    width = max(width, j + 1)
-                    break
-        rows = [r[:width] for r in rows]
-        while rows and all(c.is_zero() for c in rows[-1]):
-            rows.pop()
-        if not rows:
-            rows = [[field.zero]]
-            width = 1
-        rows = [r + [field.zero] * (width - len(r)) for r in rows]
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "_rows", _trimmed(field, rows))
+        object.__setattr__(self, "_series", None)
+
+    @classmethod
+    def from_series(cls, field: CycloField, coeffs, c: int, with_y: bool = True) -> "BivariatePoly":
+        """n! [t^n] H(t) e^(c (x + y) t) from coeffs = ([t^r] H for r <= n), c != 0.
+
+        The coefficient of x^a y^b is n!/(a! b!) coeffs[r] c^(a+b) with
+        r = n - a - b; with_y=False keeps only the y = 0 column.
+        """
+        if not c:
+            raise ValueError("c must be nonzero")
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "_rows", None)
+        object.__setattr__(obj, "_series", (tuple(coeffs), c, with_y))
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            coeffs, c, with_y = self._series
+            n = len(coeffs) - 1
+            mat = [[self.field.zero] * (n + 1) for _ in range(n + 1)]
+            for a in range(n + 1):
+                for b in range(n - a + 1 if with_y else 1):
+                    mat[a][b] = coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
+            object.__setattr__(self, "_rows", _trimmed(self.field, mat))
+        return self._rows
 
     @property
     def deg_x(self) -> int:
@@ -132,7 +181,24 @@ class BivariatePoly:
         return self.field.zero
 
     def first_mismatch(self, other: "BivariatePoly"):
-        """Lexicographically first (i, j) where the matrices differ, or None."""
+        """Lexicographically first (i, j) where the matrices differ, or None.
+
+        Two polynomials read off slices with equal n, c, layout and field are
+        compared on the slices, without filling the matrices: r* the largest
+        index where the slices differ gives (0, n - r*) with y and
+        (n - r*, 0) without (see the module docstring).
+        """
+        mine, theirs = self._series, other._series
+        if (
+            mine is not None and theirs is not None and self.field == other.field
+            and len(mine[0]) == len(theirs[0]) and mine[1:] == theirs[1:]
+        ):
+            a, b = mine[0], theirs[0]
+            if a == b:
+                return None
+            n = len(a) - 1
+            r = next(r for r in range(n, -1, -1) if a[r] != b[r])
+            return (0, n - r) if mine[2] else (n - r, 0)
         dx = max(self.deg_x, other.deg_x)
         dy = max(self.deg_y, other.deg_y)
         for i in range(dx + 1):
@@ -304,16 +370,9 @@ def _series_h(chi, xi, cond, route, n, m, wa, wb, last_w=None, with_weights=True
 def _xy_poly(coeffs, n, c, cond, with_y=True) -> BivariatePoly:
     """n! [t^n] H(t) e^(c (x + y) t), from the ordinary coefficients of H.
 
-    The coefficient of x^a y^b is n!/(a! b!) coeffs[r] c^(a+b), which is
-    n!/(a! b! r!) h_r c^(a+b) with r = n - a - b; with_y=False keeps only
-    the y = 0 column.
+    The matrix is filled only when read (``BivariatePoly.from_series``).
     """
-    fld = cyclo_field(cond)
-    mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
-    for a in range(n + 1):
-        for b in range(n - a + 1 if with_y else 1):
-            mat[a][b] = coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
-    return BivariatePoly(fld, mat)
+    return BivariatePoly.from_series(cyclo_field(cond), coeffs[: n + 1], c, with_y)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +499,78 @@ class IdentityReport:
     error: str | None = None
 
 
+class _Block(NamedTuple):
+    """One (chi, xi) pair with its report JSON and ambient conductor."""
+
+    chi: DirichletCharacter
+    xi: RootOfUnity
+    chi_json: dict
+    xi_json: dict
+    cond: int
+
+
+# The last pair only, like _MEMO: a sweep visits each (chi, xi) block in one
+# run of consecutive instances.  Reports of one block share its JSON dicts.
+_LAST_BLOCK: _Block | None = None
+# ((chi JSON, xi JSON) copy, chi, xi) of the last descriptor run_instance parsed
+_LAST_PARSE: tuple | None = None
+
+
+def _block(chi, xi) -> _Block:
+    """chi and xi with their report JSON and conductor, kept while the pair repeats.
+
+    A pair repeats when chi is the same object and xi has the same order and
+    exponent.  Equality would not do: RootOfUnity(2, 1) == RootOfUnity(4, 2),
+    and equal characters given by tables may print different tables.
+    """
+    global _LAST_BLOCK
+    last = _LAST_BLOCK
+    if last is None or last.chi is not chi or (last.xi.order, last.xi.exponent) != (xi.order, xi.exponent):
+        cond = bn.ambient_conductor(chi, xi.normalized())
+        last = _LAST_BLOCK = _Block(chi, xi, character_to_json(chi), root_to_json(xi), cond)
+    return last
+
+
+def _same_json(a, b) -> bool:
+    """Equal JSON values whose types match throughout: true is not 1, 1.0 is not 1."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return False
+        for k, v in a.items():
+            if not _same_json(v, b[k]):
+                return False
+        return True
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
+def _parse(chi_json, xi_json) -> tuple[DirichletCharacter, RootOfUnity]:
+    """A descriptor's chi and xi, parsed again only when their JSON changes."""
+    global _LAST_PARSE
+    last = _LAST_PARSE
+    if last is None or not (_same_json(chi_json, last[0][0]) and _same_json(xi_json, last[0][1])):
+        chi, xi = character_from_json(chi_json), root_from_json(xi_json)
+        last = _LAST_PARSE = (deepcopy((chi_json, xi_json)), chi, xi)
+    return last[1], last[2]
+
+
 def _params(chi, xi, **args) -> dict:
     """Report parameters: n and m, then d, chi and xi, then the other args in order."""
+    block = _block(chi, xi)
     head = {key: args.pop(key) for key in ("n", "m") if key in args}
-    return {**head, "d": chi.modulus, "chi": character_to_json(chi), "xi": root_to_json(xi), **args}
+    return {**head, "d": chi.modulus, "chi": block.chi_json, "xi": block.xi_json, **args}
 
 
 def _compare(identity, params, lhs, rhs) -> IdentityReport:
+    """Report whether lhs equals rhs, with the first differing entry of two polynomials.
+
+    Sides read off slices of H are compared on the slices, without filling
+    their matrices (module docstring); the verdict and mismatch are those
+    of the matrices.
+    """
     if isinstance(lhs, BivariatePoly):
         mismatch = lhs.first_mismatch(rhs)
         equal = mismatch is None
@@ -473,7 +597,7 @@ def _check_swap(tag, chi, xi, **args) -> IdentityReport:
     for key in entry.keys:
         if args[key.name] < key.minimum:
             raise ValueError("need " + ", ".join(f"{k.name} >= {k.minimum}" for k in entry.keys))
-    cond = bn.ambient_conductor(chi, xi.normalized())
+    cond = _block(chi, xi).cond
     head = (args["n"], args["m"]) if "m" in args else (args["n"],)
 
     def side(wa, wb, kw):
@@ -709,7 +833,7 @@ def _instance(desc: dict):
     """(table entry, chi, xi, checker keywords) of one instance descriptor."""
     entry = _IDENTITIES[desc["identity"]]
     args = {key.name: desc[key.name] for key in entry.keys}
-    return entry, character_from_json(desc["chi"]), root_from_json(desc["xi"]), args
+    return entry, *_parse(desc["chi"], desc["xi"]), args
 
 
 def run_instance(desc: dict) -> IdentityReport:

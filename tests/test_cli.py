@@ -196,6 +196,10 @@ def test_config_error_names_key(tmp_path):
         # a level of more than volkenborn.MAX_LEVEL_TERMS terms d p^N
         ("volkenborn", dict(volk, level_max=30, moments=[1]), "level_max"),
         ("volkenborn", dict(volk, modulus=4, character={"kind": "principal"}, level_max=14, moments=[1]), "level_max"),
+        # p = 2^61 - 1 is prime; level 2 alone would exceed the budget, so it
+        # is rejected before the trial-division primality test
+        ("volkenborn", dict(volk, p=2**61 - 1, moments=[1]), "p"),
+        ("volkenborn", dict(volk, modulus=4, character={"kind": "principal"}, p=1583, moments=[1]), "p"),
         (
             "volkenborn",
             dict(volk, modulus=7, character={"kind": "index", "j": 1}, moments=[1]),

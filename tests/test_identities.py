@@ -1,15 +1,23 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
-from twisted_bernoulli.characters import enumerate_cyclic, from_table, principal
+from twisted_bernoulli.characters import (
+    character_from_json,
+    character_to_json,
+    enumerate_cyclic,
+    from_table,
+    principal,
+    root_from_json,
+    root_to_json,
+)
 from twisted_bernoulli.errors import ConfigError, NotMultiplicative
-from twisted_bernoulli.exact import RootOfUnity
+from twisted_bernoulli.exact import RootOfUnity, cyclo_field
 
 import _oracles
 from _oracles import bernoulli_recurrence, classical_poly_at
@@ -248,6 +256,167 @@ def test_bivariate_equality_implies_pointwise_equality():
         x = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
         y = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
         assert rep.lhs.evaluate(x, y) == rep.rhs.evaluate(x, y)
+
+
+# --- verdicts on H's coefficients ------------------------------------------------------
+
+def eager_xy_poly(coeffs, n, c, cond, with_y=True):
+    """n! [t^n] H(t) e^(c (x + y) t) as a filled matrix, every entry computed."""
+    fld = cyclo_field(cond)
+    mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        for b in range(n - a + 1 if with_y else 1):
+            mat[a][b] = coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
+    return idn.BivariatePoly(fld, mat)
+
+
+def test_slice_mismatch_equals_matrix_mismatch():
+    # a verdict and first mismatch read off two slices of H must be those of
+    # the filled matrices, for every change of one or two coefficients of a
+    # slice; changes to zero move the trimmed shapes
+    rng = random.Random(8)
+    fld = cyclo_field(3)
+
+    def elem():
+        if rng.random() < 0.25:
+            return fld.zero
+        return fld.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(fld.degree)])
+
+    cases = 0
+    for n, with_y in product(range(7), (True, False)):
+        for _ in range(3):
+            c = rng.choice((1, 2, 3, 6))
+            coeffs = tuple(elem() for _ in range(n + 1))
+            changed = [coeffs]
+            for r in range(n + 1):
+                for new in (coeffs[r] + 1, fld.zero, elem()):
+                    changed.append(coeffs[:r] + (new,) + coeffs[r + 1:])
+            # two changes: the mismatch comes from the larger index
+            for r, q in product(range(n + 1), repeat=2):
+                if r < q:
+                    changed.append(tuple(h + 1 if i in (r, q) else h for i, h in enumerate(coeffs)))
+            for other in changed:
+                lhs = idn.BivariatePoly.from_series(fld, coeffs, c, with_y)
+                rhs = idn.BivariatePoly.from_series(fld, other, c, with_y)
+                rep = idn._compare("t", {}, lhs, rhs)
+                assert lhs._rows is None and rhs._rows is None  # decided on the slices
+                left, right = eager_xy_poly(coeffs, n, c, 3, with_y), eager_xy_poly(other, n, c, 3, with_y)
+                expected = left.first_mismatch(right)
+                assert rep.first_mismatch == expected, (n, with_y, c, coeffs, other)
+                assert rep.holds is (expected is None) is (coeffs == other)
+                # the matrices filled on first read are the eager ones
+                assert (lhs.rows, rhs.rows) == (left.rows, right.rows)
+                assert idn._compare("t", {}, left, right).first_mismatch == expected
+                cases += 1
+    assert cases == 3 * sum(1 + 3 * (n + 1) + comb(n + 1, 2) for n in range(7)) * 2
+
+
+def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
+    # one changed coefficient of H, on one side of a swap only, must fail its
+    # instance with the same first mismatch and printed sides as filled matrices
+    series_h = idn._series_h
+
+    def perturbed(chi, xi, cond, route, n, m, wa, wb, *rest, **kw):
+        h = series_h(chi, xi, cond, route, n, m, wa, wb, *rest, **kw)
+        if wa < wb:
+            r = (wa + 2 * wb + m) % 4
+            h = h[:r] + (h[r] + 1,) + h[r + 1:]
+        return h
+
+    monkeypatch.setattr(idn, "_series_h", perturbed)
+    grid = {
+        "identity": list(SWAP_TAGS),
+        "d": [3],
+        "character": "all",
+        "xi": {"order": 2, "exponent": 1},
+        "w1": [1, 2, 3],
+        "w2": [1, 2, 3],
+        "m": [1, 2],
+        "n_max": 4,
+    }
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    records, summary = idn.sweep(grid)
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_xy_poly", eager_xy_poly)
+    eager, eager_summary = idn.sweep(grid)
+    assert records == eager and summary == eager_summary
+    failed = [r for r in records if not r["holds"]]
+    assert summary["failures"] == len(failed) > 0
+    mismatches = {(r["identity"], tuple(r["first_mismatch"])) for r in failed if "first_mismatch" in r}
+    assert {tag for tag, _ in mismatches} == {"theorem1", "remark_m1", "theorem3", "remark_2_11"}
+    assert len({fm for _, fm in mismatches}) >= 6
+    assert all("lhs" in r and "rhs" in r for r in failed)
+
+
+# --- parsing each (chi, xi) block once ----------------------------------------------
+
+def test_run_instance_reparses_when_json_types_change(monkeypatch):
+    # reusing the last parse must not let true or 1.0 pass where 1 did
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    grid = {
+        "identity": "theorem1",
+        "d": [3],
+        "character": {"kind": "index", "j": 1},
+        "xi": {"order": 2, "exponent": 1},
+        "n_max": 1,
+    }
+    desc = next(iter(idn.expand_grid(grid)))
+    for key, part, bad in (("j", "chi", True), ("j", "chi", 1.0), ("exponent", "xi", True)):
+        assert idn.run_instance(desc).holds
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            idn.run_instance({**desc, part: {**desc[part], key: bad}})
+        # a changed value in the same dict object is seen too
+        assert idn.run_instance(desc).holds
+        good = desc[part][key]
+        desc[part][key] = bad
+        try:
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                idn.run_instance(desc)
+        finally:
+            desc[part][key] = good
+
+
+MINUS_JSON = {"order": 2, "exponent": 1}
+
+
+def mod8(minus):
+    """Table of the character mod 8 that is -1 at 3 and 7, with -1 given as minus."""
+    one = {"order": 1, "exponent": 0}
+    return [None, one, None, minus, None, one, None, minus]
+
+
+def test_consecutive_blocks_report_their_own_params(monkeypatch):
+    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    table = {"kind": "table", "values": [None, {"order": 1, "exponent": 0}, {"order": 4, "exponent": 2}]}
+    blocks = [
+        ({"modulus": 3, "kind": "index", "j": 1}, {"order": 2, "exponent": 1}),
+        # equal roots that print differently
+        ({"modulus": 3, "kind": "index", "j": 1}, {"order": 4, "exponent": 2}),
+        # an equal character from a table, and the same twist again
+        ({"modulus": 3, **table}, {"order": 4, "exponent": 2}),
+        # equal characters whose tables print differently (mod 8 has no index)
+        ({"modulus": 8, "kind": "table", "values": mod8(MINUS_JSON)}, {"order": 1, "exponent": 0}),
+        ({"modulus": 8, "kind": "table", "values": mod8({"order": 4, "exponent": 2})}, {"order": 1, "exponent": 0}),
+        ({"modulus": 3, "kind": "principal"}, {"order": 4, "exponent": 2}),
+        ({"modulus": 1, "kind": "principal"}, {"order": 3, "exponent": 1}),
+        ({"modulus": 3, "kind": "index", "j": 1}, {"order": 2, "exponent": 1}),
+    ]
+    for tag in ("theorem1", "eq_1_13", "power_sum_series_check"):
+        for chi, xi in blocks:
+            desc = {"identity": tag, "chi": chi, "xi": xi, "n": 2, "m": 1, "w1": 1, "w2": 2, "k": 2,
+                    "series_order": 4}
+            rep = idn.run_instance(desc)
+            assert rep.holds
+            parsed_xi = root_from_json(xi)
+            if tag == "eq_1_13":  # its checker takes the twist spec, whose twist is normalized
+                parsed_xi = parsed_xi.normalized()
+            assert rep.params["d"] == chi["modulus"]
+            assert rep.params["chi"] == character_to_json(character_from_json(chi))
+            assert rep.params["xi"] == root_to_json(parsed_xi)
+    # checkers called with the objects themselves
+    for xi in (RootOfUnity(2, 1), RootOfUnity(4, 2), RootOfUnity(2, 1)):
+        rep = idn.check_remark_m1(2, LEG3, xi, 1, 2)
+        assert rep.params["xi"] == {"order": xi.order, "exponent": xi.exponent}
 
 
 # --- swap checkers ---------------------------------------------------------------
