@@ -125,11 +125,9 @@ def _val_str(v) -> str:
 
 
 def _cmd_volkenborn(params: dict):
-    _require_keys(
-        params,
-        {"p", "check", "modulus", "character", "xi", "moments"},
-        {"level_max", "shift"},
-    )
+    # shift is required by shift checks and unknown to convergence checks
+    shift = {"shift"} if isinstance(params, dict) and params.get("check") == "shift" else set()
+    _require_keys(params, {"p", "check", "modulus", "character", "xi", "moments", *shift}, {"level_max"})
     kind = params["check"]
     if kind not in ("convergence", "shift"):
         raise ConfigError("key 'check' must be \"convergence\" or \"shift\"")
@@ -153,16 +151,13 @@ def _cmd_volkenborn(params: dict):
     if not _is_p_power(xi.normalized().order, p):
         raise ConfigError(f"key 'xi' must have order 1 or a power of p = {p}")
     moments = params["moments"]
-    if idn._is_int(moments):
-        moments = [moments]
-    if not isinstance(moments, list) or not all(idn._is_int(m) for m in moments):
-        raise ConfigError("key 'moments' must be an integer or list of integers")
-    least = 1 if kind == "shift" else 0
-    if not moments or min(moments) < least:
-        raise ConfigError(f"key 'moments' must list at least one integer, each >= {least} for {kind} checks")
-    level_max = params.get("level_max", vk.DEFAULT_LEVEL_CAP.get(p, 5))
-    if not isinstance(level_max, int) or level_max < 2:
-        raise ConfigError("key 'level_max' must be an integer >= 2")
+    moments = moments if isinstance(moments, list) else [moments]
+    if not moments:
+        raise ConfigError("key 'moments' must be an integer or a non-empty list of integers")
+    moments = [_json_int(m, "moments", 1 if kind == "shift" else 0) for m in moments]
+    level_max = vk.DEFAULT_LEVEL_CAP.get(p, 5)
+    if "level_max" in params:
+        level_max = _int_param(params, "level_max", 2)
     top = vk.max_level(chi.modulus, p)
     if level_max > top:
         raise ConfigError(
@@ -189,8 +184,6 @@ def _cmd_volkenborn(params: dict):
                 }
             )
     else:
-        if "shift" not in params:
-            raise ConfigError("missing required key 'shift' in config")
         n_shift = _int_param(params, "shift", 1)
         for k in sorted(moments):
             spec = vk.integrand_spec(chi, xi, k)
@@ -321,8 +314,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.out:
-        with open(config.out, "wb") as fh:
-            fh.write(output)
+        try:
+            with open(config.out, "wb") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(output)
     return code

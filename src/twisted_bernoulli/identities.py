@@ -46,10 +46,12 @@ The two families stay two routes to S: theorem1, remark_m1, corollary2 and
 m1_numbers build it from ``bernoulli.power_sum``; theorem3, remark_2_11,
 corollary4 and eq_2_12 sum its terms over i < wa d.  One H per (wa, wb, m,
 reading) serves every n of a block: its order is n rounded up to a multiple
-of 4.  H is (lead S) F^(m-1) with lead = (1/wa) F^(m)_wa(wa t), and the
-block memo holds H and each value it is built from, under a key naming
+of 4.  H is (lead S) F^(m-1) with lead = (1/wa) F^(m)_wa(wa t).  One block
+object (``_Block``) holds the last (chi, xi) pair with its report JSON and
+conductor, and holds H and each value it is built from, under a key naming
 everything besides (chi, xi, conductor) that the value depends on:
 
+* ("spec", w): the twist spec of chi and xi^w in the block's field;
 * ("S", route, wa, wb, with_weights, order): S, shared by every m;
 * ("F", tw, k, w, over, order): F^(k)_tw(w t) / over; the lead is
   (wa, m, wa, wa) and the last factor (last twist, m - 1, wb, 1);
@@ -57,6 +59,8 @@ everything besides (chi, xi, conductor) that the value depends on:
   readings of theorem1, which differ only in the last factor;
 * ("H", route, m, wa, wb, last twist, with_weights, order): H itself, one
   series product over the shared values when m > 1.
+
+Sides are not kept: each is one slice or one scalar product of H.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -240,11 +244,6 @@ class BivariatePoly:
 # ---------------------------------------------------------------------------
 # cached building blocks
 
-@lru_cache(maxsize=None)
-def _spec_for(chi: DirichletCharacter, xi: RootOfUnity, w: int, conductor: int) -> bn.TwistSpec:
-    return bn.twist_spec(chi, xi**w, conductor=conductor)
-
-
 # The side builders no longer call _affine_poly and _bern_at; the literal
 # reference sums in the tests do, and perfbench reads their cache counts.
 @lru_cache(maxsize=None)
@@ -270,58 +269,108 @@ def _bern_at(spec: bn.TwistSpec, k: int, degree: int, point: Fraction) -> CycloE
 
 
 # ---------------------------------------------------------------------------
-# block memo: whole sides and the series they are read from
+# the (chi, xi) block: report JSON, conductor and every value computed for it
 
-class _BlockMemo:
-    """Values computed for one (chi, xi, conductor) block at a time.
+class _Block:
+    """One (chi, xi) pair with its report JSON, ambient conductor and values.
 
     A sweep expands tag -> d -> chi -> xi -> w1 -> w2 -> m -> n, so instances
     (w1, w2) and (w2, w1) and every n of them fall inside one block and share
-    its sides and series.  A request for another block empties the memo
-    first, so memory stays bounded by one block.  A key names every argument
+    its series.  ``values`` holds them under keys naming every argument
     besides chi, xi and the conductor that changes the value; values are
-    immutable (BivariatePoly, CycloElem, TruncSeries, tuples) because they
-    are shared.
+    immutable (TwistSpec, TruncSeries, tuples) because they are shared.
+    ``source`` is a copy of the (chi JSON, xi JSON) the pair was parsed from,
+    or None when a checker was called with the objects themselves.
     """
 
-    __slots__ = ("block", "values")
+    __slots__ = ("chi", "xi", "chi_json", "xi_json", "cond", "source", "values")
 
-    def __init__(self):
-        self.block = None
+    def __init__(self, chi: DirichletCharacter, xi: RootOfUnity, source=None):
+        self.chi = chi
+        self.xi = xi
+        self.chi_json = character_to_json(chi)
+        self.xi_json = root_to_json(xi)
+        self.cond = bn.ambient_conductor(chi, xi.normalized())
+        self.source = source
         self.values = {}
 
-    def get(self, chi, xi, cond, key, build):
-        """The value under key in block (chi, xi, cond); build() on a miss."""
-        block = (chi, xi, cond)
-        if block != self.block:
-            self.block = block
-            self.values = {}
+    def get(self, key, build):
+        """The value under key; build() on a miss."""
         try:
             return self.values[key]
         except KeyError:
             value = self.values[key] = build()
             return value
 
+    def spec(self, w: int) -> bn.TwistSpec:
+        """chi with the twist xi^w, in the block's ambient field."""
+        return self.get(("spec", w), lambda: bn.twist_spec(self.chi, self.xi**w, conductor=self.cond))
 
-_MEMO = _BlockMemo()
+
+# The last block only: a sweep visits each (chi, xi) block in one run of
+# consecutive instances, so memory stays bounded by one block.  Reports of
+# one block share its JSON dicts.
+_BLOCK: _Block | None = None
+
+
+def _block(chi, xi) -> _Block:
+    """The block of chi and xi, kept while the pair repeats.
+
+    A pair repeats when chi is the same object and xi has the same order and
+    exponent.  Equality would not do: RootOfUnity(2, 1) == RootOfUnity(4, 2),
+    and equal characters given by tables may print different tables.
+    """
+    global _BLOCK
+    last = _BLOCK
+    if last is None or last.chi is not chi or (last.xi.order, last.xi.exponent) != (xi.order, xi.exponent):
+        last = _BLOCK = _Block(chi, xi)
+    return last
+
+
+def _same_json(a, b) -> bool:
+    """Equal JSON values whose types match throughout: true is not 1, 1.0 is not 1."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return False
+        for k, v in a.items():
+            if not _same_json(v, b[k]):
+                return False
+        return True
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
+def _parse(chi_json, xi_json) -> _Block:
+    """The block of a descriptor's chi and xi, parsed again only when their JSON changes."""
+    global _BLOCK
+    last = _BLOCK
+    if last is None or last.source is None or not (
+        _same_json(chi_json, last.source[0]) and _same_json(xi_json, last.source[1])
+    ):
+        chi, xi = character_from_json(chi_json), root_from_json(xi_json)
+        last = _BLOCK = _Block(chi, xi, deepcopy((chi_json, xi_json)))
+    return last
 
 
 # ---------------------------------------------------------------------------
 # the series H of one (wa, wb, m, reading), and its projections
 
-def _scaled_numbers(chi, xi, cond, tw, k, w, order, over=1) -> ps.TruncSeries:
+def _scaled_numbers(block, tw, k, w, order, over=1) -> ps.TruncSeries:
     """F^(k)(w t) / over to t^order, F^(k) the order-k series of the twist xi^tw."""
 
     def build():
-        nums = bn.numbers(_spec_for(chi, xi, tw, cond), k, order).numbers
+        nums = bn.numbers(block.spec(tw), k, order).numbers
         return ps.TruncSeries(
-            cyclo_field(cond), [c * Fraction(w**r, over * factorial(r)) for r, c in enumerate(nums)]
+            cyclo_field(block.cond), [c * Fraction(w**r, over * factorial(r)) for r, c in enumerate(nums)]
         )
 
-    return _MEMO.get(chi, xi, cond, ("F", tw, k, w, over, order), build)
+    return block.get(("F", tw, k, w, over, order), build)
 
 
-def _s_factor(chi, xi, cond, route, wa, wb, with_weights, order) -> ps.TruncSeries:
+def _s_factor(block, route, wa, wb, with_weights, order) -> ps.TruncSeries:
     """S(t) to t^order, from the power sums or from its terms.
 
     "power_sum": [t^k] S = T_k(wa d - 1) wb^k / k!, T_k the power sums of
@@ -330,87 +379,88 @@ def _s_factor(chi, xi, cond, route, wa, wb, with_weights, order) -> ps.TruncSeri
     """
 
     def build():
+        terms = wa * block.chi.modulus
         if route == "power_sum":
-            spec_b = _spec_for(chi, xi, wb, cond)
-            top = wa * chi.modulus - 1
-            s = [bn.power_sum(spec_b, k, top) * Fraction(wb**k, factorial(k)) for k in range(order + 1)]
+            spec_b = block.spec(wb)
+            s = [bn.power_sum(spec_b, k, terms - 1) * Fraction(wb**k, factorial(k)) for k in range(order + 1)]
         else:
-            spec = _spec_for(chi, xi, wb if with_weights else 0, cond)
-            s = [c * wb**k for k, c in enumerate(bn._twisted_exp_sum(spec, order + 1, wa * chi.modulus))]
-        return ps.TruncSeries(cyclo_field(cond), s)
+            spec = block.spec(wb if with_weights else 0)
+            s = [c * wb**k for k, c in enumerate(bn._twisted_exp_sum(spec, order + 1, terms))]
+        return ps.TruncSeries(cyclo_field(block.cond), s)
 
-    return _MEMO.get(chi, xi, cond, ("S", route, wa, wb, with_weights, order), build)
+    return block.get(("S", route, wa, wb, with_weights, order), build)
 
 
-def _series_h(chi, xi, cond, route, n, m, wa, wb, last_w=None, with_weights=True):
-    """Ordinary coefficients of H(t) to an order >= n, shared in the block memo.
+def _series_h(block, route, n, m, wa, wb, last_w=None, with_weights=True):
+    """Ordinary coefficients of H(t) to an order >= n, shared in the block.
 
     ``route`` names how S is built: "power_sum" or "shifted".  ``last_w``
     twists F^(m-1) by xi^last_w (default wb); ``with_weights`` keeps the
     xi^(wb i) in S on the shifted route.  The order is n rounded up to a
     multiple of 4, so that nearby n share one product.  H is the product
-    (lead S) F^(m-1), and the block memo holds each factor and lead S apart.
+    (lead S) F^(m-1), and the block holds each factor and lead S apart.
     """
     order = 4 * max(1, -(-n // 4))
     last_w = wb if last_w is None or m == 1 else last_w  # F^(0) = 1 carries no twist
 
     def lead_s():
-        lead = _scaled_numbers(chi, xi, cond, wa, m, wa, order, over=wa)
-        return ps.series_mul(lead, _s_factor(chi, xi, cond, route, wa, wb, with_weights, order))
+        lead = _scaled_numbers(block, wa, m, wa, order, over=wa)
+        return ps.series_mul(lead, _s_factor(block, route, wa, wb, with_weights, order))
 
     def build():
-        h = _MEMO.get(chi, xi, cond, ("LS", route, m, wa, wb, with_weights, order), lead_s)
+        h = block.get(("LS", route, m, wa, wb, with_weights, order), lead_s)
         if m > 1:  # F^(0) = 1
-            h = ps.series_mul(h, _scaled_numbers(chi, xi, cond, last_w, m - 1, wb, order))
+            h = ps.series_mul(h, _scaled_numbers(block, last_w, m - 1, wb, order))
         return h.coeffs
 
-    return _MEMO.get(chi, xi, cond, ("H", route, m, wa, wb, last_w, with_weights, order), build)
+    return block.get(("H", route, m, wa, wb, last_w, with_weights, order), build)
 
 
-def _xy_poly(coeffs, n, c, cond, with_y=True) -> BivariatePoly:
+def _xy_poly(coeffs, n, c, with_y=True) -> BivariatePoly:
     """n! [t^n] H(t) e^(c (x + y) t), from the ordinary coefficients of H.
 
-    The matrix is filled only when read (``BivariatePoly.from_series``).
+    The field is that of the coefficients; the matrix is filled only when
+    read (``BivariatePoly.from_series``).
     """
-    return BivariatePoly.from_series(cyclo_field(cond), coeffs[: n + 1], c, with_y)
+    return BivariatePoly.from_series(coeffs[0].field, coeffs[: n + 1], c, with_y)
 
 
 # ---------------------------------------------------------------------------
 # side builders; (wa, wb) = (w1, w2) gives the left side, swapping gives the
 # right side, so swap symmetry is structural
 
-def _theorem1_side(n, m, chi, xi, wa, wb, cond, last_twist_wa=False) -> BivariatePoly:
-    h = _series_h(chi, xi, cond, "power_sum", n, m, wa, wb, wa if last_twist_wa else wb)
-    return _xy_poly(h, n, wa * wb, cond)
+def _theorem1_side(n, m, chi, xi, wa, wb, last_twist_wa=False) -> BivariatePoly:
+    h = _series_h(_block(chi, xi), "power_sum", n, m, wa, wb, wa if last_twist_wa else wb)
+    return _xy_poly(h, n, wa * wb)
 
 
-def _remark_m1_side(n, chi, xi, wa, wb, cond) -> BivariatePoly:
-    return _xy_poly(_series_h(chi, xi, cond, "power_sum", n, 1, wa, wb), n, wa * wb, cond, with_y=False)
+def _remark_m1_side(n, chi, xi, wa, wb) -> BivariatePoly:
+    return _xy_poly(_series_h(_block(chi, xi), "power_sum", n, 1, wa, wb), n, wa * wb, with_y=False)
 
 
-def _corollary2_side(n, m, chi, xi, wa, wb, cond) -> CycloElem:
-    return _series_h(chi, xi, cond, "power_sum", n, m, wa, wb)[n] * factorial(n)
+def _corollary2_side(n, m, chi, xi, wa, wb) -> CycloElem:
+    return _series_h(_block(chi, xi), "power_sum", n, m, wa, wb)[n] * factorial(n)
 
 
-def _m1_numbers_side(n, chi, xi, wa, wb, cond) -> CycloElem:
-    return _series_h(chi, xi, cond, "power_sum", n, 1, wa, wb)[n] * factorial(n)
+def _m1_numbers_side(n, chi, xi, wa, wb) -> CycloElem:
+    return _series_h(_block(chi, xi), "power_sum", n, 1, wa, wb)[n] * factorial(n)
 
 
-def _theorem3_side(n, m, chi, xi, wa, wb, cond) -> BivariatePoly:
-    return _xy_poly(_series_h(chi, xi, cond, "shifted", n, m, wa, wb), n, wa * wb, cond)
+def _theorem3_side(n, m, chi, xi, wa, wb) -> BivariatePoly:
+    return _xy_poly(_series_h(_block(chi, xi), "shifted", n, m, wa, wb), n, wa * wb)
 
 
-def _remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights) -> BivariatePoly:
-    h = _series_h(chi, xi, cond, "shifted", n, 1, wa, wb, with_weights=with_weights)
-    return _xy_poly(h, n, wa * wb, cond, with_y=False)
+def _remark_2_11_side(n, chi, xi, wa, wb, with_weights) -> BivariatePoly:
+    h = _series_h(_block(chi, xi), "shifted", n, 1, wa, wb, with_weights=with_weights)
+    return _xy_poly(h, n, wa * wb, with_y=False)
 
 
-def _corollary4_side(n, m, chi, xi, wa, wb, cond) -> CycloElem:
-    return _series_h(chi, xi, cond, "shifted", n, m, wa, wb)[n] * factorial(n)
+def _corollary4_side(n, m, chi, xi, wa, wb) -> CycloElem:
+    return _series_h(_block(chi, xi), "shifted", n, m, wa, wb)[n] * factorial(n)
 
 
-def _eq_2_12_side(n, chi, xi, wa, wb, cond) -> CycloElem:
-    return _series_h(chi, xi, cond, "shifted", n, 1, wa, wb)[n] * factorial(n)
+def _eq_2_12_side(n, chi, xi, wa, wb) -> CycloElem:
+    return _series_h(_block(chi, xi), "shifted", n, 1, wa, wb)[n] * factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +488,6 @@ class _Identity(NamedTuple):
     side: str | None = None
     readings: tuple = ((None, {}, {}),)
     any_reading: bool = False
-    takes_spec: bool = False
 
 
 _W1 = _Key("w1", 1, "w1", (1,))
@@ -448,9 +497,7 @@ _N = _Key("n", 0, None, None)
 
 _IDENTITIES = {
     # eq_1_13 reports its shift as n, the name of its checker's argument
-    "eq_1_13": _Identity(
-        "check_eq_1_13", (_Key("k", 1, "k", None), _Key("n", 1, "shift", (1,))), takes_spec=True
-    ),
+    "eq_1_13": _Identity("check_eq_1_13", (_Key("k", 1, "k", None), _Key("n", 1, "shift", (1,)))),
     "theorem1": _Identity(
         "check_theorem1", (_W1, _W2, _M, _N), "_theorem1_side",
         (("symmetric", {}, {}), ("expansion_literal", {}, {"last_twist_wa": True})),
@@ -499,64 +546,6 @@ class IdentityReport:
     error: str | None = None
 
 
-class _Block(NamedTuple):
-    """One (chi, xi) pair with its report JSON and ambient conductor."""
-
-    chi: DirichletCharacter
-    xi: RootOfUnity
-    chi_json: dict
-    xi_json: dict
-    cond: int
-
-
-# The last pair only, like _MEMO: a sweep visits each (chi, xi) block in one
-# run of consecutive instances.  Reports of one block share its JSON dicts.
-_LAST_BLOCK: _Block | None = None
-# ((chi JSON, xi JSON) copy, chi, xi) of the last descriptor run_instance parsed
-_LAST_PARSE: tuple | None = None
-
-
-def _block(chi, xi) -> _Block:
-    """chi and xi with their report JSON and conductor, kept while the pair repeats.
-
-    A pair repeats when chi is the same object and xi has the same order and
-    exponent.  Equality would not do: RootOfUnity(2, 1) == RootOfUnity(4, 2),
-    and equal characters given by tables may print different tables.
-    """
-    global _LAST_BLOCK
-    last = _LAST_BLOCK
-    if last is None or last.chi is not chi or (last.xi.order, last.xi.exponent) != (xi.order, xi.exponent):
-        cond = bn.ambient_conductor(chi, xi.normalized())
-        last = _LAST_BLOCK = _Block(chi, xi, character_to_json(chi), root_to_json(xi), cond)
-    return last
-
-
-def _same_json(a, b) -> bool:
-    """Equal JSON values whose types match throughout: true is not 1, 1.0 is not 1."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        if a.keys() != b.keys():
-            return False
-        for k, v in a.items():
-            if not _same_json(v, b[k]):
-                return False
-        return True
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    return a == b
-
-
-def _parse(chi_json, xi_json) -> tuple[DirichletCharacter, RootOfUnity]:
-    """A descriptor's chi and xi, parsed again only when their JSON changes."""
-    global _LAST_PARSE
-    last = _LAST_PARSE
-    if last is None or not (_same_json(chi_json, last[0][0]) and _same_json(xi_json, last[0][1])):
-        chi, xi = character_from_json(chi_json), root_from_json(xi_json)
-        last = _LAST_PARSE = (deepcopy((chi_json, xi_json)), chi, xi)
-    return last[1], last[2]
-
-
 def _params(chi, xi, **args) -> dict:
     """Report parameters: n and m, then d, chi and xi, then the other args in order."""
     block = _block(chi, xi)
@@ -590,28 +579,20 @@ def _compare(identity, params, lhs, rhs) -> IdentityReport:
 def _check_swap(tag, chi, xi, **args) -> IdentityReport:
     """Compare side(w1, w2) with side(w2, w1) under each reading of ``tag``.
 
-    Sides come from the block memo; a miss calls the side builder through its
-    module global, so that a wrapper installed on that name sees every build.
+    Each side is a projection of a series the block holds.  The side builder
+    is called through its module global, so that a wrapper installed on that
+    name sees every build.
     """
     entry = _IDENTITIES[tag]
     for key in entry.keys:
         if args[key.name] < key.minimum:
             raise ValueError("need " + ", ".join(f"{k.name} >= {k.minimum}" for k in entry.keys))
-    cond = _block(chi, xi).cond
+    side = globals()[entry.side]
     head = (args["n"], args["m"]) if "m" in args else (args["n"],)
-
-    def side(wa, wb, kw):
-        if wa == wb and "last_twist_wa" in kw:  # the last twist is xi^wa = xi^wb either way
-            kw = {k: v for k, v in kw.items() if k != "last_twist_wa"}
-        return _MEMO.get(
-            chi, xi, cond, (tag, *head, wa, wb, *kw.items()),
-            lambda: globals()[entry.side](*head, chi, xi, wa, wb, cond, **kw),
-        )
-
     w1, w2 = args["w1"], args["w2"]
     params = _params(chi, xi, **args)
     reps = [
-        _compare(tag, params, side(w1, w2, left), side(w2, w1, right))
+        _compare(tag, params, side(*head, chi, xi, w1, w2, **left), side(*head, chi, xi, w2, w1, **right))
         for _, left, right in entry.readings
     ]
     rep = reps[0]
@@ -622,19 +603,20 @@ def _check_swap(tag, chi, xi, **args) -> IdentityReport:
     return rep
 
 
-def check_eq_1_13(spec: bn.TwistSpec, k: int, n: int) -> IdentityReport:
+def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
     """Difference quotient of the degree-k polynomial at the shifted argument
     against the power sum: (xi^(nd) B_k(nd) - B_k) / k = T_(k-1)(nd - 1)."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    d = spec.chi.modulus
+    spec = _block(chi, xi).spec(1)
+    d = chi.modulus
     fld = spec.ambient
     shifted = as_cyclo(spec.xi ** (n * d), fld.conductor) * bn.evaluate(
         bn.polynomial(spec, 1, k), n * d
     )
     lhs = (shifted - bn.numbers(spec, 1, k).numbers[k]) * Fraction(1, k)
     rhs = bn.power_sum(spec, k - 1, n * d - 1)
-    params = _params(spec.chi, spec.xi, n=n, k=k)
+    params = _params(chi, xi, n=n, k=k)
     return _compare("eq_1_13", params, lhs, rhs)
 
 
@@ -692,8 +674,7 @@ def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
 
 def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
     """Wrap the two-route power-sum generating-function comparison."""
-    spec = bn.twist_spec(chi, xi)
-    rep = bn.power_sum_series_check(spec, n, series_order)
+    rep = bn.power_sum_series_check(_block(chi, xi).spec(1), n, series_order)
     params = _params(chi, xi, n=n, series_order=series_order)
     return IdentityReport(
         identity="power_sum_series_check",
@@ -747,11 +728,6 @@ def report_to_record(rep: IdentityReport, include_sides: bool = False) -> dict:
 _LISTED_MINIMA = {key.grid: key.minimum for e in _IDENTITIES.values() for key in e.keys if key.grid}
 
 _GRID_KEYS = {"identity", "d", "character", "xi", "n_max", *_LISTED_MINIMA}
-
-
-def _is_int(val) -> bool:
-    """JSON integers only: true and false are not integers in a grid."""
-    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _grid_list(grid, key, kind, what) -> list:
@@ -830,17 +806,16 @@ def expand_grid(grid: dict):
 
 
 def _instance(desc: dict):
-    """(table entry, chi, xi, checker keywords) of one instance descriptor."""
+    """(table entry, block, checker keywords) of one instance descriptor."""
     entry = _IDENTITIES[desc["identity"]]
     args = {key.name: desc[key.name] for key in entry.keys}
-    return entry, *_parse(desc["chi"], desc["xi"]), args
+    return entry, _parse(desc["chi"], desc["xi"]), args
 
 
 def run_instance(desc: dict) -> IdentityReport:
     """Run one instance descriptor through its identity's checker."""
-    entry, chi, xi, args = _instance(desc)
-    lead = {"spec": bn.twist_spec(chi, xi)} if entry.takes_spec else {"chi": chi, "xi": xi}
-    return globals()[entry.checker](**lead, **args)
+    entry, block, args = _instance(desc)
+    return globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
 
 
 def _record_for_instance(payload) -> dict:
@@ -848,9 +823,9 @@ def _record_for_instance(payload) -> dict:
     try:
         rep = run_instance(desc)
     except TwistedBernoulliError as exc:  # a package error fails this instance only
-        _, chi, xi, args = _instance(desc)
+        _, block, args = _instance(desc)
         rep = IdentityReport(
-            identity=desc["identity"], params=_params(chi, xi, **args), holds=False,
+            identity=desc["identity"], params=_params(block.chi, block.xi, **args), holds=False,
             lhs=None, rhs=None, error=str(exc),
         )
     return report_to_record(rep, include_sides)

@@ -125,7 +125,7 @@ def test_verify_failure_exit_code(tmp_path):
 
 def test_verify_instance_error_exit_code(monkeypatch):
     # a package error inside one instance is recorded, and the run exits 1
-    def failing(spec, k, n):
+    def failing(chi, xi, k, n):
         raise NotMultiplicative("injected")
 
     monkeypatch.setattr(idn, "check_eq_1_13", failing)
@@ -192,6 +192,9 @@ def test_config_error_names_key(tmp_path):
         ("volkenborn", dict(volk, moments=[-1]), "moments"),
         ("volkenborn", dict(volk, moments=[]), "moments"),
         ("volkenborn", dict(volk, check="shift", shift=1, moments=[0]), "moments"),
+        # shift belongs to shift checks only, and they need it
+        ("volkenborn", dict(volk, shift=1, moments=[1]), "shift"),
+        ("volkenborn", dict(volk, check="shift", moments=[1]), "shift"),
         ("volkenborn", dict(volk, xi={"order": 5, "exponent": 1}, moments=[1]), "xi"),
         # a level of more than volkenborn.MAX_LEVEL_TERMS terms d p^N
         ("volkenborn", dict(volk, level_max=30, moments=[1]), "level_max"),
@@ -341,6 +344,15 @@ def test_out_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == b""
     assert json.loads(target.read_text()) == ["1/1", "-1/2", "1/6", "0/1", "-1/30"]
+
+
+def test_unwritable_out_file(tmp_path):
+    # a path that cannot be written exits 2 with one line, like an unreadable config
+    proc = run_cli(tmp_path, "compute-numbers", NUMS_PARAMS, out=tmp_path / "missing" / "out.json")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith("error: cannot write output:")
+    assert "Traceback" not in proc.stderr.decode()
 
 
 def test_run_config_in_process():

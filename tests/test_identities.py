@@ -36,8 +36,7 @@ def rational_rows(poly):
 # --- eq_1_13 -----------------------------------------------------------------
 
 def test_eq_1_13_classical_worked_example():
-    spec = bn.twist_spec(P1, ONE)
-    rep = idn.check_eq_1_13(spec, 2, 3)
+    rep = idn.check_eq_1_13(P1, ONE, 2, 3)
     assert rep.holds
     # frozen via direct arithmetic: (B_2(3) - B_2)/2 = 3 = 0 + 1 + 2
     assert rep.lhs.rational_value() == 3
@@ -45,22 +44,19 @@ def test_eq_1_13_classical_worked_example():
 
 
 def test_eq_1_13_convention_anchor():
-    spec = bn.twist_spec(P1, ONE)
-    rep = idn.check_eq_1_13(spec, 1, 1)
+    rep = idn.check_eq_1_13(P1, ONE, 1, 1)
     assert rep.holds
     assert rep.lhs.rational_value() == 1  # T_0(0) = 0^0 = 1
 
 
 def test_eq_1_13_twisted():
-    spec = bn.twist_spec(CHI4, MINUS)
-    rep = idn.check_eq_1_13(spec, 3, 2)
+    rep = idn.check_eq_1_13(CHI4, MINUS, 3, 2)
     assert rep.holds
 
 
 def test_eq_1_13_requires_positive_k():
-    spec = bn.twist_spec(P1, ONE)
     with pytest.raises(ValueError):
-        idn.check_eq_1_13(spec, 0, 1)
+        idn.check_eq_1_13(P1, ONE, 0, 1)
 
 
 # --- theorem1 ----------------------------------------------------------------
@@ -260,9 +256,9 @@ def test_bivariate_equality_implies_pointwise_equality():
 
 # --- verdicts on H's coefficients ------------------------------------------------------
 
-def eager_xy_poly(coeffs, n, c, cond, with_y=True):
+def eager_xy_poly(coeffs, n, c, with_y=True):
     """n! [t^n] H(t) e^(c (x + y) t) as a filled matrix, every entry computed."""
-    fld = cyclo_field(cond)
+    fld = coeffs[0].field
     mat = [[fld.zero] * (n + 1) for _ in range(n + 1)]
     for a in range(n + 1):
         for b in range(n - a + 1 if with_y else 1):
@@ -300,7 +296,7 @@ def test_slice_mismatch_equals_matrix_mismatch():
                 rhs = idn.BivariatePoly.from_series(fld, other, c, with_y)
                 rep = idn._compare("t", {}, lhs, rhs)
                 assert lhs._rows is None and rhs._rows is None  # decided on the slices
-                left, right = eager_xy_poly(coeffs, n, c, 3, with_y), eager_xy_poly(other, n, c, 3, with_y)
+                left, right = eager_xy_poly(coeffs, n, c, with_y), eager_xy_poly(other, n, c, with_y)
                 expected = left.first_mismatch(right)
                 assert rep.first_mismatch == expected, (n, with_y, c, coeffs, other)
                 assert rep.holds is (expected is None) is (coeffs == other)
@@ -316,8 +312,8 @@ def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
     # instance with the same first mismatch and printed sides as filled matrices
     series_h = idn._series_h
 
-    def perturbed(chi, xi, cond, route, n, m, wa, wb, *rest, **kw):
-        h = series_h(chi, xi, cond, route, n, m, wa, wb, *rest, **kw)
+    def perturbed(block, route, n, m, wa, wb, *rest, **kw):
+        h = series_h(block, route, n, m, wa, wb, *rest, **kw)
         if wa < wb:
             r = (wa + 2 * wb + m) % 4
             h = h[:r] + (h[r] + 1,) + h[r + 1:]
@@ -334,9 +330,9 @@ def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
         "m": [1, 2],
         "n_max": 4,
     }
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(grid)
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     monkeypatch.setattr(idn, "_xy_poly", eager_xy_poly)
     eager, eager_summary = idn.sweep(grid)
     assert records == eager and summary == eager_summary
@@ -352,7 +348,7 @@ def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
 
 def test_run_instance_reparses_when_json_types_change(monkeypatch):
     # reusing the last parse must not let true or 1.0 pass where 1 did
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     grid = {
         "identity": "theorem1",
         "d": [3],
@@ -386,7 +382,7 @@ def mod8(minus):
 
 
 def test_consecutive_blocks_report_their_own_params(monkeypatch):
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     table = {"kind": "table", "values": [None, {"order": 1, "exponent": 0}, {"order": 4, "exponent": 2}]}
     blocks = [
         ({"modulus": 3, "kind": "index", "j": 1}, {"order": 2, "exponent": 1}),
@@ -407,12 +403,9 @@ def test_consecutive_blocks_report_their_own_params(monkeypatch):
                     "series_order": 4}
             rep = idn.run_instance(desc)
             assert rep.holds
-            parsed_xi = root_from_json(xi)
-            if tag == "eq_1_13":  # its checker takes the twist spec, whose twist is normalized
-                parsed_xi = parsed_xi.normalized()
             assert rep.params["d"] == chi["modulus"]
             assert rep.params["chi"] == character_to_json(character_from_json(chi))
-            assert rep.params["xi"] == root_to_json(parsed_xi)
+            assert rep.params["xi"] == root_to_json(root_from_json(xi))
     # checkers called with the objects themselves
     for xi in (RootOfUnity(2, 1), RootOfUnity(4, 2), RootOfUnity(2, 1)):
         rep = idn.check_remark_m1(2, LEG3, xi, 1, 2)
@@ -475,24 +468,24 @@ ORACLE_CHARACTERS = tuple(
 
 
 def side_cases(characters, n_max):
-    """(n, chi, xi, wa, wb, conductor) over one grid, block by block."""
+    """(n, chi, xi, wa, wb) over one grid, block by block."""
     for chi, xi in product(characters, XIS):
-        cond = bn.ambient_conductor(chi, xi.normalized())
         for wa, wb, n in product(WEIGHTS, WEIGHTS, range(n_max + 1)):
-            yield n, chi, xi, wa, wb, cond
+            yield n, chi, xi, wa, wb
 
 
 @pytest.mark.parametrize("chi", ORACLE_CHARACTERS, ids=lambda chi: chi.label())
 def test_sides_equal_the_literal_printed_sums(chi, monkeypatch):
     # the swap checks cannot see an error that is symmetric in w1 and w2
     # (a side scaled by w1 + w2, a twist xi^(w1 w2)); the literal sums can
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     count = 0
-    for n, _, xi, wa, wb, cond in side_cases([chi], 4):
+    for n, _, xi, wa, wb in side_cases([chi], 4):
+        cond = bn.ambient_conductor(chi, xi.normalized())
         for tag, kw, ms in BUILDER_READINGS:
             for m in ms:
                 head = (n,) if m is None else (n, m)
-                side = getattr(idn, f"_{tag}_side")(*head, chi, xi, wa, wb, cond, **kw)
+                side = getattr(idn, f"_{tag}_side")(*head, chi, xi, wa, wb, **kw)
                 literal = getattr(_oracles, f"{tag}_side")(*head, chi, xi, wa, wb, cond, **kw)
                 assert side == literal, (tag, kw, head, xi, wa, wb)
                 count += 1
@@ -503,7 +496,7 @@ def test_sides_equal_the_literal_printed_sums(chi, monkeypatch):
 def test_power_sum_and_shifted_routes_agree(monkeypatch):
     # the T family builds S(t) from power sums, the theorem3 family from the
     # enumerated exponential sum; both give the same sides
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     characters = [chi for d in range(1, 6) for chi in enumerate_cyclic(d)]
     pairs = (
         ("theorem1", "theorem3", (1, 2, 3), {}),
@@ -512,12 +505,12 @@ def test_power_sum_and_shifted_routes_agree(monkeypatch):
         ("m1_numbers", "eq_2_12", (None,), {}),
     )
     count = 0
-    for n, chi, xi, wa, wb, cond in side_cases(characters, 4):
+    for n, chi, xi, wa, wb in side_cases(characters, 4):
         for power_sum_tag, shifted_tag, ms, kw in pairs:
             for m in ms:
                 head = (n,) if m is None else (n, m)
-                left = getattr(idn, f"_{power_sum_tag}_side")(*head, chi, xi, wa, wb, cond)
-                right = getattr(idn, f"_{shifted_tag}_side")(*head, chi, xi, wa, wb, cond, **kw)
+                left = getattr(idn, f"_{power_sum_tag}_side")(*head, chi, xi, wa, wb)
+                right = getattr(idn, f"_{shifted_tag}_side")(*head, chi, xi, wa, wb, **kw)
                 assert left == right, (power_sum_tag, head, chi, xi, wa, wb)
                 count += 1
     assert count == 18000
@@ -541,7 +534,7 @@ def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
 
     for name in (*checkers.values(), *builders.values()):
         counting(name)
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     xi = {"order": 1, "exponent": 0}
     for tag, checker in checkers.items():
         desc = next(iter(idn.expand_grid({"identity": tag, "d": [1], "xi": xi, "k": [1], "n_max": 1})))
@@ -655,10 +648,10 @@ def test_sweep_collects_instance_errors(monkeypatch):
     # a package error fails its instance only: the sweep records it and goes on
     check = idn.check_eq_1_13
 
-    def failing(spec, k, n):
+    def failing(chi, xi, k, n):
         if k == 2:
             raise NotMultiplicative("injected")
-        return check(spec, k, n)
+        return check(chi, xi, k, n)
 
     monkeypatch.setattr(idn, "check_eq_1_13", failing)
     grid = {
@@ -676,14 +669,13 @@ def test_sweep_collects_instance_errors(monkeypatch):
     assert records[0]["params"] == {**records[1]["params"], "k": 1}
     assert list(records[1]["params"]) == ["n", "d", "chi", "xi", "k"]
     # any other exception is a programming error and ends the sweep
-    monkeypatch.setattr(idn, "check_eq_1_13", lambda spec, k, n: 1 // 0)
+    monkeypatch.setattr(idn, "check_eq_1_13", lambda chi, xi, k, n: 1 // 0)
     with pytest.raises(ZeroDivisionError):
         idn.sweep(grid)
 
 
 def test_report_record_includes_sides_on_failure_only():
-    spec = bn.twist_spec(P1, ONE)
-    rep = idn.check_eq_1_13(spec, 2, 3)
+    rep = idn.check_eq_1_13(P1, ONE, 2, 3)
     slim = idn.report_to_record(rep)
     assert "lhs" not in slim
     fat = idn.report_to_record(rep, include_sides=True)
@@ -708,21 +700,15 @@ def test_parallel_sweep_matches_serial():
     assert s1 == s2
 
 
-# --- block memo ----------------------------------------------------------------
-
-class _Unshared:
-    """A block memo that shares nothing: every request builds its value."""
-
-    def get(self, chi, xi, cond, key, build):
-        return build()
-
+# --- the block ------------------------------------------------------------------
 
 def test_memoized_sweep_matches_fresh_checks(monkeypatch):
-    # each memo key (sides; H, its factors S and F and the partial product
-    # lead S) must name route, wa, wb, with_weights, m, twist and order: a key
-    # that omits one hands a side or factor of one instance, reading or order
-    # to another.  The reference builds every value anew.  The two routes to
-    # S agree by theorem, so the shifted one is doubled here to keep them apart.
+    # each key the block holds (H, its factors S and F, the partial product
+    # lead S, and the twist specs) must name route, wa, wb, with_weights, m,
+    # twist and order: a key that omits one hands a value of one instance,
+    # reading or order to another.  The reference builds every value anew.
+    # The two routes to S agree by theorem, so the shifted one is doubled here
+    # to keep them apart.
     exp_sum = bn._twisted_exp_sum
     monkeypatch.setattr(bn, "_twisted_exp_sum", lambda *args: [2 * c for c in exp_sum(*args)])
     grid = {
@@ -735,12 +721,12 @@ def test_memoized_sweep_matches_fresh_checks(monkeypatch):
         "m": [1, 2, 3],
         "n_max": 5,
     }
-    # one character: every tag falls in one block and shares its memo; with
+    # one character: every tag falls in one block and shares its values; with
     # both characters the sweep changes block between tags
     grids = [grid, {**grid, "character": "all", "m": [1, 2], "n_max": 2}]
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     records, _ = idn.sweep(grids, include_sides=True)
-    monkeypatch.setattr(idn, "_MEMO", _Unshared())
+    monkeypatch.setattr(idn._Block, "get", lambda self, key, build: build())
     descs = [desc for g in grids for desc in idn.expand_grid(g)]
     assert records == [idn.report_to_record(idn.run_instance(d), include_sides=True) for d in descs]
     # the second reading of theorem1 and of remark_2_11 fails somewhere, so
@@ -760,11 +746,13 @@ def test_memo_holds_only_the_last_block(monkeypatch):
         "m": [2],
         "n_max": 2,
     }
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    monkeypatch.setattr(idn, "_BLOCK", None)
     idn.sweep(grid)
-    both = idn._MEMO
-    monkeypatch.setattr(idn, "_MEMO", idn._BlockMemo())
+    both = idn._BLOCK
+    monkeypatch.setattr(idn, "_BLOCK", None)
     idn.sweep({**grid, "xi": {"order": 2, "exponent": 1}})
-    last = idn._MEMO
-    assert both.block == (LEG3, MINUS, 1) == last.block
+    last = idn._BLOCK
+    assert both is not last
+    assert (both.chi, both.xi, both.cond) == (LEG3, MINUS, 1) == (last.chi, last.xi, last.cond)
+    assert both.source == ({"modulus": 3, "kind": "index", "j": 1}, MINUS_JSON) == last.source
     assert both.values == last.values
