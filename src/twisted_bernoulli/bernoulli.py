@@ -15,10 +15,11 @@ restricts to twists of p-power order where the valuation theory applies.
 All results are cached: families, polynomials and power sums are immutable
 and reused across identity checks.
 
-The twisted sums sum_a chi(a) xi^a a^i behind the power sums and the
-exponential sums are accumulated in integers: each weight chi(a) xi^a is the
-element product of two roots of unity, so its coordinates are integers, and
-a sum is one integer coordinate vector reduced once by the kernel.
+The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
+exponential sum sum_{a<d} chi(a) xi^a e^(a t) is read off them.  They are
+accumulated in integers: each weight chi(a) xi^a is the element product of
+two roots of unity, so its coordinates are integers, and a sum is one
+integer coordinate vector reduced once by the kernel.
 """
 
 from __future__ import annotations
@@ -142,25 +143,10 @@ def _twist_weights(spec: TwistSpec, terms: int) -> tuple[tuple[int, tuple[int, .
     return tuple((a, base[a % period]) for a in range(terms) if base[a % period] is not None)
 
 
-def _weighted_power_sum(field: CycloField, weights, i: int, den: int) -> CycloElem:
-    """sum_a w_a a^i / den, accumulated as one integer coordinate vector (0^0 = 1)."""
-    acc = [0] * field.degree
-    for a, w in weights:
-        ai = a**i  # Python's 0**0 is 1
-        if ai:
-            acc = [x + v * ai for x, v in zip(acc, w)]
-    return CycloElem._raw(field, *K.normalize(acc, den))
-
-
-def _twisted_exp_sum(spec: TwistSpec, count: int, terms: int | None = None) -> list[CycloElem]:
-    """Coefficients of t^0..t^(count-1) in sum_{a<terms} chi(a) xi^a e^(a t).
-
-    ``terms`` defaults to the modulus d.  The ordinary coefficient of t^i is
-    sum_a chi(a) xi^a a^i / i!, summed in integer coordinates and reduced
-    once per coefficient.
-    """
-    weights = _twist_weights(spec, spec.chi.modulus if terms is None else terms)
-    return [_weighted_power_sum(spec.ambient, weights, i, factorial(i)) for i in range(count)]
+def _twisted_exp_sum(spec: TwistSpec, count: int) -> list[CycloElem]:
+    """Coefficients of t^0..t^(count-1) in sum_{a<d} chi(a) xi^a e^(a t): T_i(d - 1) / i!."""
+    d = spec.chi.modulus
+    return [power_sum(spec, i, d - 1) * Fraction(1, factorial(i)) for i in range(count)]
 
 
 def _twisted_exp_minus_one(spec: TwistSpec, c: int, order: int) -> ps.TruncSeries:
@@ -227,10 +213,18 @@ def evaluate(poly: BernoulliPolynomial, arg) -> CycloElem:
 
 @lru_cache(maxsize=None)
 def power_sum(spec: TwistSpec, k: int, n: int) -> CycloElem:
-    """T_k(n) = sum_{l=0..n} chi(l) xi^l l^k, with 0^0 = 1."""
+    """T_k(n) = sum_{l=0..n} chi(l) xi^l l^k, with 0^0 = 1.
+
+    The terms are summed as one integer coordinate vector and reduced once.
+    """
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
-    return _weighted_power_sum(spec.ambient, _twist_weights(spec, n + 1), k, 1)
+    acc = [0] * spec.ambient.degree
+    for a, w in _twist_weights(spec, n + 1):
+        ak = a**k  # Python's 0**0 is 1
+        if ak:
+            acc = [x + v * ak for x, v in zip(acc, w)]
+    return CycloElem._raw(spec.ambient, *K.normalize(acc, 1))
 
 
 @dataclass(frozen=True)
@@ -245,10 +239,10 @@ class PowerSumSeriesReport:
 
 
 def power_sum_series_check(spec: TwistSpec, n: int, order: int) -> PowerSumSeriesReport:
-    """Compare two routes to the power-sum generating function.
+    """Compare two constructions of the power-sum generating function.
 
-    Route one divides (xi^(nd) e^(nd t) - 1) * sum_{i<d} chi(i) xi^i e^(i t)
-    by xi^d e^(d t) - 1; route two assembles the series whose t^k/k!
+    The first divides (xi^(nd) e^(nd t) - 1) * sum_{i<d} chi(i) xi^i e^(i t)
+    by xi^d e^(d t) - 1; the second assembles the series whose t^k/k!
     coefficient is T_k(nd - 1) directly from the power sums.  They must agree
     coefficient-by-coefficient.
     """

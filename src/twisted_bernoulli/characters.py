@@ -243,9 +243,10 @@ def _json_int(val, key: str, minimum: int | None = None) -> int:
     return val
 
 
-def root_from_json(obj) -> RootOfUnity:
+def root_from_json(obj, key: str = "xi") -> RootOfUnity:
+    """Parse a root of unity {order, exponent} given under key."""
     if not isinstance(obj, dict) or set(obj) != {"order", "exponent"}:
-        raise ConfigError(f"root of unity must be {{order, exponent}}, got {obj!r}")
+        raise ConfigError(f"key '{key}' must be a root of unity {{order, exponent}}, got {obj!r}")
     return RootOfUnity(_json_int(obj["order"], "order", 1), _json_int(obj["exponent"], "exponent"))
 
 
@@ -254,36 +255,49 @@ def root_to_json(r: RootOfUnity) -> dict:
 
 
 def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
-    """Parse a character spec; exponents are reduced mod order on load."""
+    """Parse a character spec given under key 'character'.
+
+    Exponents are reduced mod order on load; a table that is not a
+    character is a configuration error naming 'values'.
+    """
     if not isinstance(spec, dict):
-        raise ConfigError(f"character spec must be an object, got {spec!r}")
+        raise ConfigError(f"key 'character' must be an object, got {spec!r}")
     known = {"modulus", "kind", "values", "j"}
     for key in spec:
         if key not in known:
-            raise ConfigError(f"unknown key '{key}' in character spec")
+            raise ConfigError(f"unknown key '{key}' in 'character'")
     d = spec.get("modulus", modulus)
     if d is None:
-        raise ConfigError("missing required key 'modulus' in character spec")
+        raise ConfigError("missing required key 'modulus' in 'character'")
     d = _json_int(d, "modulus", 1)
     kind = spec.get("kind")
     if kind == "principal":
         return principal(d)
     if kind == "table":
         if "values" not in spec:
-            raise ConfigError("missing required key 'values' in character spec")
+            raise ConfigError("missing required key 'values' in 'character'")
         if not isinstance(spec["values"], list):
             raise ConfigError("key 'values' must be a list")
-        vals = [None if v is None else root_from_json(v) for v in spec["values"]]
-        return from_table(d, vals)
+        if len(spec["values"]) != d:
+            raise ConfigError(f"key 'values' has {len(spec['values'])} entries, but key 'modulus' is {d}")
+        vals = [None if v is None else root_from_json(v, "values") for v in spec["values"]]
+        try:
+            return from_table(d, vals)
+        except (WrongSupport, NotNormalized, NotMultiplicative) as exc:
+            raise ConfigError(f"key 'values' is not a character mod {d}: {exc}") from None
     if kind == "index":
         if "j" not in spec:
-            raise ConfigError("missing required key 'j' in character spec")
-        chars = enumerate_cyclic(d)
+            raise ConfigError("missing required key 'j' in 'character'")
+        try:
+            chars = enumerate_cyclic(d)
+        except NonCyclicUnitGroup as exc:
+            raise ConfigError(f"key 'kind' in 'character' is \"index\", but the {exc}") from None
         j = _json_int(spec["j"], "j")
         if not 0 <= j < len(chars):
-            raise ConfigError(f"character index j={j} out of range for modulus {d}")
+            raise ConfigError(f"key 'j' in 'character' is {j}, out of range for modulus {d}")
         return chars[j]
-    raise ConfigError(f"unknown character kind {kind!r}")
+    kinds = '"principal", "table" or "index"'
+    raise ConfigError(f"key 'kind' in 'character' must be {kinds}, got {kind!r}")
 
 
 @lru_cache(maxsize=None)

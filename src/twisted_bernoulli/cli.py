@@ -49,12 +49,12 @@ class RunConfig:
 def _require_keys(params: dict, required: set, optional: set = frozenset()):
     if not isinstance(params, dict):
         raise ConfigError("config must be a JSON object")
-    for key in params:
-        if key not in required and key not in optional:
-            raise ConfigError(f"unknown key '{key}' in config")
     for key in sorted(required):
         if key not in params:
             raise ConfigError(f"missing required key '{key}' in config")
+    for key in params:
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key '{key}' in config")
 
 
 def _int_param(params: dict, key: str, minimum: int | None = None) -> int:
@@ -99,17 +99,19 @@ def _cmd_power_sum(params: dict):
 
 
 def _cmd_verify(params: dict, jobs: int):
-    if isinstance(params, dict) and "grids" in params:
+    # include_sides belongs to the {"grids": [...]} form only
+    if isinstance(params, dict) and ("grids" in params or "include_sides" in params):
         _require_keys(params, {"grids"}, {"include_sides"})
         grids = params["grids"]
         include_sides = params.get("include_sides", False)
         if not isinstance(include_sides, bool):
             raise ConfigError("key 'include_sides' must be true or false")
+        # an empty grid lacks 'identity'; it is reported here, where it has a key
+        if not isinstance(grids, list) or not all(isinstance(grid, dict) and grid for grid in grids):
+            raise ConfigError("key 'grids' must be a list of non-empty grid objects")
     else:
-        grids = params
+        grids = [params] if isinstance(params, dict) else params
         include_sides = False
-    if isinstance(grids, dict):
-        grids = [grids]
     if not isinstance(grids, list):
         raise ConfigError("verify config must be a grid object, a list, or {'grids': [...]}")
     if not grids:
@@ -125,12 +127,12 @@ def _val_str(v) -> str:
 
 
 def _cmd_volkenborn(params: dict):
-    # shift is required by shift checks and unknown to convergence checks
-    shift = {"shift"} if isinstance(params, dict) and params.get("check") == "shift" else set()
-    _require_keys(params, {"p", "check", "modulus", "character", "xi", "moments", *shift}, {"level_max"})
-    kind = params["check"]
-    if kind not in ("convergence", "shift"):
+    kind = params.get("check") if isinstance(params, dict) else None
+    if isinstance(params, dict) and kind not in ("convergence", "shift"):
         raise ConfigError("key 'check' must be \"convergence\" or \"shift\"")
+    # shift is required by shift checks and unknown to convergence checks
+    shift = {"shift"} if kind == "shift" else set()
+    _require_keys(params, {"p", "check", "modulus", "character", "xi", "moments", *shift}, {"level_max"})
     p = _int_param(params, "p", 2)
     d = _int_param(params, "modulus", 1)
     # every trace sums level 2 (level_max >= 2); bound p before the
@@ -149,7 +151,7 @@ def _cmd_volkenborn(params: dict):
         raise ConfigError("key 'character' must take rational values (orders one and two)")
     xi = root_from_json(params["xi"])
     if not _is_p_power(xi.normalized().order, p):
-        raise ConfigError(f"key 'xi' must have order 1 or a power of p = {p}")
+        raise ConfigError(f"key 'xi' must have order 1 or a power of key 'p' = {p}")
     moments = params["moments"]
     moments = moments if isinstance(moments, list) else [moments]
     if not moments:

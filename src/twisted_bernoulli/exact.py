@@ -39,9 +39,6 @@ from .errors import (
     UnsupportedField,
 )
 
-#: The base scalar type: arbitrary-precision fraction in canonical form.
-Rational = Fraction
-
 #: Returned by padic_valuation for the zero element.
 INFINITY = math.inf
 
@@ -465,12 +462,6 @@ def embed(e: CycloElem, b: int) -> CycloElem:
     for c in reversed(e.coeffs):
         acc = acc * z + c
     return acc
-
-
-def common_field(e1: CycloElem, e2: CycloElem) -> tuple[CycloElem, CycloElem]:
-    """Embed both elements into the lcm-conductor field."""
-    m = lcm(e1.field.conductor, e2.field.conductor)
-    return embed(e1, m), embed(e2, m)
 
 
 def galois_apply(e: CycloElem, s: int) -> CycloElem:

@@ -42,23 +42,25 @@ a projection of h_r = r! [t^r] H:
 * corollary2, m1_numbers, corollary4 and eq_2_12: h_n, the value at
   x = y = 0 (m = 1 for the last two of these and for the remarks).
 
-The two families stay two routes to S: theorem1, remark_m1, corollary2 and
-m1_numbers build it from ``bernoulli.power_sum``; theorem3, remark_2_11,
-corollary4 and eq_2_12 sum its terms over i < wa d.  One H per (wa, wb, m,
-reading) serves every n of a block: its order is n rounded up to a multiple
-of 4.  H is (lead S) F^(m-1) with lead = (1/wa) F^(m)_wa(wa t).  One block
-object (``_Block``) holds the last (chi, xi) pair with its report JSON and
-conductor, and holds H and each value it is built from, under a key naming
-everything besides (chi, xi, conductor) that the value depends on:
+The two families therefore share H, so their swap verdicts agree by
+construction; the test suite checks each family's sides against its own
+printed sum.  S is built one way, from ``bernoulli.power_sum``:
+[t^k] S = T_k(wa d - 1) wb^k / k!.  One H per
+(wa, wb, m, reading) serves every n of a block and both families: its order
+is n rounded up to a multiple of 4.  H is (lead S / wa) F^(m-1) with
+lead = F^(m)_wa(wa t).  One block object (``_Block``) holds the last
+(chi, xi) pair with its report JSON and conductor, and holds H and each
+value it is built from, under a key naming everything besides (chi, xi,
+conductor) that the value depends on:
 
 * ("spec", w): the twist spec of chi and xi^w in the block's field;
-* ("S", route, wa, wb, with_weights, order): S, shared by every m;
-* ("F", tw, k, w, over, order): F^(k)_tw(w t) / over; the lead is
-  (wa, m, wa, wa) and the last factor (last twist, m - 1, wb, 1);
-* ("LS", route, m, wa, wb, with_weights, order): lead S, shared by both
+* ("S", wa, wb, with_weights, order): S / wa, shared by every m;
+* ("F", tw, k, w, order): F^(k)_tw(w t); the lead is (wa, m, wa) and the
+  last factor (last twist, m - 1, wb);
+* ("LS", m, wa, wb, with_weights, order): lead S / wa, shared by both
   readings of theorem1, which differ only in the last factor;
-* ("H", route, m, wa, wb, last twist, with_weights, order): H itself, one
-  series product over the shared values when m > 1.
+* ("H", m, wa, wb, last twist, with_weights, order): H itself, one series
+  product over the shared values when m > 1.
 
 Sides are not kept: each is one slice or one scalar product of H.
 
@@ -81,7 +83,7 @@ largest index where the slices differ (``BivariatePoly.first_mismatch``).
 
 from __future__ import annotations
 
-from copy import deepcopy
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -279,8 +281,8 @@ class _Block:
     its series.  ``values`` holds them under keys naming every argument
     besides chi, xi and the conductor that changes the value; values are
     immutable (TwistSpec, TruncSeries, tuples) because they are shared.
-    ``source`` is a copy of the (chi JSON, xi JSON) the pair was parsed from,
-    or None when a checker was called with the objects themselves.
+    ``source`` is the JSON text of the [chi, xi] pair it was parsed from, or
+    None when a checker was called with the objects themselves.
     """
 
     __slots__ = ("chi", "xi", "chi_json", "xi_json", "cond", "source", "values")
@@ -327,93 +329,72 @@ def _block(chi, xi) -> _Block:
     return last
 
 
-def _same_json(a, b) -> bool:
-    """Equal JSON values whose types match throughout: true is not 1, 1.0 is not 1."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        if a.keys() != b.keys():
-            return False
-        for k, v in a.items():
-            if not _same_json(v, b[k]):
-                return False
-        return True
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    return a == b
-
-
 def _parse(chi_json, xi_json) -> _Block:
-    """The block of a descriptor's chi and xi, parsed again only when their JSON changes."""
+    """The block of a descriptor's chi and xi, parsed again only when their JSON changes.
+
+    The JSON is compared as text, so types count: true is not 1, 1.0 is not 1.
+    """
     global _BLOCK
+    source = json.dumps([chi_json, xi_json])
     last = _BLOCK
-    if last is None or last.source is None or not (
-        _same_json(chi_json, last.source[0]) and _same_json(xi_json, last.source[1])
-    ):
-        chi, xi = character_from_json(chi_json), root_from_json(xi_json)
-        last = _BLOCK = _Block(chi, xi, deepcopy((chi_json, xi_json)))
+    if last is None or last.source != source:
+        last = _BLOCK = _Block(character_from_json(chi_json), root_from_json(xi_json), source)
     return last
 
 
 # ---------------------------------------------------------------------------
 # the series H of one (wa, wb, m, reading), and its projections
 
-def _scaled_numbers(block, tw, k, w, order, over=1) -> ps.TruncSeries:
-    """F^(k)(w t) / over to t^order, F^(k) the order-k series of the twist xi^tw."""
+def _scaled_numbers(block, tw, k, w, order) -> ps.TruncSeries:
+    """F^(k)(w t) to t^order, F^(k) the order-k series of the twist xi^tw."""
 
     def build():
         nums = bn.numbers(block.spec(tw), k, order).numbers
-        return ps.TruncSeries(
-            cyclo_field(block.cond), [c * Fraction(w**r, over * factorial(r)) for r, c in enumerate(nums)]
-        )
+        scaled = [c * Fraction(w**r, factorial(r)) for r, c in enumerate(nums)]
+        return ps.TruncSeries(cyclo_field(block.cond), scaled)
 
-    return block.get(("F", tw, k, w, over, order), build)
+    return block.get(("F", tw, k, w, order), build)
 
 
-def _s_factor(block, route, wa, wb, with_weights, order) -> ps.TruncSeries:
-    """S(t) to t^order, from the power sums or from its terms.
+def _s_factor(block, wa, wb, with_weights, order) -> ps.TruncSeries:
+    """S(t) / wa to t^order: [t^k] = T_k(wa d - 1) wb^k / (wa k!).
 
-    "power_sum": [t^k] S = T_k(wa d - 1) wb^k / k!, T_k the power sums of
-    xi^wb.  "shifted": the terms chi(i) xi^(wb i) e^(wb i t), i < wa d;
-    without weights the factors xi^(wb i) are dropped (the twist is xi^0).
+    T_k are the power sums of the twist xi^wb; without weights the factors
+    xi^(wb i) are dropped, and T_k are those of xi^0.
     """
 
     def build():
-        terms = wa * block.chi.modulus
-        if route == "power_sum":
-            spec_b = block.spec(wb)
-            s = [bn.power_sum(spec_b, k, terms - 1) * Fraction(wb**k, factorial(k)) for k in range(order + 1)]
-        else:
-            spec = block.spec(wb if with_weights else 0)
-            s = [c * wb**k for k, c in enumerate(bn._twisted_exp_sum(spec, order + 1, terms))]
+        spec = block.spec(wb if with_weights else 0)
+        top = wa * block.chi.modulus - 1
+        s = [bn.power_sum(spec, k, top) * Fraction(wb**k, wa * factorial(k)) for k in range(order + 1)]
         return ps.TruncSeries(cyclo_field(block.cond), s)
 
-    return block.get(("S", route, wa, wb, with_weights, order), build)
+    return block.get(("S", wa, wb, with_weights, order), build)
 
 
-def _series_h(block, route, n, m, wa, wb, last_w=None, with_weights=True):
+def _series_h(block, n, m, wa, wb, last_w=None, with_weights=True):
     """Ordinary coefficients of H(t) to an order >= n, shared in the block.
 
-    ``route`` names how S is built: "power_sum" or "shifted".  ``last_w``
-    twists F^(m-1) by xi^last_w (default wb); ``with_weights`` keeps the
-    xi^(wb i) in S on the shifted route.  The order is n rounded up to a
-    multiple of 4, so that nearby n share one product.  H is the product
-    (lead S) F^(m-1), and the block holds each factor and lead S apart.
+    The theorem1 and theorem3 families read the same H.  ``last_w`` twists
+    F^(m-1) by xi^last_w (default wb); ``with_weights``
+    keeps the xi^(wb i) in S.  The order is n rounded up to a multiple of 4,
+    so that nearby n share one product.  H is the product (lead S) F^(m-1),
+    and the block holds each factor and lead S apart.
     """
     order = 4 * max(1, -(-n // 4))
     last_w = wb if last_w is None or m == 1 else last_w  # F^(0) = 1 carries no twist
 
     def lead_s():
-        lead = _scaled_numbers(block, wa, m, wa, order, over=wa)
-        return ps.series_mul(lead, _s_factor(block, route, wa, wb, with_weights, order))
+        lead = _scaled_numbers(block, wa, m, wa, order)
+        return ps.series_mul(lead, _s_factor(block, wa, wb, with_weights, order))
 
     def build():
-        h = block.get(("LS", route, m, wa, wb, with_weights, order), lead_s)
+        h = block.get(("LS", m, wa, wb, with_weights, order), lead_s)
         if m > 1:  # F^(0) = 1
             h = ps.series_mul(h, _scaled_numbers(block, last_w, m - 1, wb, order))
         return h.coeffs
 
-    return block.get(("H", route, m, wa, wb, last_w, with_weights, order), build)
+    return block.get(("H", m, wa, wb, last_w, with_weights, order), build)
 
 
 def _xy_poly(coeffs, n, c, with_y=True) -> BivariatePoly:
@@ -430,37 +411,37 @@ def _xy_poly(coeffs, n, c, with_y=True) -> BivariatePoly:
 # right side, so swap symmetry is structural
 
 def _theorem1_side(n, m, chi, xi, wa, wb, last_twist_wa=False) -> BivariatePoly:
-    h = _series_h(_block(chi, xi), "power_sum", n, m, wa, wb, wa if last_twist_wa else wb)
+    h = _series_h(_block(chi, xi), n, m, wa, wb, wa if last_twist_wa else wb)
     return _xy_poly(h, n, wa * wb)
 
 
 def _remark_m1_side(n, chi, xi, wa, wb) -> BivariatePoly:
-    return _xy_poly(_series_h(_block(chi, xi), "power_sum", n, 1, wa, wb), n, wa * wb, with_y=False)
+    return _xy_poly(_series_h(_block(chi, xi), n, 1, wa, wb), n, wa * wb, with_y=False)
 
 
 def _corollary2_side(n, m, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), "power_sum", n, m, wa, wb)[n] * factorial(n)
+    return _series_h(_block(chi, xi), n, m, wa, wb)[n] * factorial(n)
 
 
 def _m1_numbers_side(n, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), "power_sum", n, 1, wa, wb)[n] * factorial(n)
+    return _series_h(_block(chi, xi), n, 1, wa, wb)[n] * factorial(n)
 
 
 def _theorem3_side(n, m, chi, xi, wa, wb) -> BivariatePoly:
-    return _xy_poly(_series_h(_block(chi, xi), "shifted", n, m, wa, wb), n, wa * wb)
+    return _xy_poly(_series_h(_block(chi, xi), n, m, wa, wb), n, wa * wb)
 
 
 def _remark_2_11_side(n, chi, xi, wa, wb, with_weights) -> BivariatePoly:
-    h = _series_h(_block(chi, xi), "shifted", n, 1, wa, wb, with_weights=with_weights)
+    h = _series_h(_block(chi, xi), n, 1, wa, wb, with_weights=with_weights)
     return _xy_poly(h, n, wa * wb, with_y=False)
 
 
 def _corollary4_side(n, m, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), "shifted", n, m, wa, wb)[n] * factorial(n)
+    return _series_h(_block(chi, xi), n, m, wa, wb)[n] * factorial(n)
 
 
 def _eq_2_12_side(n, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), "shifted", n, 1, wa, wb)[n] * factorial(n)
+    return _series_h(_block(chi, xi), n, 1, wa, wb)[n] * factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +654,7 @@ def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
 
 
 def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
-    """Wrap the two-route power-sum generating-function comparison."""
+    """Wrap the power-sum generating-function comparison of two constructions."""
     rep = bn.power_sum_series_check(_block(chi, xi).spec(1), n, series_order)
     params = _params(chi, xi, n=n, series_order=series_order)
     return IdentityReport(
@@ -788,7 +769,7 @@ def expand_grid(grid: dict):
     tags = _grid_list(grid, "identity", str, "an identity tag")
     for tag in tags:
         if tag not in _IDENTITIES:
-            raise ConfigError(f"unknown identity tag '{tag}'")
+            raise ConfigError(f"unknown identity tag '{tag}' in key 'identity'")
     n_max = grid.get("n_max")
     if n_max is not None:
         _json_int(n_max, "n_max", 0)

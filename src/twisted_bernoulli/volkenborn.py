@@ -62,19 +62,13 @@ class IntegrandSpec:
     d: int
 
 
-def integrand_spec(
-    chi: DirichletCharacter, xi: RootOfUnity, moment: int, d: int | None = None
-) -> IntegrandSpec:
-    """Validated integrand; d defaults to the character modulus."""
+def integrand_spec(chi: DirichletCharacter, xi: RootOfUnity, moment: int) -> IntegrandSpec:
+    """Validated integrand, summed modulo d p^N with d the character modulus."""
     if moment < 0:
         raise ValueError("moment must be >= 0")
-    if d is None:
-        d = chi.modulus
-    if d != chi.modulus:
-        raise ValueError("the summation modulus must equal the character modulus")
     if chi.value_conductor() != 1:
         raise UnsupportedField("character must take rational values (orders one and two)")
-    return IntegrandSpec(chi=chi, xi=xi.normalized(), moment=moment, d=d)
+    return IntegrandSpec(chi=chi, xi=xi.normalized(), moment=moment, d=chi.modulus)
 
 
 def _validate_twist(spec: IntegrandSpec, p: int):

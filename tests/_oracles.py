@@ -144,11 +144,11 @@ def classical_poly_at(n, x):
 # before they summed in integer coordinates: every term is a field product
 # chi(a) * xi^a followed by a field sum.
 
-def twisted_exp_sum(spec, count, terms=None):
-    """Coefficients of t^0..t^(count-1) in sum_{a<terms} chi(a) xi^a e^(a t)."""
+def twisted_exp_sum(spec, count):
+    """Coefficients of t^0..t^(count-1) in sum_{a<d} chi(a) xi^a e^(a t)."""
     field = spec.ambient
     weights = []
-    for a in range(spec.chi.modulus if terms is None else terms):
+    for a in range(spec.chi.modulus):
         c = spec.chi.value_at(a, field)
         if not c.is_zero():
             weights.append((a, c * as_cyclo(spec.xi**a, field.conductor)))

@@ -7,6 +7,7 @@ file documented for the CLI.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -28,6 +29,11 @@ from _oracles import bernoulli_recurrence
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID_CONFIG = ROOT / "configs" / "acceptance_grid.json"
+# a child interpreter imports the package from this checkout, as pytest does
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))),
+}
 # sha256 of the sweep output; it changes only when what a user gets changes
 GRID_SHA256 = "3513fd287a7bacc324ca2c74fabd891bf31da4a0c4ec521ae4347499b0cbada1"
 
@@ -76,6 +82,7 @@ def sweep_runs(tmp_path_factory):
                 str(out),
             ],
             capture_output=True,
+            env=CHILD_ENV,
         )
         elapsed.append(time.perf_counter() - t0)
         assert proc.returncode == 0, proc.stderr.decode()

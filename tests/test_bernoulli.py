@@ -131,9 +131,8 @@ def test_integer_sums_match_term_by_term_oracle(order):
     xi = RootOfUnity(order, 1)
     for chi in SUM_CHARACTERS:
         spec = bn.twist_spec(chi, xi)
-        for terms in (None, *range(3 * chi.modulus + 1)):
-            got = bn._twisted_exp_sum(spec, 9, terms)
-            assert _raw(got) == _raw(_oracles.twisted_exp_sum(spec, 9, terms)), (chi, terms)
+        got = bn._twisted_exp_sum(spec, 9)
+        assert _raw(got) == _raw(_oracles.twisted_exp_sum(spec, 9)), chi
         got = [bn.power_sum(spec, k, n) for k in range(9) for n in range(21)]
         want = [_oracles.power_sum(spec, k, n) for k in range(9) for n in range(21)]
         assert _raw(got) == _raw(want), chi
@@ -147,7 +146,7 @@ def test_integer_sums_match_term_by_term_oracle(order):
             as_cyclo(RootOfUnity(6, 5), 3)
     if order == 1:
         # 0^0 = 1: the modulus-one character is 1 at a = 0
-        assert bn._twisted_exp_sum(CLASSICAL, 1, 1)[0] == 1
+        assert bn._twisted_exp_sum(CLASSICAL, 1)[0] == 1
         assert bn.power_sum(CLASSICAL, 0, 0) == 1
 
 

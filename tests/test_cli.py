@@ -1,11 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from twisted_bernoulli import cli
 from twisted_bernoulli import identities as idn
 from twisted_bernoulli.errors import NotMultiplicative
 from twisted_bernoulli.exact import cyclo_from_json, frac_from_str
+
+# a child interpreter imports the package from this checkout, as pytest does
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(tmp_path, command, params, fmt="json", jobs=None, out=None):
@@ -19,6 +28,7 @@ def run_cli(tmp_path, command, params, fmt="json", jobs=None, out=None):
     proc = subprocess.run(
         [sys.executable, "-m", "twisted_bernoulli"] + argv,
         capture_output=True,
+        env=CHILD_ENV,
     )
     return proc
 
@@ -29,6 +39,21 @@ NUMS_PARAMS = {
     "xi": {"order": 1, "exponent": 0},
     "k": 1,
     "n_max": 4,
+}
+
+
+def table(values):
+    """A table character spec; 1 and -1 stand for the roots of order 1 and 2."""
+    roots = {1: {"order": 1, "exponent": 0}, -1: {"order": 2, "exponent": 1}}
+    return {"kind": "table", "values": [None if v is None else roots[v] for v in values]}
+
+
+POLY_PARAMS = {
+    "modulus": 4,
+    "character": table([None, 1, None, -1]),
+    "xi": {"order": 4, "exponent": 1},
+    "k": 2,
+    "n": 5,
 }
 
 
@@ -208,6 +233,20 @@ def test_config_error_names_key(tmp_path):
             dict(volk, modulus=7, character={"kind": "index", "j": 1}, moments=[1]),
             "character",
         ),
+        # a table of the wrong length, or one that is not a character
+        ("compute-polynomial", dict(POLY_PARAMS, modulus=2), "values"),
+        ("compute-polynomial", dict(POLY_PARAMS, character={"kind": "table", "values": []}), "values"),
+        ("compute-polynomial", dict(POLY_PARAMS, character=table([None, None, None, -1])), "values"),
+        ("compute-polynomial", dict(POLY_PARAMS, character=table([None, -1, None, -1])), "values"),
+        ("power-sum", dict(POLY_PARAMS, modulus=5, n=1, character=table([None, 1, -1, 1, -1])), "values"),
+        ("verify", dict(grid, d=[4], character=table([None, None, None, -1])), "values"),
+        # index characters need a cyclic unit group
+        ("compute-numbers", dict(NUMS_PARAMS, modulus=8, character={"kind": "index", "j": 1}), "kind"),
+        # the keys of the {"grids": [...]} form, and a volkenborn check kind
+        ("verify", {"grids": [{}]}, "grids"),
+        ("verify", dict(grid, include_sides=True), "grids"),
+        ("volkenborn", {k: v for k, v in volk.items() if k != "check"}, "check"),
+        ("volkenborn", dict(volk, check="x", shift=1, moments=[1]), "check"),
     ):
         proc = run_cli(tmp_path, command, params)
         assert proc.returncode == 2
@@ -219,6 +258,7 @@ def test_unreadable_config(tmp_path):
         [sys.executable, "-m", "twisted_bernoulli", "compute-numbers", "--config",
          str(tmp_path / "missing.json")],
         capture_output=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 2
 
@@ -359,3 +399,75 @@ def test_run_config_in_process():
     code, out = cli.run(cli.RunConfig(command="compute-numbers", params=NUMS_PARAMS))
     assert code == 0
     assert json.loads(out) == ["1/1", "-1/2", "1/6", "0/1", "-1/30"]
+
+
+# --- every single-node mutation of the example configs ------------------------
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "configs" / "examples"
+EXAMPLE_COMMANDS = {
+    "compute_numbers": "compute-numbers",
+    "compute_polynomial": "compute-polynomial",
+    "power_sum": "power-sum",
+    "verify_small": "verify",
+    "volkenborn_convergence": "volkenborn",
+    "volkenborn_shift": "volkenborn",
+}
+REPLACEMENTS = (True, False, "x", 1.5, None, [], {}, -1, 0, 2)
+DELETE = object()
+
+
+def json_paths(value, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def mutated(value, path, new):
+    """A copy of value with the node at path replaced by new, or deleted by DELETE."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    out = value.copy()
+    if rest or new is not DELETE:
+        out[head] = mutated(value[head], rest, new)
+    else:
+        del out[head]
+    return out
+
+
+def config_mutations(config):
+    """(path, config) for the config itself, each node replaced by each of
+    REPLACEMENTS, and each key or list element deleted."""
+    yield (), config
+    for path in json_paths(config):
+        for new in REPLACEMENTS:
+            yield path, mutated(config, path, new)
+        if path:
+            yield path, mutated(config, path, DELETE)
+
+
+def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
+    # no mutation lets an exception escape, and a configuration error names
+    # the mutated key or a key above it (the root has no key to name)
+    cfg = tmp_path / "config.json"
+    cases = 0
+    for path_to_example in sorted(EXAMPLES.glob("*.json")):
+        command = EXAMPLE_COMMANDS[path_to_example.stem]
+        for path, config in config_mutations(json.loads(path_to_example.read_text())):
+            cfg.write_text(json.dumps(config))
+            code = cli.main([command, "--config", str(cfg), "--out", os.devnull])
+            err = capsys.readouterr().err
+            case = (path_to_example.stem, path, config)
+            assert code in (0, 1, 2), case
+            if code == 2:
+                keys = [key for key in path if isinstance(key, str)]
+                assert not keys or any(f"'{key}'" in err for key in keys), (case, err)
+            cases += 1
+    assert cases == 1331

@@ -56,8 +56,6 @@ def test_integrand_spec_validation():
         vk.integrand_spec(vk_chars_order4(), ONE, 1)
     with pytest.raises(UnsupportedField):
         vk.riemann_sum(vk.integrand_spec(P1, RootOfUnity(3, 1), 1), 2, 2)
-    with pytest.raises(ValueError):
-        vk.integrand_spec(P1, ONE, 1, d=2)
 
 
 def vk_chars_order4():
@@ -133,7 +131,7 @@ def test_refinement_reindexing_witness():
     for d in (2, 3, 4):
         chi = principal(d)
         for n in (0, 1, 2, 3):
-            spec = vk.integrand_spec(chi, ONE, n, d=d)
+            spec = vk.integrand_spec(chi, ONE, n)
             for p, N in ((3, 2), (2, 3)):
                 count = d * p**N
                 whole = vk.riemann_sum(spec, p, N)
