@@ -9,7 +9,13 @@ Subcommands (parameters come from a JSON config file, see README):
   volkenborn          finite-level p-adic convergence / shift traces
 
 Output is deterministic: the same config always produces byte-identical
-bytes.  Fractions are serialized as "num/den" strings, never floats.
+bytes.  Fractions are serialized as "num/den" strings, never floats.  JSON
+output is the text of ``json.dumps(payload, indent=2)`` and a newline, made
+by a small writer (``_to_json_bytes``) that encodes one list element at a
+time into one buffer, so a sweep's millions of chunks are never held at
+once.  It writes only dicts with str keys, lists, str, int, bool and None,
+and raises TypeError on anything else: a float in a payload is refused, not
+merely absent.  CSV cells pass the same check.
 Exit codes: 0 success / all checks hold, 1 at least one check failed,
 2 configuration error (the diagnostic names the offending key).
 """
@@ -23,6 +29,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bernoulli as bn
 from . import identities as idn
@@ -206,8 +213,75 @@ def _cmd_volkenborn(params: dict):
 # ---------------------------------------------------------------------------
 # serialization
 
+#: JSON text of each scalar type output may carry, by exact type: no float,
+#: and no subclass but bool.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _scalar(value) -> str:
+    """The JSON text of one scalar; TypeError for any type not in ``_SCALARS``."""
+    text = _SCALARS.get(type(value))
+    if text is None:
+        raise TypeError(f"output cannot carry {type(value).__name__} {value!r}")
+    return text(value)
+
+
 def _to_json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode()
+    """``json.dumps(payload, indent=2)`` and a newline, as ASCII bytes.
+
+    Depth first, each value by its exact type: dicts (str keys only), lists
+    and the scalars of ``_SCALARS``; anything else raises TypeError.  The
+    pending chunks are joined into the buffer after each list element, so
+    besides the buffer at most one element's chunks (one verify record) exist.
+    """
+    out = io.BytesIO()
+    chunks = []
+    put = chunks.append
+
+    def flush():
+        out.write("".join(chunks).encode("ascii"))
+        chunks.clear()
+
+    def write(value, pad):  # pad: a newline and the value's indentation
+        kind = type(value)
+        if kind is dict and value:
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                put(sep + encode_basestring_ascii(key) + ": ")  # TypeError unless key is a str
+                write(item, inner)
+                sep = "," + inner
+            put(pad + "}")
+        elif kind is list and value:
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                write(item, inner)
+                flush()
+                sep = "," + inner
+            put(pad + "]")
+        elif kind is dict or kind is list:
+            put("{}" if kind is dict else "[]")
+        else:
+            put(_scalar(value))
+
+    write(payload, "\n")
+    put("\n")
+    flush()
+    return out.getvalue()
+
+
+def _cells(row: list) -> list:
+    """row, once each cell has passed the JSON writer's scalar check."""
+    for cell in row:
+        _scalar(cell)
+    return row
 
 
 def _to_csv_bytes(command: str, payload) -> bytes:
@@ -218,14 +292,14 @@ def _to_csv_bytes(command: str, payload) -> bytes:
         for check in payload["checks"]:
             for row in check["trace"]:
                 writer.writerow(
-                    [check["moment"], row["p"], row["level"], row["valuation"], check["passed"]]
+                    _cells([check["moment"], row["p"], row["level"], row["valuation"], check["passed"]])
                 )
     elif command == "verify":
         writer.writerow(["identity", "n", "m", "d", "chi", "xi", "w1", "w2", "k", "shift", "holds"])
         for rec in payload["reports"]:
             par = rec["params"]
             writer.writerow(
-                [
+                _cells([
                     rec["identity"],
                     par.get("n", ""),
                     par.get("m", ""),
@@ -237,7 +311,7 @@ def _to_csv_bytes(command: str, payload) -> bytes:
                     par.get("k", ""),
                     par.get("shift", ""),
                     rec["holds"],
-                ]
+                ])
             )
     else:
         raise ConfigError("csv output is limited to the verify and volkenborn commands")

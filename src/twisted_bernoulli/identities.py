@@ -83,7 +83,6 @@ largest index where the slices differ (``BivariatePoly.first_mismatch``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -281,7 +280,7 @@ class _Block:
     its series.  ``values`` holds them under keys naming every argument
     besides chi, xi and the conductor that changes the value; values are
     immutable (TwistSpec, TruncSeries, tuples) because they are shared.
-    ``source`` is the JSON text of the [chi, xi] pair it was parsed from, or
+    ``source`` is the repr of the (chi, xi) JSON pair it was parsed from, or
     None when a checker was called with the objects themselves.
     """
 
@@ -332,10 +331,12 @@ def _block(chi, xi) -> _Block:
 def _parse(chi_json, xi_json) -> _Block:
     """The block of a descriptor's chi and xi, parsed again only when their JSON changes.
 
-    The JSON is compared as text, so types count: true is not 1, 1.0 is not 1.
+    The JSON is compared by its ``repr`` text, so types count: True is not 1,
+    1.0 is not 1.  That costs half a ``json.dumps``.  The objects' identity
+    alone would not do: a dict edited in place is the same object.
     """
     global _BLOCK
-    source = json.dumps([chi_json, xi_json])
+    source = repr((chi_json, xi_json))
     last = _BLOCK
     if last is None or last.source != source:
         last = _BLOCK = _Block(character_from_json(chi_json), root_from_json(xi_json), source)

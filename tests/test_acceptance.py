@@ -61,7 +61,8 @@ def _report(num: int, label: str, ok: bool):
 
 @pytest.fixture(scope="module")
 def sweep_runs(tmp_path_factory):
-    """The full identity sweep, run twice through the CLI (single-threaded)."""
+    """The full identity sweep, run twice through the CLI: at --jobs 1, then at
+    --jobs 2, whose records come back pickled from the worker processes."""
     outdir = tmp_path_factory.mktemp("sweep")
     outputs = []
     elapsed = []
@@ -77,7 +78,7 @@ def sweep_runs(tmp_path_factory):
                 "--config",
                 str(GRID_CONFIG),
                 "--jobs",
-                "1",
+                str(i),
                 "--out",
                 str(out),
             ],
@@ -242,4 +243,4 @@ def test_criterion_7_determinism(sweep_runs):
     outputs, _ = sweep_runs
     digest = hashlib.sha256(outputs[0]).hexdigest()
     ok = outputs[0] == outputs[1] and digest == GRID_SHA256
-    _report(7, f"two sweep runs byte-identical, sha256 {digest[:8]}... ({len(outputs[0])} bytes)", ok)
+    _report(7, f"sweep runs at --jobs 1 and 2 byte-identical, sha256 {digest[:8]}... ({len(outputs[0])} bytes)", ok)

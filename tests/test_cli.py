@@ -1,8 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from twisted_bernoulli import cli
 from twisted_bernoulli import identities as idn
@@ -401,6 +406,75 @@ def test_run_config_in_process():
     assert json.loads(out) == ["1/1", "-1/2", "1/6", "0/1", "-1/30"]
 
 
+# --- the output writer ----------------------------------------------------------
+
+def verify_payload(grids, include_sides=False):
+    payload, _ = cli._cmd_verify({"grids": grids, "include_sides": include_sides}, 1)
+    return payload
+
+
+SMALL_GRID = {
+    "identity": ["theorem1", "corollary4"],
+    "d": [3],
+    "character": "all",
+    "xi": {"order": 3, "exponent": 1},
+    "w1": [1, 2],
+    "w2": [1, 2],
+    "m": [1, 2],
+    "n_max": 2,
+}
+
+
+def test_writer_matches_json_dumps():
+    text = ["", "plain", "caf\u00e9 \u65e5\u672c \U0001f600 \ud800", "\x00\x1f\t\n\r\"\\/\x7f"]
+    payloads = [
+        {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[[]], {"b": {"c": []}}],
+        *text, [text], {s: s for s in text},
+        0, -5, 10**300, -(10**300), [10**300, -(10**300), -1],
+        True, False, None, [True, False, None], {"t": True, "f": False, "n": None},
+        {"summary": {"total": 1}, "reports": [{"identity": "x", "params": {}, "sides": [], "holds": True}]},
+        ["1/1", "-1/2", "1/6"],
+        verify_payload([SMALL_GRID]),
+        verify_payload([SMALL_GRID], include_sides=True),
+    ]
+    for payload in payloads:
+        assert cli._to_json_bytes(payload) == (json.dumps(payload, indent=2) + "\n").encode(), payload
+
+
+def test_writer_refuses_floats_and_unknown_types():
+    record = {"identity": "theorem1", "params": {"n": 2, "w1": 1}, "holds": True}
+    for bad in (0.5, 1.0, float("nan"), Fraction(1, 2), (1, 2), {1: "a"}, {"a": {2.0: "b"}}, b"x", {"a"}):
+        for payload in (
+            bad,
+            {"summary": {"total": 1}, "reports": [{**record, "params": {**record["params"], "m": bad}}]},
+            [["1/1", "0/1"], ["2/1", bad]],
+        ):
+            with pytest.raises(TypeError):
+                cli._to_json_bytes(payload)
+    checks = [{"moment": 1, "trace": [{"p": 2, "level": 1, "valuation": 1.0}], "passed": True}]
+    with pytest.raises(TypeError):
+        cli._to_csv_bytes("volkenborn", {"p": 2, "check": "convergence", "checks": checks})
+
+
+def test_writer_holds_one_record_at_a_time(monkeypatch):
+    writes = []
+
+    class Sink(io.BytesIO):
+        def write(self, data):
+            writes.append(len(data))
+            return super().write(data)
+
+    monkeypatch.setattr(cli, "io", SimpleNamespace(BytesIO=Sink))
+    payload = verify_payload([{**SMALL_GRID, "d": [1, 2, 3], "n_max": 3}])
+    out = cli._to_json_bytes(payload)
+    assert out == (json.dumps(payload, indent=2) + "\n").encode()
+    # a record's text inside the document: its lines indented two levels
+    longest = max(len(json.dumps(rec, indent=2).replace("\n", "\n    ")) for rec in payload["reports"])
+    assert len(out) > 50 * longest
+    assert len(writes) >= len(payload["reports"])
+    assert max(writes) <= longest + 200
+
+
 # --- every single-node mutation of the example configs ------------------------
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "configs" / "examples"
@@ -413,6 +487,8 @@ EXAMPLE_COMMANDS = {
     "volkenborn_shift": "volkenborn",
 }
 REPLACEMENTS = (True, False, "x", 1.5, None, [], {}, -1, 0, 2)
+# root orders past characters.MAX_ROOT_ORDER, one of them past 64 bits
+ORDER_REPLACEMENTS = (10**30, 2**63)
 DELETE = object()
 
 
@@ -427,6 +503,12 @@ def json_paths(value, path=()):
         children = ()
     for key, child in children:
         yield from json_paths(child, path + (key,))
+
+
+def node_at(value, path):
+    for key in path:
+        value = value[key]
+    return value
 
 
 def mutated(value, path, new):
@@ -447,7 +529,7 @@ def config_mutations(config):
     REPLACEMENTS, and each key or list element deleted."""
     yield (), config
     for path in json_paths(config):
-        for new in REPLACEMENTS:
+        for new in REPLACEMENTS + (ORDER_REPLACEMENTS if path[-1:] == ("order",) else ()):
             yield path, mutated(config, path, new)
         if path:
             yield path, mutated(config, path, DELETE)
@@ -469,5 +551,7 @@ def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
             if code == 2:
                 keys = [key for key in path if isinstance(key, str)]
                 assert not keys or any(f"'{key}'" in err for key in keys), (case, err)
+            if path[-1:] == ("order",) and node_at(config, path[:-1]).get("order") in ORDER_REPLACEMENTS:
+                assert code == 2 and "'order'" in err, (case, err)
             cases += 1
-    assert cases == 1331
+    assert cases == 1355

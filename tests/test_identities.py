@@ -373,6 +373,22 @@ def test_run_instance_reparses_when_json_types_change(monkeypatch):
             desc[part][key] = good
 
 
+def test_parse_shares_a_block_for_type_exact_equal_json_only(monkeypatch):
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    chi, xi = {"modulus": 3, "kind": "index", "j": 1}, {"order": 2, "exponent": 1}
+    block = idn._parse(chi, xi)
+    assert idn._parse(chi, xi) is block
+    # equal JSON in distinct objects shares the block
+    assert idn._parse(json.loads(json.dumps(chi)), dict(xi)) is block
+    # true, or 1.0, where 1 was is parsed again, and refused
+    for bad, key in (({"order": 2, "exponent": True}, "exponent"), ({"order": 2.0, "exponent": 1}, "order")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            idn._parse(chi, bad)
+        assert idn._parse(chi, xi) is block
+    # an equal root given differently is a new block
+    assert idn._parse(chi, {"order": 2, "exponent": 3}) is not block
+
+
 MINUS_JSON = {"order": 2, "exponent": 1}
 
 
@@ -728,5 +744,5 @@ def test_memo_holds_only_the_last_block(monkeypatch):
     last = idn._BLOCK
     assert both is not last
     assert (both.chi, both.xi, both.cond) == (LEG3, MINUS, 1) == (last.chi, last.xi, last.cond)
-    assert both.source == json.dumps([{"modulus": 3, "kind": "index", "j": 1}, MINUS_JSON]) == last.source
+    assert both.source == repr(({"modulus": 3, "kind": "index", "j": 1}, MINUS_JSON)) == last.source
     assert both.values == last.values
