@@ -13,7 +13,11 @@ degree n is x^n.
 The twist may be a root of unity of any finite order; the p-adic module
 restricts to twists of p-power order where the valuation theory applies.
 All results are cached: families, polynomials and power sums are immutable
-and reused across identity checks.
+and reused across identity checks.  The series behind them are kept one per
+twist spec (the kernel quotient) and one per (spec, k) (its k-th power), and
+grow coefficient by coefficient to the largest n asked for so far, so that
+asking for n computes no coefficient past t^n and none twice.  No config may
+ask for an index above ``MAX_SERIES_INDEX``.
 
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
 exponential sum sum_{a<d} chi(a) xi^a e^(a t) is read off them.  They are
@@ -32,8 +36,23 @@ from math import comb, factorial, lcm
 from . import _kernel as K
 from . import powerseries as ps
 from .characters import DirichletCharacter
-from .errors import NonDivisibleConductor
+from .errors import ConfigError, NonDivisibleConductor
 from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_field, embed
+
+
+#: The largest series index n a config may ask for: compute-numbers ``n_max``,
+#: compute-polynomial ``n``, a verify grid's ``n_max``, ``series_order`` and
+#: eq_1_13 ``k``, and volkenborn ``moments``.  A larger value exits 2 naming the
+#: key before any work.  Each coefficient is a Cauchy sum over the ones before
+#: it, so the cost grows with n^2 times the field's work per product.
+MAX_SERIES_INDEX = 64
+
+
+def series_index(n: int, key: str) -> int:
+    """n, once it is at most MAX_SERIES_INDEX; ConfigError naming key if not."""
+    if n > MAX_SERIES_INDEX:
+        raise ConfigError(f"key '{key}' is {n}, above the largest series index {MAX_SERIES_INDEX}")
+    return n
 
 
 class TwistSpec:
@@ -120,12 +139,6 @@ class BernoulliPolynomial:
         return self.coeffs[0].field
 
 
-def _round_order(n: int) -> int:
-    # series are cached per (spec, k, order); round the order up so nearby
-    # requests share one computation
-    return ((n + 7) // 8) * 8
-
-
 @lru_cache(maxsize=None)
 def _twist_weights(spec: TwistSpec, terms: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(a, coordinates of chi(a) xi^a) for each a < terms with chi(a) != 0.
@@ -143,50 +156,71 @@ def _twist_weights(spec: TwistSpec, terms: int) -> tuple[tuple[int, tuple[int, .
     return tuple((a, base[a % period]) for a in range(terms) if base[a % period] is not None)
 
 
-def _twisted_exp_sum(spec: TwistSpec, count: int) -> list[CycloElem]:
-    """Coefficients of t^0..t^(count-1) in sum_{a<d} chi(a) xi^a e^(a t): T_i(d - 1) / i!."""
+def _twisted_exp_sum(spec: TwistSpec) -> ps.Series:
+    """sum_{a<d} chi(a) xi^a e^(a t): coefficient i is T_i(d - 1) / i!."""
     d = spec.chi.modulus
-    return [power_sum(spec, i, d - 1) * Fraction(1, factorial(i)) for i in range(count)]
+    return ps.generated(spec.ambient, lambda i: power_sum(spec, i, d - 1) * Fraction(1, factorial(i)))
 
 
-def _twisted_exp_minus_one(spec: TwistSpec, c: int, order: int) -> ps.TruncSeries:
-    """xi^c e^(c t) - 1 to the given truncation order."""
+def _twisted_exp_minus_one(spec: TwistSpec, c: int) -> ps.Series:
+    """xi^c e^(c t) - 1."""
     field = spec.ambient
     xic = as_cyclo(spec.xi**c, field.conductor)
-    coeffs = [v * xic for v in ps.exp_at(field.rational(c), order).coeffs]
-    coeffs[0] = coeffs[0] - field.one
-    return ps.TruncSeries(field, coeffs)
+    return ps.generated(field, lambda r: xic * Fraction(c**r, factorial(r)) if r else xic - field.one)
+
+
+def _cancelled(spec: TwistSpec) -> int:
+    """The power of t that xi^d e^(d t) - 1 carries: 1 when xi^d = 1, else 0.
+
+    Its coefficient of t, d xi^d, is never zero.
+    """
+    return 1 if (spec.xi**spec.chi.modulus).is_one() else 0
 
 
 @lru_cache(maxsize=None)
-def _kernel_series(spec: TwistSpec, order: int) -> ps.TruncSeries:
-    """divide_cancel(t * sum_a chi(a) xi^a e^(a t), xi^d e^(d t) - 1)."""
+def _kernel_series(spec: TwistSpec) -> ps.Series:
+    """t * sum_a chi(a) xi^a e^(a t) / (xi^d e^(d t) - 1), with the common t cancelled."""
     field = spec.ambient
-    numerator = ps.TruncSeries(field, [field.zero] + _twisted_exp_sum(spec, order))
-    return ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, spec.chi.modulus, order))
+    exp_sum = _twisted_exp_sum(spec)
+    numerator = ps.generated(field, lambda r: exp_sum.coeff(r - 1) if r else field.zero)
+    return ps.quotient(numerator, _twisted_exp_minus_one(spec, spec.chi.modulus), _cancelled(spec))
+
+
+@lru_cache(maxsize=None)
+def family_series(spec: TwistSpec, k: int) -> ps.Series:
+    """The order-k generating series, grown as far as it is asked.
+
+    F^(k) is the k-th power of the kernel series by repeated squaring, and
+    each power reads the smaller powers of the same spec from this cache, so
+    F^(2) is one product shared by F^(3) and F^(4).  k = 0 gives 1.
+    """
+    return ps.power(_kernel_series(spec), k, lambda j: family_series(spec, j))
 
 
 @lru_cache(maxsize=None)
 def generating_series(spec: TwistSpec, k: int, order: int) -> ps.TruncSeries:
-    """Order-k generating series to the given truncation order.
+    """Order-k generating series, from the truncation order given.
 
     Requires order >= k + 2 so that extraction never starves after the t
-    cancellation; k = 0 gives the constant series 1.
+    cancellation, which leaves order - 1 when xi^d = 1; k = 0 gives the
+    constant series 1.
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
     if order < k + 2:
         raise ValueError(f"truncation order {order} < k + 2 = {k + 2}")
-    return ps.series_pow(_kernel_series(spec, order), k)
+    return ps.TruncSeries(spec.ambient, family_series(spec, k).coeffs(order - _cancelled(spec)))
 
 
 @lru_cache(maxsize=None)
 def numbers(spec: TwistSpec, k: int, max_n: int) -> BernoulliFamily:
-    """The numbers B^(k)_n for n = 0..max_n."""
+    """The numbers B^(k)_n for n = 0..max_n: n! times the coefficients of F^(k)."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    series = generating_series(spec, k, _round_order(max(max_n + 2, k + 2)))
-    nums = tuple(ps.egf_coefficient(series, n) for n in range(max_n + 1))
+    if k < 0:
+        raise ValueError("order k must be >= 0")
+    coeffs = family_series(spec, k).coeffs(max_n)
+    nums = tuple(c * factorial(n) for n, c in enumerate(coeffs))
     return BernoulliFamily(spec=spec, order_k=k, max_n=max_n, numbers=nums)
 
 
@@ -248,25 +282,22 @@ def power_sum_series_check(spec: TwistSpec, n: int, order: int) -> PowerSumSerie
     """
     if n < 1 or order < 1:
         raise ValueError("need n >= 1 and order >= 1")
-    field = spec.ambient
     d = spec.chi.modulus
-    numerator = ps.series_mul(
-        _twisted_exp_minus_one(spec, n * d, order),
-        ps.TruncSeries(field, _twisted_exp_sum(spec, order + 1)),
-    )
-    lhs = ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, d, order))
+    v = _cancelled(spec)
+    numerator = ps.product(_twisted_exp_minus_one(spec, n * d), _twisted_exp_sum(spec))
+    lhs = ps.quotient(numerator, _twisted_exp_minus_one(spec, d), v).coeffs(order - v)
     rhs = tuple(
-        power_sum(spec, k, n * d - 1) * Fraction(1, factorial(k)) for k in range(lhs.order + 1)
+        power_sum(spec, k, n * d - 1) * Fraction(1, factorial(k)) for k in range(len(lhs))
     )
     first = None
-    for k, (a, b) in enumerate(zip(lhs.coeffs, rhs)):
+    for k, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             first = k
             break
     return PowerSumSeriesReport(
         holds=first is None,
-        order=lhs.order,
+        order=order - v,
         first_mismatch=first,
-        lhs=lhs.coeffs,
+        lhs=lhs,
         rhs=rhs,
     )

@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,7 +84,7 @@ def _cmd_compute_numbers(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n_max"})
     spec = _spec_from_params(params)
     k = _int_param(params, "k", 0)
-    n_max = _int_param(params, "n_max", 0)
+    n_max = bn.series_index(_int_param(params, "n_max", 0), "n_max")
     fam = bn.numbers(spec, k, n_max)
     return [cyclo_to_json(c) for c in fam.numbers], 0
 
@@ -92,7 +93,7 @@ def _cmd_compute_polynomial(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n"})
     spec = _spec_from_params(params)
     k = _int_param(params, "k", 0)
-    n = _int_param(params, "n", 0)
+    n = bn.series_index(_int_param(params, "n", 0), "n")
     poly = bn.polynomial(spec, k, n)
     return [cyclo_to_json(c) for c in poly.coeffs], 0
 
@@ -163,7 +164,7 @@ def _cmd_volkenborn(params: dict):
     moments = moments if isinstance(moments, list) else [moments]
     if not moments:
         raise ConfigError("key 'moments' must be an integer or a non-empty list of integers")
-    moments = [_json_int(m, "moments", 1 if kind == "shift" else 0) for m in moments]
+    moments = [bn.series_index(_json_int(m, "moments", 1 if kind == "shift" else 0), "moments") for m in moments]
     level_max = vk.DEFAULT_LEVEL_CAP.get(p, 5)
     if "level_max" in params:
         level_max = _int_param(params, "level_max", 2)
@@ -360,6 +361,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str):
+    """OSError unless path can be written, leaving the file system as it was.
+
+    An existing file is opened for writing without truncation; a missing one
+    is created and removed again, so a run that fails leaves nothing behind.
+    """
+    try:
+        open(path, "r+b").close()
+    except FileNotFoundError:
+        open(path, "xb").close()
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -381,6 +395,12 @@ def main(argv=None) -> int:
         format=args.format,
         jobs=args.jobs,
     )
+    if config.out:
+        try:
+            _check_writable(config.out)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     try:
         code, output = run(config)
     except ConfigError as exc:

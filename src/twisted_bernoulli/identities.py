@@ -46,21 +46,25 @@ The two families therefore share H, so their swap verdicts agree by
 construction; the test suite checks each family's sides against its own
 printed sum.  S is built one way, from ``bernoulli.power_sum``:
 [t^k] S = T_k(wa d - 1) wb^k / k!.  One H per
-(wa, wb, m, reading) serves every n of a block and both families: its order
-is n rounded up to a multiple of 4.  H is (lead S / wa) F^(m-1) with
-lead = F^(m)_wa(wa t).  One block object (``_Block``) holds the last
-(chi, xi) pair with its report JSON and conductor, and holds H and each
-value it is built from, under a key naming everything besides (chi, xi,
-conductor) that the value depends on:
+(wa, wb, m, reading) serves every n of a block and both families.  H is
+(lead S / wa) F^(m-1) with lead = F^(m)_wa(wa t).  One block object
+(``_Block``) holds the last (chi, xi) pair with its report JSON and
+conductor, and holds H and each value it is built from, under a key naming
+everything besides (chi, xi, conductor) that the value depends on:
 
 * ("spec", w): the twist spec of chi and xi^w in the block's field;
-* ("S", wa, wb, with_weights, order): S / wa, shared by every m;
-* ("F", tw, k, w, order): F^(k)_tw(w t); the lead is (wa, m, wa) and the
-  last factor (last twist, m - 1, wb);
-* ("LS", m, wa, wb, with_weights, order): lead S / wa, shared by both
-  readings of theorem1, which differ only in the last factor;
-* ("H", m, wa, wb, last twist, with_weights, order): H itself, one series
-  product over the shared values when m > 1.
+* ("S", wa, wb, with_weights): S / wa, shared by every m;
+* ("F", tw, k, w): F^(k)_tw(w t); the lead is (wa, m, wa) and the last
+  factor (last twist, m - 1, wb);
+* ("LS", m, wa, wb, with_weights): lead S / wa, shared by both readings of
+  theorem1, which differ only in the last factor;
+* ("H", m, wa, wb, last twist, with_weights): H itself, one series product
+  over the shared values when m > 1.
+
+Every series grows coefficient by coefficient (``powerseries.Series``): a
+request for h_0..h_n computes only the coefficients of H and of its factors
+that no earlier, smaller n has computed, so each block computes each
+coefficient once, up to the largest n its instances ask for.
 
 Sides are not kept: each is one slice or one scalar product of H.
 
@@ -102,7 +106,7 @@ from .characters import (
     root_to_json,
 )
 from .errors import ConfigError, NonCyclicUnitGroup, TwistedBernoulliError
-from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_field, cyclo_to_json
+from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +332,11 @@ def _block(chi, xi) -> _Block:
     return last
 
 
+def _source(chi_json, xi_json) -> str:
+    """The text a block is known by: the ``repr`` of its (chi, xi) JSON pair."""
+    return repr((chi_json, xi_json))
+
+
 def _parse(chi_json, xi_json) -> _Block:
     """The block of a descriptor's chi and xi, parsed again only when their JSON changes.
 
@@ -336,7 +345,7 @@ def _parse(chi_json, xi_json) -> _Block:
     alone would not do: a dict edited in place is the same object.
     """
     global _BLOCK
-    source = repr((chi_json, xi_json))
+    source = _source(chi_json, xi_json)
     last = _BLOCK
     if last is None or last.source != source:
         last = _BLOCK = _Block(character_from_json(chi_json), root_from_json(xi_json), source)
@@ -346,19 +355,18 @@ def _parse(chi_json, xi_json) -> _Block:
 # ---------------------------------------------------------------------------
 # the series H of one (wa, wb, m, reading), and its projections
 
-def _scaled_numbers(block, tw, k, w, order) -> ps.TruncSeries:
-    """F^(k)(w t) to t^order, F^(k) the order-k series of the twist xi^tw."""
+def _scaled_numbers(block, tw, k, w) -> ps.Series:
+    """F^(k)(w t), F^(k) the order-k series of the twist xi^tw: [t^r] times w^r."""
 
     def build():
-        nums = bn.numbers(block.spec(tw), k, order).numbers
-        scaled = [c * Fraction(w**r, factorial(r)) for r, c in enumerate(nums)]
-        return ps.TruncSeries(cyclo_field(block.cond), scaled)
+        fam = bn.family_series(block.spec(tw), k)
+        return fam if w == 1 else ps.generated(fam.field, lambda r: fam.coeff(r) * w**r)
 
-    return block.get(("F", tw, k, w, order), build)
+    return block.get(("F", tw, k, w), build)
 
 
-def _s_factor(block, wa, wb, with_weights, order) -> ps.TruncSeries:
-    """S(t) / wa to t^order: [t^k] = T_k(wa d - 1) wb^k / (wa k!).
+def _s_factor(block, wa, wb, with_weights) -> ps.Series:
+    """S(t) / wa: [t^k] = T_k(wa d - 1) wb^k / (wa k!).
 
     T_k are the power sums of the twist xi^wb; without weights the factors
     xi^(wb i) are dropped, and T_k are those of xi^0.
@@ -367,35 +375,33 @@ def _s_factor(block, wa, wb, with_weights, order) -> ps.TruncSeries:
     def build():
         spec = block.spec(wb if with_weights else 0)
         top = wa * block.chi.modulus - 1
-        s = [bn.power_sum(spec, k, top) * Fraction(wb**k, wa * factorial(k)) for k in range(order + 1)]
-        return ps.TruncSeries(cyclo_field(block.cond), s)
+        return ps.generated(
+            spec.ambient, lambda k: bn.power_sum(spec, k, top) * Fraction(wb**k, wa * factorial(k))
+        )
 
-    return block.get(("S", wa, wb, with_weights, order), build)
+    return block.get(("S", wa, wb, with_weights), build)
 
 
 def _series_h(block, n, m, wa, wb, last_w=None, with_weights=True):
-    """Ordinary coefficients of H(t) to an order >= n, shared in the block.
+    """Ordinary coefficients h_0..h_n of H(t), from the block's series of H.
 
     The theorem1 and theorem3 families read the same H.  ``last_w`` twists
-    F^(m-1) by xi^last_w (default wb); ``with_weights``
-    keeps the xi^(wb i) in S.  The order is n rounded up to a multiple of 4,
-    so that nearby n share one product.  H is the product (lead S) F^(m-1),
-    and the block holds each factor and lead S apart.
+    F^(m-1) by xi^last_w (default wb); ``with_weights`` keeps the xi^(wb i)
+    in S.  H is the product (lead S) F^(m-1), and the block holds each factor
+    and lead S apart; each grows to the largest n asked for so far.
     """
-    order = 4 * max(1, -(-n // 4))
     last_w = wb if last_w is None or m == 1 else last_w  # F^(0) = 1 carries no twist
 
     def lead_s():
-        lead = _scaled_numbers(block, wa, m, wa, order)
-        return ps.series_mul(lead, _s_factor(block, wa, wb, with_weights, order))
+        return ps.product(_scaled_numbers(block, wa, m, wa), _s_factor(block, wa, wb, with_weights))
 
     def build():
-        h = block.get(("LS", m, wa, wb, with_weights, order), lead_s)
+        h = block.get(("LS", m, wa, wb, with_weights), lead_s)
         if m > 1:  # F^(0) = 1
-            h = ps.series_mul(h, _scaled_numbers(block, last_w, m - 1, wb, order))
-        return h.coeffs
+            h = ps.product(h, _scaled_numbers(block, last_w, m - 1, wb))
+        return h
 
-    return block.get(("H", m, wa, wb, last_w, with_weights, order), build)
+    return block.get(("H", m, wa, wb, last_w, with_weights), build).coeffs(n)
 
 
 def _xy_poly(coeffs, n, c, with_y=True) -> BivariatePoly:
@@ -711,6 +717,9 @@ _LISTED_MINIMA = {key.grid: key.minimum for e in _IDENTITIES.values() for key in
 
 _GRID_KEYS = {"identity", "d", "character", "xi", "n_max", *_LISTED_MINIMA}
 
+#: Listed grid keys that set a series length (bounded by bn.MAX_SERIES_INDEX, as n_max is).
+_SERIES_KEYS = ("k", "series_order")
+
 
 def _grid_list(grid, key, kind, what) -> list:
     """grid[key] as a non-empty list of kind; a lone value of kind is a list of one."""
@@ -773,9 +782,12 @@ def expand_grid(grid: dict):
             raise ConfigError(f"unknown identity tag '{tag}' in key 'identity'")
     n_max = grid.get("n_max")
     if n_max is not None:
-        _json_int(n_max, "n_max", 0)
+        bn.series_index(_json_int(n_max, "n_max", 0), "n_max")
     ds = _as_int_list(grid, "d", 1)
     listed = {key: _as_int_list(grid, key, low) for key, low in _LISTED_MINIMA.items() if key in grid}
+    for key in _SERIES_KEYS:
+        if key in listed:
+            bn.series_index(listed[key][-1], key)
     chars = [character_to_json(chi) for d in ds for chi in _resolve_characters(grid, d)]
     roots = [root_from_json(v) for v in _grid_list(grid, "xi", dict, "an object")]
     roots = [root_to_json(r) for r in sorted(roots, key=lambda r: (r.order, r.exponent))]
@@ -813,11 +825,40 @@ def _record_for_instance(payload) -> dict:
     return report_to_record(rep, include_sides)
 
 
+def _records_for_chunk(chunk) -> list:
+    return [_record_for_instance(payload) for payload in chunk]
+
+
+def _chunks(payloads, size: int) -> list:
+    """payloads cut into runs of at least ``size`` (the last may be shorter),
+    each ending only where the (chi, xi) JSON changes, so no block is split.
+
+    The JSON is compared as ``_parse`` compares it; payloads that hold the
+    very same chi and xi objects as the one before need no ``repr``.
+    """
+    chunks, chunk = [], []
+    chi = xi = source = None
+    for payload in payloads:
+        desc = payload[0]
+        if desc["chi"] is not chi or desc["xi"] is not xi:
+            chi, xi = desc["chi"], desc["xi"]
+            last, source = source, _source(chi, xi)
+            if len(chunk) >= size and source != last:
+                chunks.append(chunk)
+                chunk = []
+        chunk.append(payload)
+    if chunk:
+        chunks.append(chunk)
+    return chunks
+
+
 def sweep(grids, include_sides: bool = False, jobs: int = 1):
     """Run every instance of every grid; returns (records, summary).
 
     Records arrive in the deterministic expansion order regardless of the
-    number of worker processes.
+    number of worker processes.  Each worker is handed whole runs of one
+    (chi, xi) block, about eight chunks per worker, so no two workers build
+    the series of one run.
     """
     if isinstance(grids, dict):
         grids = [grids]
@@ -828,9 +869,9 @@ def sweep(grids, include_sides: bool = False, jobs: int = 1):
     if jobs > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(payloads) // (jobs * 8))
+        chunks = _chunks(payloads, max(1, len(payloads) // (jobs * 8)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_record_for_instance, payloads, chunksize=chunk))
+            records = [rec for recs in pool.map(_records_for_chunk, chunks) for rec in recs]
     else:
         records = [_record_for_instance(p) for p in payloads]
     summary = {

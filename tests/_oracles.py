@@ -14,9 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from twisted_bernoulli import _kernel as K
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
-from twisted_bernoulli.exact import as_cyclo, cyclo_field
+from twisted_bernoulli import powerseries as ps
+from twisted_bernoulli.exact import CycloElem, as_cyclo, cyclo_field
 
 
 # --- integer/rational polynomials, ascending coefficients -------------------
@@ -136,6 +138,44 @@ def classical_poly_at(n, x):
     """B_n(x) from the recurrence numbers and the binomial expansion."""
     B = bernoulli_recurrence(n)
     return sum(comb(n, j) * B[j] * Fraction(x) ** (n - j) for j in range(n + 1))
+
+
+# --- eager series loops over the field ---------------------------------------
+#
+# The bodies series_mul and series_invert had before series grew on demand:
+# every coefficient to the truncation order, in one loop, with one kernel
+# Cauchy sum per index.
+
+def eager_series_mul(s1, s2):
+    """Cauchy product of two series of one order, to that order."""
+    field = s1.field
+    red = field.reduction_rows
+    anums = [c.nums for c in s1.coeffs]
+    adens = [c.den for c in s1.coeffs]
+    bnums = [c.nums for c in s2.coeffs]
+    bdens = [c.den for c in s2.coeffs]
+    out = [
+        CycloElem._raw(field, *K.cauchy_coeff(anums, adens, bnums, bdens, n, red))
+        for n in range(s1.order + 1)
+    ]
+    return ps.TruncSeries(field, out)
+
+
+def eager_series_invert(s):
+    """Inverse to the same order, by inv_n = -(sum_{i=1..n} c_i inv_(n-i)) / c_0."""
+    c = s.coeffs
+    field = s.field
+    red = field.reduction_rows
+    c0inv = c[0].inverse()
+    inv = [c0inv]
+    cn = [x.nums for x in c]
+    cd = [x.den for x in c]
+    for n in range(1, s.order + 1):
+        invn = [x.nums for x in inv]
+        invd = [x.den for x in inv]
+        acc = CycloElem._raw(field, *K.cauchy_coeff(cn[1:], cd[1:], invn, invd, n - 1, red))
+        inv.append(-(acc * c0inv))
+    return ps.TruncSeries(field, inv)
 
 
 # --- twisted sums, one element operation per term ----------------------------

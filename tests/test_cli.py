@@ -1,8 +1,11 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -238,6 +241,13 @@ def test_config_error_names_key(tmp_path):
             dict(volk, modulus=7, character={"kind": "index", "j": 1}, moments=[1]),
             "character",
         ),
+        # a series index above bernoulli.MAX_SERIES_INDEX = 64
+        ("compute-numbers", dict(NUMS_PARAMS, n_max=65), "n_max"),
+        ("compute-polynomial", dict(POLY_PARAMS, n=65), "n"),
+        ("verify", dict(grid, n_max=65), "n_max"),
+        ("verify", dict(grid, identity="eq_1_13", k=[1, 65]), "k"),
+        ("verify", dict(grid, identity="power_sum_series_check", n=[1], series_order=65), "series_order"),
+        ("volkenborn", dict(volk, moments=[1, 65]), "moments"),
         # a table of the wrong length, or one that is not a character
         ("compute-polynomial", dict(POLY_PARAMS, modulus=2), "values"),
         ("compute-polynomial", dict(POLY_PARAMS, character={"kind": "table", "values": []}), "values"),
@@ -256,6 +266,13 @@ def test_config_error_names_key(tmp_path):
         proc = run_cli(tmp_path, command, params)
         assert proc.returncode == 2
         assert f"'{key}'" in proc.stderr.decode()
+
+
+def test_series_index_limit_runs():
+    # the largest index the limit allows runs; the tests above refuse one more
+    config = cli.RunConfig(command="compute-numbers", params=dict(NUMS_PARAMS, n_max=64))
+    code, out = cli.run(config)
+    assert code == 0 and len(json.loads(out)) == 65
 
 
 def test_unreadable_config(tmp_path):
@@ -400,6 +417,31 @@ def test_unwritable_out_file(tmp_path):
     assert "Traceback" not in proc.stderr.decode()
 
 
+def test_unwritable_out_is_refused_before_the_run(tmp_path, capsys):
+    # the acceptance grid takes seconds of CPU to verify; an --out that
+    # cannot be written, a missing directory or a directory, is refused first
+    config = Path(__file__).resolve().parent.parent / "configs" / "acceptance_grid.json"
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        start = time.process_time()
+        code = cli.main(["verify", "--config", str(config), "--out", str(out)])
+        elapsed = time.process_time() - start
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output:")
+        assert elapsed < 0.25, elapsed
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_out_file_is_left_as_it_was_when_the_run_exits_2(tmp_path):
+    bad = {**NUMS_PARAMS, "n_max": -1}
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b"kept\n")
+    assert run_cli(tmp_path, "compute-numbers", bad, out=existing).returncode == 2
+    assert existing.read_bytes() == b"kept\n"
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(tmp_path, "compute-numbers", bad, out=fresh).returncode == 2
+    assert not fresh.exists()
+
+
 def test_run_config_in_process():
     code, out = cli.run(cli.RunConfig(command="compute-numbers", params=NUMS_PARAMS))
     assert code == 0
@@ -487,9 +529,36 @@ EXAMPLE_COMMANDS = {
     "volkenborn_shift": "volkenborn",
 }
 REPLACEMENTS = (True, False, "x", 1.5, None, [], {}, -1, 0, 2)
-# root orders past characters.MAX_ROOT_ORDER, one of them past 64 bits
-ORDER_REPLACEMENTS = (10**30, 2**63)
+# past characters.MAX_ROOT_ORDER and bernoulli.MAX_SERIES_INDEX, one of them past 64 bits
+HUGE = (10**30, 2**63)
+# per example, the keys a limit bounds: root orders, and the keys that set a series length
+BOUNDED_KEYS = {
+    "compute_numbers": {"order", "n_max"},
+    "compute_polynomial": {"order", "n"},
+    "power_sum": {"order"},
+    "verify_small": {"order", "n_max", "k", "series_order"},
+    "volkenborn_convergence": {"order", "moments"},
+    "volkenborn_shift": {"order", "moments"},
+}
+# wall seconds any one mutated config may run; a huge value must be refused, not run
+CASE_BUDGET_S = 10
 DELETE = object()
+
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the body once it has run for ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past its {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def json_paths(value, path=()):
@@ -524,34 +593,46 @@ def mutated(value, path, new):
     return out
 
 
-def config_mutations(config):
-    """(path, config) for the config itself, each node replaced by each of
-    REPLACEMENTS, and each key or list element deleted."""
-    yield (), config
+def last_key(path):
+    """The last str key on path, or None: the key a value at path is given under."""
+    return next((key for key in reversed(path) if isinstance(key, str)), None)
+
+
+def config_mutations(config, bounded=frozenset()):
+    """(path, new, config) for the config itself, each node replaced by each of
+    REPLACEMENTS (and of HUGE under a key in bounded), and each key or list
+    element deleted (new is DELETE)."""
+    yield (), None, config
     for path in json_paths(config):
-        for new in REPLACEMENTS + (ORDER_REPLACEMENTS if path[-1:] == ("order",) else ()):
-            yield path, mutated(config, path, new)
+        for new in REPLACEMENTS + (HUGE if path and last_key(path) in bounded else ()):
+            yield path, new, mutated(config, path, new)
         if path:
-            yield path, mutated(config, path, DELETE)
+            yield path, DELETE, mutated(config, path, DELETE)
 
 
 def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
-    # no mutation lets an exception escape, and a configuration error names
-    # the mutated key or a key above it (the root has no key to name)
+    # no mutation lets an exception escape or runs past its budget, a
+    # configuration error names the mutated key or a key above it (the root
+    # has no key to name), and a huge value under a bounded key exits 2
+    # naming that key
     cfg = tmp_path / "config.json"
     cases = 0
     for path_to_example in sorted(EXAMPLES.glob("*.json")):
-        command = EXAMPLE_COMMANDS[path_to_example.stem]
-        for path, config in config_mutations(json.loads(path_to_example.read_text())):
+        stem = path_to_example.stem
+        mutations = config_mutations(json.loads(path_to_example.read_text()), BOUNDED_KEYS[stem])
+        for path, new, config in mutations:
             cfg.write_text(json.dumps(config))
-            code = cli.main([command, "--config", str(cfg), "--out", os.devnull])
+            with time_budget(CASE_BUDGET_S):
+                code = cli.main([EXAMPLE_COMMANDS[stem], "--config", str(cfg), "--out", os.devnull])
             err = capsys.readouterr().err
-            case = (path_to_example.stem, path, config)
+            case = (stem, path, config)
             assert code in (0, 1, 2), case
             if code == 2:
                 keys = [key for key in path if isinstance(key, str)]
                 assert not keys or any(f"'{key}'" in err for key in keys), (case, err)
-            if path[-1:] == ("order",) and node_at(config, path[:-1]).get("order") in ORDER_REPLACEMENTS:
-                assert code == 2 and "'order'" in err, (case, err)
+            if new in HUGE:
+                assert code == 2 and f"'{last_key(path)}'" in err, (case, err)
             cases += 1
-    assert cases == 1355
+    # 17 nodes set a series length: n_max twice, n, k and its 4 values, and
+    # moments with its 5 and 2 values
+    assert cases == 1355 + 2 * 17

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from twisted_bernoulli import _kernel
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
 from twisted_bernoulli.characters import (
@@ -310,13 +311,14 @@ def test_slice_mismatch_equals_matrix_mismatch():
 
 def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
     # one changed coefficient of H, on one side of a swap only, must fail its
-    # instance with the same first mismatch and printed sides as filled matrices
+    # instance with the same first mismatch and printed sides as filled matrices.
+    # Only h_0..h_n reach a side of degree n, so only r <= n is perturbed.
     series_h = idn._series_h
 
     def perturbed(block, n, m, wa, wb, *rest, **kw):
         h = series_h(block, n, m, wa, wb, *rest, **kw)
-        if wa < wb:
-            r = (wa + 2 * wb + m) % 4
+        r = (wa + 2 * wb + m) % 4
+        if wa < wb and r <= n:
             h = h[:r] + (h[r] + 1,) + h[r + 1:]
         return h
 
@@ -694,13 +696,89 @@ def test_parallel_sweep_matches_serial():
     assert s1 == s2
 
 
+def test_chunks_never_split_a_block():
+    grids = [
+        {"identity": ["theorem1", "m1_numbers"], "d": [1, 3, 4], "character": "all",
+         "xi": [{"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}],
+         "w1": [1, 2], "w2": [1, 2], "m": [1, 2], "n_max": 2},
+        {"identity": "eq_1_13", "d": [3], "character": "all", "xi": {"order": 3, "exponent": 1}, "k": [1, 2]},
+    ]
+    payloads = [(desc, False) for g in grids for desc in idn.expand_grid(g)]
+    # equal JSON in other objects is the same block, as _parse sees it; True
+    # for 1 is another block
+    copies = [(json.loads(json.dumps(desc)), False) for desc, _ in payloads]
+    retyped = [(dict(desc, xi={"order": True, "exponent": 0}) if desc["xi"]["order"] == 1 else desc, False)
+               for desc, _ in payloads]
+    for items in (payloads, copies, retyped):
+        blocks = [idn._source(desc["chi"], desc["xi"]) for desc, _ in items]
+        starts = {i for i in range(1, len(items)) if blocks[i] != blocks[i - 1]}
+        assert len(starts) >= 20
+        for size in (1, 2, 7, 40, len(items) - 1, len(items), len(items) + 1):
+            chunks = idn._chunks(items, size)
+            flat = [p for chunk in chunks for p in chunk]
+            assert len(flat) == len(items) and all(a is b for a, b in zip(flat, items))
+            assert all(len(chunk) >= size for chunk in chunks[:-1])
+            ends = {sum(map(len, chunks[: i + 1])) for i in range(len(chunks) - 1)}
+            assert ends <= starts
+            if size == 1:
+                assert ends == starts  # one block a chunk
+
+
+def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(monkeypatch):
+    # one block asked for n = 2, then 7, then 3: every side equals one built
+    # by a fresh block at that n alone, and no (series, index) pair reaches
+    # the kernel's Cauchy sum twice.  A Cauchy sum is named by the ids of its
+    # two coordinate lists and its index; each series owns its lists, and the
+    # counter keeps every list alive, so no id is reused.
+    chi, xi = CHI4, RootOfUnity(3, 1)
+
+    def sides(n):
+        out = []
+        for tag in SWAP_TAGS:
+            entry = idn._IDENTITIES[tag]
+            side = getattr(idn, entry.side)
+            for wa, wb, m in product((1, 2, 3), (1, 2, 3), (1, 2, 3) if tag in ORDER_M_TAGS else (1,)):
+                head = (n, m) if tag in ORDER_M_TAGS else (n,)
+                for _, left, right in entry.readings:
+                    out += [side(*head, chi, xi, wa, wb, **kw) for kw in (left, right)]
+        return out
+
+    def fresh():
+        for f in (bn.family_series, bn._kernel_series, bn.numbers, bn.power_sum):
+            f.cache_clear()
+        monkeypatch.setattr(idn, "_BLOCK", None)
+
+    cauchy = _kernel.cauchy_coeff
+    computed, kept = {}, []
+
+    def counting(anums, adens, bnums, bdens, n, red):
+        key = (id(anums), id(bnums), n)
+        computed[key] = computed.get(key, 0) + 1
+        kept.append((anums, bnums))
+        return cauchy(anums, adens, bnums, bdens, n, red)
+
+    fresh()
+    monkeypatch.setattr(_kernel, "cauchy_coeff", counting)
+    grown = {}
+    for n in (2, 7, 3):
+        before = len(kept)
+        grown[n] = sides(n)
+        assert (len(kept) > before) is (n != 3)  # n = 3 reads what n = 7 computed
+    monkeypatch.setattr(_kernel, "cauchy_coeff", cauchy)
+    assert computed and set(computed.values()) == {1}
+    for n, got in grown.items():
+        fresh()
+        assert got == sides(n), n
+
+
 # --- the block ------------------------------------------------------------------
 
 def test_memoized_sweep_matches_fresh_checks(monkeypatch):
     # each key the block holds (H, its factors S and F, the partial product
-    # lead S, and the twist specs) must name wa, wb, with_weights, m, twist
-    # and order: a key that omits one hands a value of one instance, reading
-    # or order to another.  The reference builds every value anew.
+    # lead S, and the twist specs) must name wa, wb, with_weights, m and
+    # twist: a key that omits one hands a value of one instance or reading to
+    # another.  Values have no order: each series grows to the n asked for.
+    # The reference builds every value anew.
     grid = {
         "identity": list(SWAP_TAGS),
         "d": [3],

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import powerseries as ps
+from twisted_bernoulli.characters import enumerate_cyclic
 from twisted_bernoulli.errors import (
     FieldMismatch,
     NonUnitConstantTerm,
@@ -14,7 +17,8 @@ from twisted_bernoulli.errors import (
 )
 from twisted_bernoulli.exact import RootOfUnity, as_cyclo, cyclo_field
 
-from _oracles import bernoulli_recurrence, exp_series, series_inv
+import _oracles
+from _oracles import bernoulli_recurrence, eager_series_invert, eager_series_mul, exp_series, series_inv
 
 Q = cyclo_field(1)
 
@@ -182,3 +186,91 @@ def test_exp_addition_law():
     b = field.rational(Fraction(1, 2)) - a
     lhs = ps.series_mul(ps.exp_at(a, 9), ps.exp_at(b, 9))
     assert lhs == ps.exp_at(a + b, 9)
+
+
+# --- series grown on demand ----------------------------------------------------
+
+# the order in which each grown series is asked for its prefixes
+GROWTH = (2, 7, 3, 12)
+
+
+def assert_grown_prefixes(series, eager):
+    """Each prefix of series, asked for in GROWTH order, equals eager's."""
+    for n in GROWTH:
+        assert series.coeffs(n) == eager.coeffs[: n + 1], n
+
+
+def eager_power(s, k):
+    out = ps.constant_series(s.field, 1, s.order)
+    for _ in range(k):
+        out = eager_series_mul(out, s)
+    return out
+
+
+def test_grown_product_inverse_and_power_equal_the_eager_loops():
+    rng = random.Random(45)
+    for m in (1, 3, 4, 5, 9):
+        a = rand_series(rng, m, 12)
+        b = rand_series(rng, m, 12, unit=True)
+        assert_grown_prefixes(ps.product(ps.known(a), ps.known(b)), eager_series_mul(a, b))
+        assert_grown_prefixes(ps.inverse(ps.known(b)), eager_series_invert(b))
+        for k in range(5):
+            assert_grown_prefixes(ps.power(ps.known(a), k), eager_power(a, k))
+        assert ps.series_mul(a, b) == eager_series_mul(a, b)
+        assert ps.series_invert(b) == eager_series_invert(b)
+
+
+def eager_family(spec, k, order):
+    """F^(k) to t^order from the eager loops and the term-by-term twisted sums."""
+    field, d = spec.ambient, spec.chi.modulus
+    xid = as_cyclo(spec.xi**d, field.conductor)
+    num = [field.zero] + _oracles.twisted_exp_sum(spec, order + 1)
+    den = [xid * Fraction(d**r, factorial(r)) for r in range(order + 2)]
+    den[0] = den[0] - 1
+    v = 0 if not den[0].is_zero() else 1
+    num, den = ps.TruncSeries(field, num[v : v + order + 1]), ps.TruncSeries(field, den[v : v + order + 1])
+    return eager_power(eager_series_mul(num, eager_series_invert(den)), k), v
+
+
+def test_grown_generating_series_equal_the_eager_loops():
+    for f in (bn.family_series, bn._kernel_series, bn.generating_series, bn.numbers):
+        f.cache_clear()
+    for d in range(1, 6):
+        for chi in enumerate_cyclic(d):
+            for order in (1, 2, 3, 4, 9):
+                spec = bn.twist_spec(chi, RootOfUnity(order, 1))
+                for k in range(5):
+                    eager, v = eager_family(spec, k, 12)
+                    assert_grown_prefixes(bn.family_series(spec, k), eager)
+                    for n in GROWTH:
+                        if n >= k + 2:
+                            got = bn.generating_series(spec, k, n)
+                            assert got == ps.TruncSeries(spec.ambient, eager.coeffs[: n - v + 1])
+
+
+def test_a_step_that_raises_leaves_the_series_unchanged():
+    asked = []
+
+    def term(r):
+        asked.append(r)
+        if r == 5:
+            raise ValueError("no coefficient 5")
+        return Q.rational(r)
+
+    s = ps.generated(Q, term)
+    square = ps.product(s, s)
+    assert square.coeffs(3) == ps.series_mul(qseries(0, 1, 2, 3), qseries(0, 1, 2, 3)).coeffs
+    for _ in range(2):  # the next request raises again
+        with pytest.raises(ValueError):
+            square.coeffs(7)
+        # s grew to 4 for the step of square that succeeded, and no further
+        assert s == ps.known(qseries(0, 1, 2, 3, 4))
+        assert square == ps.known(qseries(0, 0, 1, 4))
+    assert asked == [0, 1, 2, 3, 4, 5, 5]
+    inv = ps.inverse(ps.known(qseries(0, 1, 0)))
+    for _ in range(2):
+        with pytest.raises(NonUnitConstantTerm):
+            inv.coeffs(1)
+        assert repr(inv) == "Series(m=1, computed=0)"
+    with pytest.raises(OrderExceeded):
+        ps.known(qseries(1, 2)).coeffs(2)
