@@ -14,9 +14,11 @@ The twist may be a root of unity of any finite order; the p-adic module
 restricts to twists of p-power order where the valuation theory applies.
 All results are cached: families, polynomials and power sums are immutable
 and reused across identity checks.  The series behind them are kept one per
-twist spec (the kernel quotient) and one per (spec, k) (its k-th power), and
-grow coefficient by coefficient to the largest n asked for so far, so that
-asking for n computes no coefficient past t^n and none twice.  No config may
+twist spec (the kernel quotient, its numerator's exponential sum and its
+denominator's inverse, which the power-sum series check shares) and one per
+(spec, k) (its k-th power), and grow coefficient by coefficient to the
+largest n asked for so far, so that asking for n computes no coefficient
+past t^n and none twice.  No config may
 ask for an index above ``MAX_SERIES_INDEX``.
 
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
@@ -41,18 +43,41 @@ from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_field, em
 
 
 #: The largest series index n a config may ask for: compute-numbers ``n_max``,
-#: compute-polynomial ``n``, a verify grid's ``n_max``, ``series_order`` and
-#: eq_1_13 ``k``, and volkenborn ``moments``.  A larger value exits 2 naming the
-#: key before any work.  Each coefficient is a Cauchy sum over the ones before
+#: compute-polynomial ``n``, power-sum ``k``, a verify grid's ``n_max``,
+#: ``series_order`` and eq_1_13 ``k``, and volkenborn ``moments``.  A larger
+#: value exits 2 naming the key before any work.  Each coefficient is a Cauchy sum over the ones before
 #: it, so the cost grows with n^2 times the field's work per product.
 MAX_SERIES_INDEX = 64
+
+#: The largest order k of a family a config may ask for: compute-numbers and
+#: compute-polynomial ``k``, and a verify grid's ``m``.  F^(k) costs about
+#: 2 log2 k series products, each dearer as k grows the coefficients.
+MAX_ORDER = 16
+
+#: The largest top index n of a power sum T_k(n) a config may ask for:
+#: power-sum ``n``.  T_k(n) sums n + 1 terms and keeps one weight per term.
+MAX_POWER_SUM_N = 10**5
+
+
+def _at_most(value: int, limit: int, key: str, what: str) -> int:
+    if value > limit:
+        raise ConfigError(f"key '{key}' is {value}, above the largest {what} {limit}")
+    return value
 
 
 def series_index(n: int, key: str) -> int:
     """n, once it is at most MAX_SERIES_INDEX; ConfigError naming key if not."""
-    if n > MAX_SERIES_INDEX:
-        raise ConfigError(f"key '{key}' is {n}, above the largest series index {MAX_SERIES_INDEX}")
-    return n
+    return _at_most(n, MAX_SERIES_INDEX, key, "series index")
+
+
+def family_order(k: int, key: str) -> int:
+    """k, once it is at most MAX_ORDER; ConfigError naming key if not."""
+    return _at_most(k, MAX_ORDER, key, "order")
+
+
+def power_sum_top(n: int, key: str) -> int:
+    """n, once it is at most MAX_POWER_SUM_N; ConfigError naming key if not."""
+    return _at_most(n, MAX_POWER_SUM_N, key, "power-sum top index")
 
 
 class TwistSpec:
@@ -156,8 +181,13 @@ def _twist_weights(spec: TwistSpec, terms: int) -> tuple[tuple[int, tuple[int, .
     return tuple((a, base[a % period]) for a in range(terms) if base[a % period] is not None)
 
 
+@lru_cache(maxsize=None)
 def _twisted_exp_sum(spec: TwistSpec) -> ps.Series:
-    """sum_{a<d} chi(a) xi^a e^(a t): coefficient i is T_i(d - 1) / i!."""
+    """sum_{a<d} chi(a) xi^a e^(a t): coefficient i is T_i(d - 1) / i!.
+
+    One growing series per spec, shared by the kernel series and every
+    ``power_sum_series_check`` of the spec.
+    """
     d = spec.chi.modulus
     return ps.generated(spec.ambient, lambda i: power_sum(spec, i, d - 1) * Fraction(1, factorial(i)))
 
@@ -178,12 +208,23 @@ def _cancelled(spec: TwistSpec) -> int:
 
 
 @lru_cache(maxsize=None)
+def _inverse_denominator(spec: TwistSpec) -> ps.Series:
+    """The inverse of (xi^d e^(d t) - 1) / t^v, v = ``_cancelled(spec)``.
+
+    One growing series per spec, shared by the kernel series and every
+    ``power_sum_series_check`` of the spec.
+    """
+    v = _cancelled(spec)
+    return ps.inverse(ps.shifted(_twisted_exp_minus_one(spec, spec.chi.modulus), v))
+
+
+@lru_cache(maxsize=None)
 def _kernel_series(spec: TwistSpec) -> ps.Series:
     """t * sum_a chi(a) xi^a e^(a t) / (xi^d e^(d t) - 1), with the common t cancelled."""
     field = spec.ambient
     exp_sum = _twisted_exp_sum(spec)
     numerator = ps.generated(field, lambda r: exp_sum.coeff(r - 1) if r else field.zero)
-    return ps.quotient(numerator, _twisted_exp_minus_one(spec, spec.chi.modulus), _cancelled(spec))
+    return ps.product(ps.shifted(numerator, _cancelled(spec)), _inverse_denominator(spec))
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +326,7 @@ def power_sum_series_check(spec: TwistSpec, n: int, order: int) -> PowerSumSerie
     d = spec.chi.modulus
     v = _cancelled(spec)
     numerator = ps.product(_twisted_exp_minus_one(spec, n * d), _twisted_exp_sum(spec))
-    lhs = ps.quotient(numerator, _twisted_exp_minus_one(spec, d), v).coeffs(order - v)
+    lhs = ps.product(ps.shifted(numerator, v), _inverse_denominator(spec)).coeffs(order - v)
     rhs = tuple(
         power_sum(spec, k, n * d - 1) * Fraction(1, factorial(k)) for k in range(len(lhs))
     )

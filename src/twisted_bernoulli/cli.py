@@ -83,7 +83,7 @@ def _spec_from_params(params: dict) -> bn.TwistSpec:
 def _cmd_compute_numbers(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n_max"})
     spec = _spec_from_params(params)
-    k = _int_param(params, "k", 0)
+    k = bn.family_order(_int_param(params, "k", 0), "k")
     n_max = bn.series_index(_int_param(params, "n_max", 0), "n_max")
     fam = bn.numbers(spec, k, n_max)
     return [cyclo_to_json(c) for c in fam.numbers], 0
@@ -92,7 +92,7 @@ def _cmd_compute_numbers(params: dict):
 def _cmd_compute_polynomial(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n"})
     spec = _spec_from_params(params)
-    k = _int_param(params, "k", 0)
+    k = bn.family_order(_int_param(params, "k", 0), "k")
     n = bn.series_index(_int_param(params, "n", 0), "n")
     poly = bn.polynomial(spec, k, n)
     return [cyclo_to_json(c) for c in poly.coeffs], 0
@@ -101,8 +101,8 @@ def _cmd_compute_polynomial(params: dict):
 def _cmd_power_sum(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n"})
     spec = _spec_from_params(params)
-    k = _int_param(params, "k", 0)
-    n = _int_param(params, "n", 0)
+    k = bn.series_index(_int_param(params, "k", 0), "k")
+    n = bn.power_sum_top(_int_param(params, "n", 0), "n")
     return cyclo_to_json(bn.power_sum(spec, k, n)), 0
 
 
@@ -254,8 +254,12 @@ def _to_json_bytes(payload) -> bytes:
             inner = pad + "  "
             sep = "{" + inner
             for key, item in value.items():
-                put(sep + encode_basestring_ascii(key) + ": ")  # TypeError unless key is a str
-                write(item, inner)
+                text = _SCALARS.get(type(item))
+                if text is None:
+                    put(sep + encode_basestring_ascii(key) + ": ")  # TypeError unless key is a str
+                    write(item, inner)
+                else:  # a scalar value goes out with its key in one piece
+                    put(sep + encode_basestring_ascii(key) + ": " + text(item))
                 sep = "," + inner
             put(pad + "}")
         elif kind is list and value:

@@ -59,14 +59,26 @@ everything besides (chi, xi, conductor) that the value depends on:
 * ("LS", m, wa, wb, with_weights): lead S / wa, shared by both readings of
   theorem1, which differ only in the last factor;
 * ("H", m, wa, wb, last twist, with_weights): H itself, one series product
-  over the shared values when m > 1.
+  over the shared values when m > 1;
+* ("agree", key, key'): for two H keys (the five components above) in
+  sorted order, whether the two series agree, index by index.
 
 Every series grows coefficient by coefficient (``powerseries.Series``): a
 request for h_0..h_n computes only the coefficients of H and of its factors
 that no earlier, smaller n has computed, so each block computes each
 coefficient once, up to the largest n its instances ask for.
 
-Sides are not kept: each is one slice or one scalar product of H.
+Sides are not kept: each is one slice or one scalar product of H.  A swap
+reading compares the side of (w1, w2) with that of (w2, w1), so it compares
+two H series, and its verdict is read off the block's "agree" table of that
+unordered pair: an x, y side or a y = 0 column holds iff h_r = h'_r for every
+r <= n, and a scalar side n! h_n iff h_n = h'_n.  Each pair of H series is
+compared once per block, up to the largest n asked for, and serves both
+orders (w1, w2) and (w2, w1), every n and every identity reading that pair.
+When w1 = w2 both sides read one H, so the verdict holds by construction
+and that H is not built unless a side is read.
+Sides are built only for a reading that fails, for its first mismatch and
+printed sides, or when a report's sides are read.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -279,13 +291,14 @@ def _bern_at(spec: bn.TwistSpec, k: int, degree: int, point: Fraction) -> CycloE
 class _Block:
     """One (chi, xi) pair with its report JSON, ambient conductor and values.
 
-    A sweep expands tag -> d -> chi -> xi -> w1 -> w2 -> m -> n, so instances
-    (w1, w2) and (w2, w1) and every n of them fall inside one block and share
-    its series.  ``values`` holds them under keys naming every argument
-    besides chi, xi and the conductor that changes the value; values are
-    immutable (TwistSpec, TruncSeries, tuples) because they are shared.
-    ``source`` is the repr of the (chi, xi) JSON pair it was parsed from, or
-    None when a checker was called with the objects themselves.
+    A sweep runs the instances of each block together, across its grids and
+    tags (``sweep``), so instances (w1, w2) and (w2, w1), every n and every
+    tag of a block share its values.  ``values`` holds them under keys
+    naming every argument besides chi, xi and the conductor that changes the
+    value: twist specs, growing series and verdict tables, which only grow
+    and are never changed otherwise, because they are shared.  ``source`` is
+    the repr of the (chi, xi) JSON pair it was parsed from, or None when a
+    checker was called with the objects themselves.
     """
 
     __slots__ = ("chi", "xi", "chi_json", "xi_json", "cond", "source", "values")
@@ -314,7 +327,8 @@ class _Block:
 
 # The last block only: a sweep visits each (chi, xi) block in one run of
 # consecutive instances, so memory stays bounded by one block.  Reports of
-# one block share its JSON dicts.
+# one block share its JSON dicts; a report that held keeps its block until
+# its sides are read.
 _BLOCK: _Block | None = None
 
 
@@ -382,15 +396,15 @@ def _s_factor(block, wa, wb, with_weights) -> ps.Series:
     return block.get(("S", wa, wb, with_weights), build)
 
 
-def _series_h(block, n, m, wa, wb, last_w=None, with_weights=True):
+def _series_h(block, n, m, wa, wb, last_w, with_weights):
     """Ordinary coefficients h_0..h_n of H(t), from the block's series of H.
 
     The theorem1 and theorem3 families read the same H.  ``last_w`` twists
-    F^(m-1) by xi^last_w (default wb); ``with_weights`` keeps the xi^(wb i)
-    in S.  H is the product (lead S) F^(m-1), and the block holds each factor
-    and lead S apart; each grows to the largest n asked for so far.
+    F^(m-1) by xi^last_w; ``with_weights`` keeps the xi^(wb i) in S; the
+    arguments after n are those ``_h_key`` gives.  H is the product
+    (lead S) F^(m-1), and the block holds each factor and lead S apart; each
+    grows to the largest n asked for so far.
     """
-    last_w = wb if last_w is None or m == 1 else last_w  # F^(0) = 1 carries no twist
 
     def lead_s():
         return ps.product(_scaled_numbers(block, wa, m, wa), _s_factor(block, wa, wb, with_weights))
@@ -413,42 +427,104 @@ def _xy_poly(coeffs, n, c, with_y=True) -> BivariatePoly:
     return BivariatePoly.from_series(coeffs[0].field, coeffs[: n + 1], c, with_y)
 
 
+def _h_key(m, wa, wb, last_twist_wa=False, with_weights=True) -> tuple:
+    """The arguments (m, wa, wb, last twist, with_weights) of the H a side reads.
+
+    A reading's side keywords choose the last twist (xi^wa instead of xi^wb)
+    and whether S keeps its weights; F^(0) = 1 carries no twist.
+    """
+    return m, wa, wb, wa if last_twist_wa and m > 1 else wb, with_weights
+
+
+def _side(tag, block, n, m, wa, wb, **reading):
+    """The (wa, wb) side of a swap identity: the projection of H that ``tag`` reads."""
+    h = _series_h(block, n, *_h_key(m, wa, wb, **reading))
+    reads = _IDENTITIES[tag].reads
+    if reads == "h_n":
+        return h[n] * factorial(n)
+    return _xy_poly(h, n, wa * wb, with_y=reads == "xy")
+
+
+class _Agreement:
+    """Whether two H series of one block agree, index by index.
+
+    ``equal[r]`` is h_r == h'_r, grown to the largest n asked for; H is read
+    through the module global ``_series_h``.  Sides that read h_0..h_n (the
+    x, y sides and the y = 0 columns) agree iff every index <= n does; a
+    scalar side n! h_n agrees iff index n does, since n! != 0.  Two equal
+    keys (w1 = w2, where every reading compares H with itself) name one
+    series, which agrees with itself without being read.
+    """
+
+    __slots__ = ("left", "right", "equal")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.equal = []
+
+    def holds(self, block, n, whole) -> bool:
+        """Whether the sides of block that read h_0..h_n (whole) or n! h_n agree.
+
+        The block is passed, not kept: a table the block holds must not
+        hold the block, or the block would outlive its turn in a sweep until
+        the cyclic garbage collector ran.
+        """
+        have = len(self.equal)
+        if n >= have:
+            if self.right == self.left:  # one series: equal by construction, read none
+                self.equal += [True] * (n + 1 - have)
+            else:
+                a = _series_h(block, n, *self.left)
+                b = _series_h(block, n, *self.right)
+                self.equal += [x == y for x, y in zip(a[have:], b[have:])]
+        return all(self.equal[: n + 1]) if whole else self.equal[n]
+
+    def __eq__(self, other):
+        if not isinstance(other, _Agreement):
+            return NotImplemented
+        return (self.left, self.right, self.equal) == (other.left, other.right, other.equal)
+
+
+def _agreement(block, left, right) -> _Agreement:
+    """The block's table for the unordered pair of H keys (left, right)."""
+    pair = (left, right) if left <= right else (right, left)
+    return block.get(("agree",) + pair, lambda: _Agreement(*pair))
+
+
 # ---------------------------------------------------------------------------
 # side builders; (wa, wb) = (w1, w2) gives the left side, swapping gives the
 # right side, so swap symmetry is structural
 
 def _theorem1_side(n, m, chi, xi, wa, wb, last_twist_wa=False) -> BivariatePoly:
-    h = _series_h(_block(chi, xi), n, m, wa, wb, wa if last_twist_wa else wb)
-    return _xy_poly(h, n, wa * wb)
+    return _side("theorem1", _block(chi, xi), n, m, wa, wb, last_twist_wa=last_twist_wa)
 
 
 def _remark_m1_side(n, chi, xi, wa, wb) -> BivariatePoly:
-    return _xy_poly(_series_h(_block(chi, xi), n, 1, wa, wb), n, wa * wb, with_y=False)
+    return _side("remark_m1", _block(chi, xi), n, 1, wa, wb)
 
 
 def _corollary2_side(n, m, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), n, m, wa, wb)[n] * factorial(n)
+    return _side("corollary2", _block(chi, xi), n, m, wa, wb)
 
 
 def _m1_numbers_side(n, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), n, 1, wa, wb)[n] * factorial(n)
+    return _side("m1_numbers", _block(chi, xi), n, 1, wa, wb)
 
 
 def _theorem3_side(n, m, chi, xi, wa, wb) -> BivariatePoly:
-    return _xy_poly(_series_h(_block(chi, xi), n, m, wa, wb), n, wa * wb)
+    return _side("theorem3", _block(chi, xi), n, m, wa, wb)
 
 
 def _remark_2_11_side(n, chi, xi, wa, wb, with_weights) -> BivariatePoly:
-    h = _series_h(_block(chi, xi), n, 1, wa, wb, with_weights=with_weights)
-    return _xy_poly(h, n, wa * wb, with_y=False)
+    return _side("remark_2_11", _block(chi, xi), n, 1, wa, wb, with_weights=with_weights)
 
 
 def _corollary4_side(n, m, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), n, m, wa, wb)[n] * factorial(n)
+    return _side("corollary4", _block(chi, xi), n, m, wa, wb)
 
 
 def _eq_2_12_side(n, chi, xi, wa, wb) -> CycloElem:
-    return _series_h(_block(chi, xi), n, 1, wa, wb)[n] * factorial(n)
+    return _side("eq_2_12", _block(chi, xi), n, 1, wa, wb)
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +545,14 @@ class _Identity(NamedTuple):
     ``keys`` are in expansion order.  A reading is (name, left-side keywords,
     right-side keywords) of the side builder; the report keeps the sides of
     the first reading, whose verdict decides unless any reading suffices.
+    ``reads`` is the projection of H a side is: "xy" the x, y polynomial,
+    "y0" its y = 0 column, "h_n" the number n! h_n.
     """
 
     checker: str
     keys: tuple[_Key, ...]
     side: str | None = None
+    reads: str | None = None
     readings: tuple = ((None, {}, {}),)
     any_reading: bool = False
 
@@ -487,23 +566,23 @@ _IDENTITIES = {
     # eq_1_13 reports its shift as n, the name of its checker's argument
     "eq_1_13": _Identity("check_eq_1_13", (_Key("k", 1, "k", None), _Key("n", 1, "shift", (1,)))),
     "theorem1": _Identity(
-        "check_theorem1", (_W1, _W2, _M, _N), "_theorem1_side",
+        "check_theorem1", (_W1, _W2, _M, _N), "_theorem1_side", "xy",
         (("symmetric", {}, {}), ("expansion_literal", {}, {"last_twist_wa": True})),
     ),
-    "remark_m1": _Identity("check_remark_m1", (_W1, _W2, _N), "_remark_m1_side"),
-    "corollary2": _Identity("check_corollary2", (_W1, _W2, _M, _N), "_corollary2_side"),
-    "m1_numbers": _Identity("check_m1_numbers", (_W1, _W2, _N), "_m1_numbers_side"),
-    "theorem3": _Identity("check_theorem3", (_W1, _W2, _M, _N), "_theorem3_side"),
+    "remark_m1": _Identity("check_remark_m1", (_W1, _W2, _N), "_remark_m1_side", "y0"),
+    "corollary2": _Identity("check_corollary2", (_W1, _W2, _M, _N), "_corollary2_side", "h_n"),
+    "m1_numbers": _Identity("check_m1_numbers", (_W1, _W2, _N), "_m1_numbers_side", "h_n"),
+    "theorem3": _Identity("check_theorem3", (_W1, _W2, _M, _N), "_theorem3_side", "xy"),
     "remark_2_11": _Identity(
-        "check_remark_2_11", (_W1, _W2, _N), "_remark_2_11_side",
+        "check_remark_2_11", (_W1, _W2, _N), "_remark_2_11_side", "y0",
         (
             ("weighted", {"with_weights": True}, {"with_weights": True}),
             ("as_printed", {"with_weights": False}, {"with_weights": False}),
         ),
         any_reading=True,
     ),
-    "corollary4": _Identity("check_corollary4", (_W1, _W2, _M, _N), "_corollary4_side"),
-    "eq_2_12": _Identity("check_eq_2_12", (_W1, _W2, _N), "_eq_2_12_side"),
+    "corollary4": _Identity("check_corollary4", (_W1, _W2, _M, _N), "_corollary4_side", "h_n"),
+    "eq_2_12": _Identity("check_eq_2_12", (_W1, _W2, _N), "_eq_2_12_side", "h_n"),
     "power_sum_series_check": _Identity(
         "check_power_sum_series",
         (_Key("n", 1, "n", (1,)), _Key("series_order", 1, "series_order", (12,))),
@@ -534,11 +613,12 @@ class IdentityReport:
     error: str | None = None
 
 
-def _params(chi, xi, **args) -> dict:
+def _params(block, **args) -> dict:
     """Report parameters: n and m, then d, chi and xi, then the other args in order."""
-    block = _block(chi, xi)
-    head = {key: args.pop(key) for key in ("n", "m") if key in args}
-    return {**head, "d": chi.modulus, "chi": block.chi_json, "xi": block.xi_json, **args}
+    params = {key: args.pop(key) for key in ("n", "m") if key in args}
+    params.update(d=block.chi.modulus, chi=block.chi_json, xi=block.xi_json)
+    params.update(args)
+    return params
 
 
 def _compare(identity, params, lhs, rhs) -> IdentityReport:
@@ -564,25 +644,63 @@ def _compare(identity, params, lhs, rhs) -> IdentityReport:
     )
 
 
+class _HeldReport(IdentityReport):
+    """A report that held by its block's verdict table.
+
+    Its sides are built from that block the first time ``lhs`` or ``rhs``
+    is read, so a sweep that prints no sides builds none.
+    """
+
+    def __init__(self, identity, params, sides):
+        self.identity, self.params, self.holds = identity, params, True
+        self.first_mismatch = self.readings = self.error = None
+        self._sides = sides  # () -> (lhs, rhs), until first read
+
+    def _built(self):
+        if callable(self._sides):
+            self._sides = self._sides()
+        return self._sides
+
+    @property
+    def lhs(self):
+        return self._built()[0]
+
+    @property
+    def rhs(self):
+        return self._built()[1]
+
+
 def _check_swap(tag, chi, xi, **args) -> IdentityReport:
     """Compare side(w1, w2) with side(w2, w1) under each reading of ``tag``.
 
-    Each side is a projection of a series the block holds.  The side builder
-    is called through its module global, so that a wrapper installed on that
-    name sees every build.
+    Each side is a projection of an H series the block holds, so a reading
+    holds iff its block's table (``_Agreement``) for the pair of H series it
+    compares agrees at the indices its sides read.  A reading that holds
+    builds no side; its report builds them when they are read.  A reading
+    that fails goes through the side builders and ``_compare``, which give
+    its verdict, first mismatch and printed sides; the builders are called
+    through their module globals, so that a wrapper installed on those names
+    sees every build.
     """
     entry = _IDENTITIES[tag]
     for key in entry.keys:
         if args[key.name] < key.minimum:
             raise ValueError("need " + ", ".join(f"{k.name} >= {k.minimum}" for k in entry.keys))
-    side = globals()[entry.side]
-    head = (args["n"], args["m"]) if "m" in args else (args["n"],)
-    w1, w2 = args["w1"], args["w2"]
-    params = _params(chi, xi, **args)
-    reps = [
-        _compare(tag, params, side(*head, chi, xi, w1, w2, **left), side(*head, chi, xi, w2, w1, **right))
-        for _, left, right in entry.readings
-    ]
+    n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]
+    block = _block(chi, xi)
+    params = _params(block, **args)
+    whole = entry.reads != "h_n"
+    reps = []
+    for _, left, right in entry.readings:
+        if _agreement(block, _h_key(m, w1, w2, **left), _h_key(m, w2, w1, **right)).holds(block, n, whole):
+            reps.append(_HeldReport(tag, params, lambda left=left, right=right: (
+                _side(tag, block, n, m, w1, w2, **left), _side(tag, block, n, m, w2, w1, **right)
+            )))
+        else:
+            side = globals()[entry.side]
+            head = (n, m) if "m" in args else (n,)
+            lhs, rhs = side(*head, chi, xi, w1, w2, **left), side(*head, chi, xi, w2, w1, **right)
+            reps.append(_compare(tag, params, lhs, rhs))
     rep = reps[0]
     if len(reps) > 1:
         rep.readings = {name: r.holds for (name, _, _), r in zip(entry.readings, reps)}
@@ -596,7 +714,8 @@ def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
     against the power sum: (xi^(nd) B_k(nd) - B_k) / k = T_(k-1)(nd - 1)."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    spec = _block(chi, xi).spec(1)
+    block = _block(chi, xi)
+    spec = block.spec(1)
     d = chi.modulus
     fld = spec.ambient
     shifted = as_cyclo(spec.xi ** (n * d), fld.conductor) * bn.evaluate(
@@ -604,8 +723,7 @@ def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
     )
     lhs = (shifted - bn.numbers(spec, 1, k).numbers[k]) * Fraction(1, k)
     rhs = bn.power_sum(spec, k - 1, n * d - 1)
-    params = _params(chi, xi, n=n, k=k)
-    return _compare("eq_1_13", params, lhs, rhs)
+    return _compare("eq_1_13", _params(block, n=n, k=k), lhs, rhs)
 
 
 def check_theorem1(n, m, chi, xi, w1, w2) -> IdentityReport:
@@ -662,8 +780,9 @@ def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
 
 def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
     """Wrap the power-sum generating-function comparison of two constructions."""
-    rep = bn.power_sum_series_check(_block(chi, xi).spec(1), n, series_order)
-    params = _params(chi, xi, n=n, series_order=series_order)
+    block = _block(chi, xi)
+    rep = bn.power_sum_series_check(block.spec(1), n, series_order)
+    params = _params(block, n=n, series_order=series_order)
     return IdentityReport(
         identity="power_sum_series_check",
         params=params,
@@ -788,6 +907,8 @@ def expand_grid(grid: dict):
     for key in _SERIES_KEYS:
         if key in listed:
             bn.series_index(listed[key][-1], key)
+    if "m" in listed:
+        bn.family_order(listed["m"][-1], "m")
     chars = [character_to_json(chi) for d in ds for chi in _resolve_characters(grid, d)]
     roots = [root_from_json(v) for v in _grid_list(grid, "xi", dict, "an object")]
     roots = [root_to_json(r) for r in sorted(roots, key=lambda r: (r.order, r.exponent))]
@@ -819,7 +940,7 @@ def _record_for_instance(payload) -> dict:
     except TwistedBernoulliError as exc:  # a package error fails this instance only
         _, block, args = _instance(desc)
         rep = IdentityReport(
-            identity=desc["identity"], params=_params(block.chi, block.xi, **args), holds=False,
+            identity=desc["identity"], params=_params(block, **args), holds=False,
             lhs=None, rhs=None, error=str(exc),
         )
     return report_to_record(rep, include_sides)
@@ -852,13 +973,33 @@ def _chunks(payloads, size: int) -> list:
     return chunks
 
 
+def _block_order(payloads) -> list:
+    """Indices of payloads, stably grouped by the first appearance of their block.
+
+    The block of a payload is the ``_source`` text of its (chi, xi) JSON, as
+    ``_parse`` sees it; each distinct pair of chi and xi objects is turned
+    into text once.
+    """
+    groups, sources = {}, {}
+    for i, (desc, _) in enumerate(payloads):
+        chi, xi = desc["chi"], desc["xi"]
+        ident = (id(chi), id(xi))  # payloads keep chi and xi alive: ids are not reused
+        source = sources.get(ident)
+        if source is None:
+            source = sources[ident] = _source(chi, xi)
+        groups.setdefault(source, []).append(i)
+    return [i for group in groups.values() for i in group]
+
+
 def sweep(grids, include_sides: bool = False, jobs: int = 1):
     """Run every instance of every grid; returns (records, summary).
 
-    Records arrive in the deterministic expansion order regardless of the
-    number of worker processes.  Each worker is handed whole runs of one
-    (chi, xi) block, about eight chunks per worker, so no two workers build
-    the series of one run.
+    Instances run grouped by (chi, xi) block, across grids and tags, in the
+    order in which blocks first appear, so each block is built once per
+    sweep; records are put back in the deterministic expansion order
+    regardless of the number of worker processes.  Each worker is handed
+    whole blocks, about eight chunks per worker, so no two workers build the
+    series of one block.
     """
     if isinstance(grids, dict):
         grids = [grids]
@@ -866,14 +1007,19 @@ def sweep(grids, include_sides: bool = False, jobs: int = 1):
     for grid in grids:
         instances.extend(expand_grid(grid))
     payloads = [(desc, include_sides) for desc in instances]
+    order = _block_order(payloads)
+    grouped = [payloads[i] for i in order]
     if jobs > 1 and len(payloads) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = _chunks(payloads, max(1, len(payloads) // (jobs * 8)))
+        chunks = _chunks(grouped, max(1, len(payloads) // (jobs * 8)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = [rec for recs in pool.map(_records_for_chunk, chunks) for rec in recs]
+            results = [rec for recs in pool.map(_records_for_chunk, chunks) for rec in recs]
     else:
-        records = [_record_for_instance(p) for p in payloads]
+        results = [_record_for_instance(p) for p in grouped]
+    records = [None] * len(results)
+    for i, rec in zip(order, results):
+        records[i] = rec
     summary = {
         "total": len(records),
         "holds": sum(1 for r in records if r["holds"]),

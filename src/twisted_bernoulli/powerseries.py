@@ -197,13 +197,14 @@ def power(s: Series, k: int, smaller=None) -> Series:
     return product(half, half)
 
 
+def shifted(s: Series, v: int) -> Series:
+    """s / t^v: coefficient r is c_(r+v) of s; s itself when v = 0."""
+    return generated(s.field, lambda r: s.coeff(r + v)) if v else s
+
+
 def quotient(num: Series, den: Series, v: int) -> Series:
     """(num / t^v) / (den / t^v); den / t^v must have a nonzero constant term."""
-
-    def shifted(s):
-        return generated(s.field, lambda r: s.coeff(r + v)) if v else s
-
-    return product(shifted(num), inverse(shifted(den)))
+    return product(shifted(num, v), inverse(shifted(den, v)))
 
 
 def _prefix(s: Series, n: int) -> TruncSeries:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import cli
 from twisted_bernoulli import identities as idn
 from twisted_bernoulli.errors import NotMultiplicative
@@ -248,6 +249,12 @@ def test_config_error_names_key(tmp_path):
         ("verify", dict(grid, identity="eq_1_13", k=[1, 65]), "k"),
         ("verify", dict(grid, identity="power_sum_series_check", n=[1], series_order=65), "series_order"),
         ("volkenborn", dict(volk, moments=[1, 65]), "moments"),
+        ("power-sum", dict(POLY_PARAMS, k=65), "k"),
+        # an order above bernoulli.MAX_ORDER = 16, a power sum past MAX_POWER_SUM_N
+        ("compute-numbers", dict(NUMS_PARAMS, k=17), "k"),
+        ("compute-polynomial", dict(POLY_PARAMS, k=17), "k"),
+        ("verify", dict(grid, identity="theorem1", m=[1, 17]), "m"),
+        ("power-sum", dict(POLY_PARAMS, n=10**5 + 1), "n"),
         # a table of the wrong length, or one that is not a character
         ("compute-polynomial", dict(POLY_PARAMS, modulus=2), "values"),
         ("compute-polynomial", dict(POLY_PARAMS, character={"kind": "table", "values": []}), "values"),
@@ -269,10 +276,17 @@ def test_config_error_names_key(tmp_path):
 
 
 def test_series_index_limit_runs():
-    # the largest index the limit allows runs; the tests above refuse one more
+    # the largest index, order and power-sum top the limits allow run; the
+    # tests above refuse one more
     config = cli.RunConfig(command="compute-numbers", params=dict(NUMS_PARAMS, n_max=64))
     code, out = cli.run(config)
     assert code == 0 and len(json.loads(out)) == 65
+    for command, params in (
+        ("compute-numbers", dict(NUMS_PARAMS, k=bn.MAX_ORDER, n_max=8)),
+        ("compute-polynomial", dict(POLY_PARAMS, k=bn.MAX_ORDER)),
+        ("power-sum", dict(POLY_PARAMS, k=bn.MAX_SERIES_INDEX, n=bn.MAX_POWER_SUM_N)),
+    ):
+        assert cli.run(cli.RunConfig(command=command, params=params))[0] == 0
 
 
 def test_unreadable_config(tmp_path):
@@ -533,10 +547,10 @@ REPLACEMENTS = (True, False, "x", 1.5, None, [], {}, -1, 0, 2)
 HUGE = (10**30, 2**63)
 # per example, the keys a limit bounds: root orders, and the keys that set a series length
 BOUNDED_KEYS = {
-    "compute_numbers": {"order", "n_max"},
-    "compute_polynomial": {"order", "n"},
-    "power_sum": {"order"},
-    "verify_small": {"order", "n_max", "k", "series_order"},
+    "compute_numbers": {"order", "n_max", "k"},
+    "compute_polynomial": {"order", "n", "k"},
+    "power_sum": {"order", "n", "k"},
+    "verify_small": {"order", "n_max", "k", "series_order", "m"},
     "volkenborn_convergence": {"order", "moments"},
     "volkenborn_shift": {"order", "moments"},
 }
@@ -634,5 +648,7 @@ def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
                 assert code == 2 and f"'{last_key(path)}'" in err, (case, err)
             cases += 1
     # 17 nodes set a series length: n_max twice, n, k and its 4 values, and
-    # moments with its 5 and 2 values
-    assert cases == 1355 + 2 * 17
+    # moments with its 5 and 2 values; 7 more set an order or a power-sum
+    # length: k of compute_numbers and compute_polynomial, n and k of
+    # power_sum, and m with its 2 values
+    assert cases == 1355 + 2 * (17 + 7)

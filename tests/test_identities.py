@@ -513,7 +513,9 @@ def test_sides_equal_the_literal_printed_sums(chi, monkeypatch):
 
 
 def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
-    # the names that perfbench's tracer wraps must be looked up at call time
+    # the names that perfbench's tracer wraps must be looked up at call time:
+    # every checker, and the side builders of each reading that fails, here
+    # made to fail by a changed h_0 on the w1 < w2 side
     checkers = {tag: f"check_{tag}" for tag in ("eq_1_13", *SWAP_TAGS)}
     checkers["power_sum_series_check"] = "check_power_sum_series"
     builders = {tag: f"_{tag}_side" for tag in SWAP_TAGS}
@@ -530,14 +532,22 @@ def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
 
     for name in (*checkers.values(), *builders.values()):
         counting(name)
+    series_h = idn._series_h
+
+    def perturbed(block, n, m, wa, wb, *rest):
+        h = series_h(block, n, m, wa, wb, *rest)
+        return (h[0] + 1,) + h[1:] if wa < wb else h
+
+    monkeypatch.setattr(idn, "_series_h", perturbed)
     monkeypatch.setattr(idn, "_BLOCK", None)
     xi = {"order": 1, "exponent": 0}
     for tag, checker in checkers.items():
-        desc = next(iter(idn.expand_grid({"identity": tag, "d": [1], "xi": xi, "k": [1], "n_max": 1})))
-        assert idn.run_instance(desc).holds
+        grid = {"identity": tag, "d": [1], "xi": xi, "k": [1], "w2": [2], "n_max": 1}
+        desc = next(iter(idn.expand_grid(grid)))
+        assert idn.run_instance(desc).holds is (tag not in builders)
         assert calls.get(checker) == 1
         if tag in builders:
-            assert calls.get(builders[tag], 0) >= 1
+            assert calls.get(builders[tag]) == 2 * len(idn._IDENTITIES[tag].readings)
 
 
 # --- sweep -----------------------------------------------------------------------------
@@ -824,3 +834,182 @@ def test_memo_holds_only_the_last_block(monkeypatch):
     assert (both.chi, both.xi, both.cond) == (LEG3, MINUS, 1) == (last.chi, last.xi, last.cond)
     assert both.source == repr(({"modulus": 3, "kind": "index", "j": 1}, MINUS_JSON)) == last.source
     assert both.values == last.values
+
+
+# --- one visit per block, one verdict table per pair of H series -------------------
+
+def shared_block_grids(weights=(1, 2, 3)):
+    """Grids whose blocks repeat across grids and tags, interleaved with others."""
+    xi2, xi3 = {"order": 2, "exponent": 1}, {"order": 3, "exponent": 1}
+    weights = {"w1": list(weights), "w2": list(weights)}
+    first = {"identity": ["theorem1", "corollary2", "remark_2_11"], "d": [1, 3], "character": "all",
+             "xi": [xi2, xi3], **weights, "m": [1, 2], "n_max": 3}
+    return [
+        first,
+        {"identity": "eq_1_13", "d": [4], "xi": xi3, "k": [1, 2]},
+        {"identity": ["theorem3", "m1_numbers"], "d": [3], "character": "all", "xi": xi3, **weights,
+         "m": [2], "n_max": 4},
+        {"identity": "power_sum_series_check", "d": [3], "character": "all", "xi": xi2, "n": [1, 2]},
+        {"identity": ["remark_m1", "corollary4", "eq_2_12"], "d": [3], "character": {"kind": "index", "j": 1},
+         "xi": [xi2, xi3], **weights, "m": [1, 3], "n_max": 3},
+        first,
+    ]
+
+
+def perturb_h(monkeypatch):
+    """Change one coefficient of H on the wa < wb side, as
+    test_perturbed_h_fails_with_the_eager_first_mismatch does."""
+    series_h = idn._series_h
+
+    def perturbed(block, n, m, wa, wb, *rest):
+        h = series_h(block, n, m, wa, wb, *rest)
+        r = (wa + 2 * wb + m) % 4
+        if wa < wb and r <= n:
+            h = h[:r] + (h[r] + 1,) + h[r + 1:]
+        return h
+
+    monkeypatch.setattr(idn, "_series_h", perturbed)
+
+
+def count_side_builds(monkeypatch) -> dict:
+    """Calls of each swap tag's side builder, counted from now on."""
+    calls = dict.fromkeys(SWAP_TAGS, 0)
+
+    def counting(tag):
+        fn = getattr(idn, f"_{tag}_side")
+
+        def wrapper(*args, **kwargs):
+            calls[tag] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(idn, f"_{tag}_side", wrapper)
+
+    for tag in SWAP_TAGS:
+        counting(tag)
+    return calls
+
+
+def failing_readings(records) -> dict:
+    """The number of failing readings of each swap tag in sweep records."""
+    failing = dict.fromkeys(SWAP_TAGS, 0)
+    for r in records:
+        if r["identity"] in failing:
+            verdicts = r["readings"].values() if "readings" in r else (r["holds"],)
+            failing[r["identity"]] += sum(1 for ok in verdicts if not ok)
+    return failing
+
+
+@pytest.mark.parametrize("perturb", (False, True), ids=("as_is", "perturbed_h"))
+def test_grouped_sweep_equals_the_per_grid_sweeps(perturb, monkeypatch):
+    # a sweep that visits each block once across grids and tags must give the
+    # records of the grids swept one by one, in expansion order, at any --jobs;
+    # a perturbed H shows verdicts, mismatches and sides taken from the wrong
+    # block or table.  --jobs 2 workers inherit the patched module by fork.
+    if perturb:
+        perturb_h(monkeypatch)
+    grids = shared_block_grids()
+    expected, totals = [], {}
+    for grid in grids:
+        monkeypatch.setattr(idn, "_BLOCK", None)
+        records, summary = idn.sweep(grid, include_sides=True)
+        expected += records
+        totals = {key: totals.get(key, 0) + value for key, value in summary.items()}
+    assert (totals["failures"] > 0) is perturb
+    for jobs in (1, 2):
+        monkeypatch.setattr(idn, "_BLOCK", None)
+        assert idn.sweep(grids, include_sides=True, jobs=jobs) == (expected, totals), jobs
+
+
+def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
+    # blocks repeat across grids and tags, interleaved with others: each block
+    # is built once a sweep, no (series, index) pair reaches the kernel's
+    # Cauchy sum twice (named as in the grown-block test above), and a grid
+    # swept again in the same sweep adds no Cauchy sum at all.  Weights 1 and
+    # 2 give distinct twists xi^w for both orders, so no two H keys of a block
+    # name one series.
+    grids = shared_block_grids(weights=(1, 2))
+    assert grids[-1] is grids[0]
+    cauchy = _kernel.cauchy_coeff
+    built = []
+
+    class Counted(idn._Block):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.source)
+
+    def cauchy_calls(grids):
+        for f in (bn.family_series, bn._kernel_series, bn.numbers, bn.power_sum):
+            f.cache_clear()
+        computed, kept = {}, []
+
+        def counting(anums, adens, bnums, bdens, n, red):
+            key = (id(anums), id(bnums), n)
+            computed[key] = computed.get(key, 0) + 1
+            kept.append((anums, bnums))
+            return cauchy(anums, adens, bnums, bdens, n, red)
+
+        monkeypatch.setattr(_kernel, "cauchy_coeff", counting)
+        monkeypatch.setattr(idn, "_BLOCK", None)
+        built.clear()
+        records, summary = idn.sweep(grids)
+        monkeypatch.setattr(_kernel, "cauchy_coeff", cauchy)
+        assert summary["holds"] == summary["total"] == len(records)
+        assert set(computed.values()) == {1}
+        return len(kept)
+
+    monkeypatch.setattr(idn, "_Block", Counted)
+    once = cauchy_calls(grids[:-1])
+    assert once > 500
+    assert cauchy_calls(grids) == once
+    sources = [idn._source(desc["chi"], desc["xi"]) for grid in grids for desc in idn.expand_grid(grid)]
+    assert sorted(built) == sorted(set(sources)) and len(built) >= 6
+
+
+@pytest.mark.parametrize("perturb", (False, True), ids=("as_is", "perturbed_h"))
+def test_side_builders_run_for_failing_readings_only(perturb, monkeypatch):
+    # verdicts come from the blocks' tables, a scalar side n! h_n decided by
+    # index n alone and the other sides by h_0..h_n: a reading that fails
+    # builds its two sides once, and one that holds builds none, so a sweep
+    # where everything holds (the second readings aside) builds no side
+    if perturb:
+        perturb_h(monkeypatch)
+    calls = count_side_builds(monkeypatch)
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    records, summary = idn.sweep(shared_block_grids())
+    failing = failing_readings(records)
+    assert calls == {tag: 2 * count for tag, count in failing.items()}
+    assert set(failing) == set(SWAP_TAGS)
+    if perturb:
+        assert all(failing.values())
+    else:
+        assert summary["holds"] == summary["total"]
+        assert {tag for tag, count in failing.items() if count} == {"theorem1", "remark_2_11"}
+        # without their second readings, nothing is built
+        calls = count_side_builds(monkeypatch)
+        grids = [dict(g, identity=[t for t in g["identity"] if t not in ("theorem1", "remark_2_11")])
+                 for g in shared_block_grids() if isinstance(g["identity"], list)]
+        idn.sweep(grids)
+        assert sum(calls.values()) == 0
+
+
+def test_held_reports_build_their_sides_from_their_own_block(monkeypatch):
+    # a report that held builds lhs and rhs when they are read, equal to the
+    # side builders' sides, from its own block even after the sweep's block
+    # has moved on, and without replacing that block
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    cases = [
+        (idn.check_theorem1, idn._theorem1_side, (3, 2, LEG3, RootOfUnity(9, 1)), (1, 2), {}),
+        (idn.check_remark_2_11, idn._remark_2_11_side, (3, P1, RootOfUnity(3, 1)), (2, 1), {"with_weights": True}),
+        (idn.check_corollary4, idn._corollary4_side, (4, 2, CHI4, RootOfUnity(4, 1)), (2, 3), {}),
+    ]
+    reports = [check(*head, *ws) for check, _, head, ws, _ in cases]
+    assert all(isinstance(rep, idn._HeldReport) and callable(vars(rep)["_sides"]) for rep in reports)
+    last = idn._BLOCK
+    got = [(rep.lhs, rep.rhs) for rep in reports]
+    assert idn._BLOCK is last
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    for (_, side, head, (w1, w2), kw), sides in zip(cases, got):
+        assert sides == (side(*head, w1, w2, **kw), side(*head, w2, w1, **kw))
+    theorem1, remark, _ = reports
+    assert theorem1.readings == {"symmetric": True, "expansion_literal": False}
+    assert remark.readings == {"weighted": True, "as_printed": False} and remark.holds
