@@ -24,16 +24,18 @@ ask for an index above ``MAX_SERIES_INDEX``.
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
 exponential sum sum_{a<d} chi(a) xi^a e^(a t) is read off them.  They are
 accumulated in integers: each weight chi(a) xi^a is the element product of
-two roots of unity, so its coordinates are integers, and a sum is one
-integer coordinate vector reduced once by the kernel.
+two roots of unity, so its coordinates are integers, and it depends on a
+only modulo lcm(d, order of xi).  The powers a^i are summed per residue,
+each residue's sum weights its integer coordinate vector, and the vector
+is reduced once by the kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from . import _kernel as K
 from . import powerseries as ps
@@ -55,7 +57,10 @@ MAX_SERIES_INDEX = 64
 MAX_ORDER = 16
 
 #: The largest top index n of a power sum T_k(n) a config may ask for:
-#: power-sum ``n``.  T_k(n) sums n + 1 terms and keeps one weight per term.
+#: power-sum ``n``, and the top w d - 1 or s d - 1 that a verify grid's
+#: ``w1``, ``w2``, ``shift`` and power_sum_series_check ``n``, or a volkenborn
+#: ``shift``, imply for the modulus d.  T_k(n) sums n + 1 integer powers; it
+#: keeps one weight per residue modulo lcm(d, order of xi), whatever n.
 MAX_POWER_SUM_N = 10**5
 
 
@@ -78,6 +83,20 @@ def family_order(k: int, key: str) -> int:
 def power_sum_top(n: int, key: str) -> int:
     """n, once it is at most MAX_POWER_SUM_N; ConfigError naming key if not."""
     return _at_most(n, MAX_POWER_SUM_N, key, "power-sum top index")
+
+
+def power_sum_multiple(s: int, d: int, key: str) -> int:
+    """s, once the power-sum top index s d - 1 it sets is at most MAX_POWER_SUM_N.
+
+    A weight w sums S over w d terms, and a shift or power-sum-check n over
+    n d terms; ConfigError naming key if the top is too large.
+    """
+    if s * d - 1 > MAX_POWER_SUM_N:
+        raise ConfigError(
+            f"key '{key}' is {s}, but {key} * d - 1 = {s * d - 1} for d = {d} is above "
+            f"the largest power-sum top index {MAX_POWER_SUM_N}"
+        )
+    return s
 
 
 class TwistSpec:
@@ -142,8 +161,7 @@ def twist_spec(chi: DirichletCharacter, xi: RootOfUnity, conductor: int | None =
     return TwistSpec(chi, xi, cyclo_field(m))
 
 
-@dataclass(frozen=True)
-class BernoulliFamily:
+class BernoulliFamily(NamedTuple):
     """The numbers of one (chi, xi, order k) family up to index max_n."""
 
     spec: TwistSpec
@@ -152,8 +170,7 @@ class BernoulliFamily:
     numbers: tuple[CycloElem, ...]
 
 
-@dataclass(frozen=True)
-class BernoulliPolynomial:
+class BernoulliPolynomial(NamedTuple):
     """Degree-n polynomial in x; coeffs[i] is the coefficient of x^i."""
 
     degree: int
@@ -165,20 +182,22 @@ class BernoulliPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _twist_weights(spec: TwistSpec, terms: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(a, coordinates of chi(a) xi^a) for each a < terms with chi(a) != 0.
+def _twist_weights(spec: TwistSpec) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(period, ((r, coordinates of chi(r) xi^r) for r < period with chi(r) != 0)).
 
-    The weight is the element product of two roots of unity, so its
-    coordinates are integers over the denominator 1; it depends on a only
-    modulo lcm(d, order of xi), so at most that many products are formed.
+    The weight chi(a) xi^a depends on a only modulo the period
+    lcm(d, order of xi), so one weight per residue serves every power sum of
+    the spec.  It is the element product of two roots of unity, so its
+    coordinates are integers over the denominator 1.
     """
     field = spec.ambient
     period = lcm(spec.chi.modulus, spec.xi.order)
-    base = []
-    for r in range(min(terms, period)):
+    weights = []
+    for r in range(period):
         c = spec.chi.value_at(r, field)
-        base.append(None if c.is_zero() else (c * as_cyclo(spec.xi**r, field.conductor)).nums)
-    return tuple((a, base[a % period]) for a in range(terms) if base[a % period] is not None)
+        if not c.is_zero():
+            weights.append((r, (c * as_cyclo(spec.xi**r, field.conductor)).nums))
+    return period, tuple(weights)
 
 
 @lru_cache(maxsize=None)
@@ -290,20 +309,22 @@ def evaluate(poly: BernoulliPolynomial, arg) -> CycloElem:
 def power_sum(spec: TwistSpec, k: int, n: int) -> CycloElem:
     """T_k(n) = sum_{l=0..n} chi(l) xi^l l^k, with 0^0 = 1.
 
-    The terms are summed as one integer coordinate vector and reduced once.
+    The powers l^k are summed in integers per residue r modulo the period
+    of the weights, and the per-residue sums weight one integer coordinate
+    vector each, reduced once; memory is O(period), whatever n.
     """
     if k < 0 or n < 0:
         raise ValueError("k and n must be >= 0")
+    period, weights = _twist_weights(spec)
     acc = [0] * spec.ambient.degree
-    for a, w in _twist_weights(spec, n + 1):
-        ak = a**k  # Python's 0**0 is 1
-        if ak:
-            acc = [x + v * ak for x, v in zip(acc, w)]
+    for r, w in weights:
+        total = sum(a**k for a in range(r, n + 1, period))  # Python's 0**0 is 1
+        if total:
+            acc = [x + v * total for x, v in zip(acc, w)]
     return CycloElem._raw(spec.ambient, *K.normalize(acc, 1))
 
 
-@dataclass(frozen=True)
-class PowerSumSeriesReport:
+class PowerSumSeriesReport(NamedTuple):
     """Outcome of the power-sum generating-series comparison."""
 
     holds: bool

@@ -261,6 +261,23 @@ def root_from_json(obj, key: str = "xi") -> RootOfUnity:
     return RootOfUnity(order, _json_int(obj["exponent"], "exponent"))
 
 
+#: Largest modulus d a config may give: a character's ``modulus``, the
+#: ``modulus`` of a compute or volkenborn config and a verify grid's ``d``.
+#: A character mod d takes values of order dividing phi(d) < d, so up to
+#: this limit every value stays within MAX_ROOT_ORDER.  Parsing a table costs
+#: d^2 products and the twisted sums run over lcm(d, order of xi) residues;
+#: d = 10**30 could build no table at all.
+MAX_MODULUS = MAX_ROOT_ORDER + 1
+
+
+def modulus_from_json(val, key: str = "modulus") -> int:
+    """A modulus d under key: a JSON integer with 1 <= d <= MAX_MODULUS."""
+    d = _json_int(val, key, 1)
+    if d > MAX_MODULUS:
+        raise ConfigError(f"key '{key}' is {d}, more than the limit {MAX_MODULUS}")
+    return d
+
+
 def root_to_json(r: RootOfUnity) -> dict:
     return {"order": r.order, "exponent": r.exponent}
 
@@ -280,7 +297,7 @@ def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
     d = spec.get("modulus", modulus)
     if d is None:
         raise ConfigError("missing required key 'modulus' in 'character'")
-    d = _json_int(d, "modulus", 1)
+    d = modulus_from_json(d)
     kind = spec.get("kind")
     if kind == "principal":
         return principal(d)

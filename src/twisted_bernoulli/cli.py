@@ -28,20 +28,19 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import bernoulli as bn
 from . import identities as idn
 from . import volkenborn as vk
-from .characters import _json_int, character_from_json, root_from_json
+from .characters import _json_int, character_from_json, modulus_from_json, root_from_json
 from .errors import ConfigError, TwistedBernoulliError
 from .exact import INFINITY, _is_p_power, cyclo_to_json, frac_to_str, is_prime
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One CLI invocation: command, parameter block, output destination."""
 
     command: str
@@ -141,8 +140,8 @@ def _cmd_volkenborn(params: dict):
     # shift is required by shift checks and unknown to convergence checks
     shift = {"shift"} if kind == "shift" else set()
     _require_keys(params, {"p", "check", "modulus", "character", "xi", "moments", *shift}, {"level_max"})
+    d = modulus_from_json(params["modulus"])
     p = _int_param(params, "p", 2)
-    d = _int_param(params, "modulus", 1)
     # every trace sums level 2 (level_max >= 2); bound p before the
     # trial-division primality test, whose cost grows with sqrt(p)
     if d * p * p > vk.MAX_LEVEL_TERMS:
@@ -194,7 +193,7 @@ def _cmd_volkenborn(params: dict):
                 }
             )
     else:
-        n_shift = _int_param(params, "shift", 1)
+        n_shift = bn.power_sum_multiple(_int_param(params, "shift", 1), chi.modulus, "shift")
         for k in sorted(moments):
             spec = vk.integrand_spec(chi, xi, k)
             rows = []

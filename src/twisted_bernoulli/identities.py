@@ -56,12 +56,16 @@ everything besides (chi, xi, conductor) that the value depends on:
 * ("S", wa, wb, with_weights): S / wa, shared by every m;
 * ("F", tw, k, w): F^(k)_tw(w t); the lead is (wa, m, wa) and the last
   factor (last twist, m - 1, wb);
+* every twist weight (w of "spec", tw of "F", the last twist of "H") is
+  named modulo the order of xi, so two keys never name one series;
 * ("LS", m, wa, wb, with_weights): lead S / wa, shared by both readings of
   theorem1, which differ only in the last factor;
 * ("H", m, wa, wb, last twist, with_weights): H itself, one series product
   over the shared values when m > 1;
 * ("agree", key, key'): for two H keys (the five components above) in
-  sorted order, whether the two series agree, index by index.
+  sorted order, whether the two series agree, index by index;
+* ("tables", tag, m, w1, w2): the "agree" tables of the readings of one
+  swap instance, shared by its every n.
 
 Every series grows coefficient by coefficient (``powerseries.Series``): a
 request for h_0..h_n computes only the coefficients of H and of its factors
@@ -78,7 +82,10 @@ orders (w1, w2) and (w2, w1), every n and every identity reading that pair.
 When w1 = w2 both sides read one H, so the verdict holds by construction
 and that H is not built unless a side is read.
 Sides are built only for a reading that fails, for its first mismatch and
-printed sides, or when a report's sides are read.
+printed sides, or when a report's sides are read.  A sweep parses each
+block once and makes the record of a swap instance whose readings all hold
+straight from these tables (``_held_record``); every other instance goes
+through its checker and ``report_to_record``.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -99,7 +106,6 @@ largest index where the slices differ (``BivariatePoly.first_mismatch``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -114,6 +120,7 @@ from .characters import (
     character_from_json,
     character_to_json,
     enumerate_cyclic,
+    modulus_from_json,
     root_from_json,
     root_to_json,
 )
@@ -301,13 +308,14 @@ class _Block:
     checker was called with the objects themselves.
     """
 
-    __slots__ = ("chi", "xi", "chi_json", "xi_json", "cond", "source", "values")
+    __slots__ = ("chi", "xi", "chi_json", "xi_json", "order", "cond", "source", "values")
 
     def __init__(self, chi: DirichletCharacter, xi: RootOfUnity, source=None):
         self.chi = chi
         self.xi = xi
         self.chi_json = character_to_json(chi)
         self.xi_json = root_to_json(xi)
+        self.order = xi.normalized().order  # xi^w depends on w modulo this only
         self.cond = bn.ambient_conductor(chi, xi.normalized())
         self.source = source
         self.values = {}
@@ -322,6 +330,7 @@ class _Block:
 
     def spec(self, w: int) -> bn.TwistSpec:
         """chi with the twist xi^w, in the block's ambient field."""
+        w %= self.order
         return self.get(("spec", w), lambda: bn.twist_spec(self.chi, self.xi**w, conductor=self.cond))
 
 
@@ -351,15 +360,17 @@ def _source(chi_json, xi_json) -> str:
     return repr((chi_json, xi_json))
 
 
-def _parse(chi_json, xi_json) -> _Block:
+def _parse(chi_json, xi_json, source=None) -> _Block:
     """The block of a descriptor's chi and xi, parsed again only when their JSON changes.
 
     The JSON is compared by its ``repr`` text, so types count: True is not 1,
-    1.0 is not 1.  That costs half a ``json.dumps``.  The objects' identity
-    alone would not do: a dict edited in place is the same object.
+    1.0 is not 1.  That costs half a ``json.dumps``, saved when the caller
+    passes the text as ``source``.  The objects' identity alone would not do:
+    a dict edited in place is the same object.
     """
     global _BLOCK
-    source = _source(chi_json, xi_json)
+    if source is None:
+        source = _source(chi_json, xi_json)
     last = _BLOCK
     if last is None or last.source != source:
         last = _BLOCK = _Block(character_from_json(chi_json), root_from_json(xi_json), source)
@@ -370,7 +381,11 @@ def _parse(chi_json, xi_json) -> _Block:
 # the series H of one (wa, wb, m, reading), and its projections
 
 def _scaled_numbers(block, tw, k, w) -> ps.Series:
-    """F^(k)(w t), F^(k) the order-k series of the twist xi^tw: [t^r] times w^r."""
+    """F^(k)(w t), F^(k) the order-k series of the twist xi^tw: [t^r] times w^r.
+
+    The twist is named by tw modulo the order of xi, as in ``_h_key``.
+    """
+    tw %= block.order
 
     def build():
         fam = bn.family_series(block.spec(tw), k)
@@ -427,18 +442,20 @@ def _xy_poly(coeffs, n, c, with_y=True) -> BivariatePoly:
     return BivariatePoly.from_series(coeffs[0].field, coeffs[: n + 1], c, with_y)
 
 
-def _h_key(m, wa, wb, last_twist_wa=False, with_weights=True) -> tuple:
+def _h_key(block, m, wa, wb, last_twist_wa=False, with_weights=True) -> tuple:
     """The arguments (m, wa, wb, last twist, with_weights) of the H a side reads.
 
     A reading's side keywords choose the last twist (xi^wa instead of xi^wb)
-    and whether S keeps its weights; F^(0) = 1 carries no twist.
+    and whether S keeps its weights; F^(0) = 1 carries no twist.  The last
+    twist is named by its weight modulo the order of xi, so two keys never
+    name one series.
     """
-    return m, wa, wb, wa if last_twist_wa and m > 1 else wb, with_weights
+    return m, wa, wb, (wa if last_twist_wa and m > 1 else wb) % block.order, with_weights
 
 
 def _side(tag, block, n, m, wa, wb, **reading):
     """The (wa, wb) side of a swap identity: the projection of H that ``tag`` reads."""
-    h = _series_h(block, n, *_h_key(m, wa, wb, **reading))
+    h = _series_h(block, n, *_h_key(block, m, wa, wb, **reading))
     reads = _IDENTITIES[tag].reads
     if reads == "h_n":
         return h[n] * factorial(n)
@@ -489,6 +506,23 @@ def _agreement(block, left, right) -> _Agreement:
     """The block's table for the unordered pair of H keys (left, right)."""
     pair = (left, right) if left <= right else (right, left)
     return block.get(("agree",) + pair, lambda: _Agreement(*pair))
+
+
+def _verdicts(block, tag, n, m, w1, w2) -> list:
+    """Whether each reading of a swap instance holds, read off its block's tables.
+
+    A reading compares the side of (w1, w2) with that of (w2, w1), so the
+    H series of its two keys, at every index <= n, or at n alone for a
+    scalar side n! h_n.  The block keeps the tables of an instance's
+    readings together, for every n of the instance.
+    """
+    entry = _IDENTITIES[tag]
+    tables = block.get(("tables", tag, m, w1, w2), lambda: tuple(
+        _agreement(block, _h_key(block, m, w1, w2, **left), _h_key(block, m, w2, w1, **right))
+        for _, left, right in entry.readings
+    ))
+    whole = entry.reads != "h_n"
+    return [table.holds(block, n, whole) for table in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -595,30 +629,41 @@ IDENTITY_TAGS = tuple(_IDENTITIES)
 # ---------------------------------------------------------------------------
 # reports and checkers
 
-@dataclass
 class IdentityReport:
     """Outcome of one identity instance.
 
     ``holds`` is the verdict of the primary reading; when a checker evaluates
-    several readings their individual verdicts are in ``readings``.
+    several readings their individual verdicts are in ``readings``.  Two
+    reports are equal when they are of one class and every field is equal.
     """
 
-    identity: str
-    params: dict
-    holds: bool
-    lhs: object
-    rhs: object
-    first_mismatch: object = None
-    readings: dict | None = None
-    error: str | None = None
+    _FIELDS = ("identity", "params", "holds", "lhs", "rhs", "first_mismatch", "readings", "error")
+
+    def __init__(self, identity, params, holds, lhs, rhs, first_mismatch=None, readings=None, error=None):
+        self.identity, self.params, self.holds = identity, params, holds
+        self.lhs, self.rhs, self.first_mismatch = lhs, rhs, first_mismatch
+        self.readings, self.error = readings, error
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-def _params(block, **args) -> dict:
-    """Report parameters: n and m, then d, chi and xi, then the other args in order."""
-    params = {key: args.pop(key) for key in ("n", "m") if key in args}
-    params.update(d=block.chi.modulus, chi=block.chi_json, xi=block.xi_json)
-    params.update(args)
-    return params
+def _params(block, n, m=None, **args) -> dict:
+    """Report parameters: n and m (when given), then d, chi and xi, then the other args in order."""
+    if m is None:
+        return {"n": n, "d": block.chi.modulus, "chi": block.chi_json, "xi": block.xi_json, **args}
+    return {"n": n, "m": m, "d": block.chi.modulus, "chi": block.chi_json, "xi": block.xi_json, **args}
 
 
 def _compare(identity, params, lhs, rhs) -> IdentityReport:
@@ -689,10 +734,9 @@ def _check_swap(tag, chi, xi, **args) -> IdentityReport:
     n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]
     block = _block(chi, xi)
     params = _params(block, **args)
-    whole = entry.reads != "h_n"
     reps = []
-    for _, left, right in entry.readings:
-        if _agreement(block, _h_key(m, w1, w2, **left), _h_key(m, w2, w1, **right)).holds(block, n, whole):
+    for (_, left, right), held in zip(entry.readings, _verdicts(block, tag, n, m, w1, w2)):
+        if held:
             reps.append(_HeldReport(tag, params, lambda left=left, right=right: (
                 _side(tag, block, n, m, w1, w2, **left), _side(tag, block, n, m, w2, w1, **right)
             )))
@@ -839,6 +883,9 @@ _GRID_KEYS = {"identity", "d", "character", "xi", "n_max", *_LISTED_MINIMA}
 #: Listed grid keys that set a series length (bounded by bn.MAX_SERIES_INDEX, as n_max is).
 _SERIES_KEYS = ("k", "series_order")
 
+#: Listed grid keys s that set a power sum over s d terms (bounded by bn.MAX_POWER_SUM_N).
+_POWER_SUM_KEYS = ("w1", "w2", "shift", "n")
+
 
 def _grid_list(grid, key, kind, what) -> list:
     """grid[key] as a non-empty list of kind; a lone value of kind is a list of one."""
@@ -903,6 +950,7 @@ def expand_grid(grid: dict):
     if n_max is not None:
         bn.series_index(_json_int(n_max, "n_max", 0), "n_max")
     ds = _as_int_list(grid, "d", 1)
+    modulus_from_json(ds[-1], "d")
     listed = {key: _as_int_list(grid, key, low) for key, low in _LISTED_MINIMA.items() if key in grid}
     for key in _SERIES_KEYS:
         if key in listed:
@@ -910,6 +958,10 @@ def expand_grid(grid: dict):
     if "m" in listed:
         bn.family_order(listed["m"][-1], "m")
     chars = [character_to_json(chi) for d in ds for chi in _resolve_characters(grid, d)]
+    d_max = max(chi["modulus"] for chi in chars)  # a character spec may give its own modulus
+    for key in _POWER_SUM_KEYS:
+        if key in listed:
+            bn.power_sum_multiple(listed[key][-1], d_max, key)
     roots = [root_from_json(v) for v in _grid_list(grid, "xi", dict, "an object")]
     roots = [root_to_json(r) for r in sorted(roots, key=lambda r: (r.order, r.exponent))]
     for tag in tags:
@@ -934,9 +986,10 @@ def run_instance(desc: dict) -> IdentityReport:
 
 
 def _record_for_instance(payload) -> dict:
+    """The record of one payload (descriptor, include_sides), through its report."""
     desc, include_sides = payload
-    try:
-        rep = run_instance(desc)
+    try:  # a held report builds its sides here, when they are printed
+        return report_to_record(run_instance(desc), include_sides)
     except TwistedBernoulliError as exc:  # a package error fails this instance only
         _, block, args = _instance(desc)
         rep = IdentityReport(
@@ -946,28 +999,82 @@ def _record_for_instance(payload) -> dict:
     return report_to_record(rep, include_sides)
 
 
-def _records_for_chunk(chunk) -> list:
-    return [_record_for_instance(payload) for payload in chunk]
+def _held_record(block, desc):
+    """The record of a swap instance of block whose readings all hold, or None.
 
-
-def _chunks(payloads, size: int) -> list:
-    """payloads cut into runs of at least ``size`` (the last may be shorter),
-    each ending only where the (chi, xi) JSON changes, so no block is split.
-
-    The JSON is compared as ``_parse`` compares it; payloads that hold the
-    very same chi and xi objects as the one before need no ``repr``.
+    It is the record ``report_to_record`` makes of the instance's report
+    without sides, built from the block's verdict tables alone: None when a
+    reading fails or a package error is raised, whose records need the report.
     """
-    chunks, chunk = [], []
-    chi = xi = source = None
+    tag = desc["identity"]
+    try:
+        if not all(_verdicts(block, tag, desc["n"], desc.get("m", 1), desc["w1"], desc["w2"])):
+            return None
+    except TwistedBernoulliError:
+        return None
+    entry = _IDENTITIES[tag]
+    record = {"identity": tag, "params": _params(block, **{key.name: desc[key.name] for key in entry.keys}),
+              "holds": True}
+    if len(entry.readings) > 1:
+        record["readings"] = {name: True for name, _, _ in entry.readings}
+    return record
+
+
+def _records_for_chunk(chunk) -> list:
+    """The records of payloads made from ``expand_grid`` descriptors, in order.
+
+    Each run of one block is parsed once.  A swap instance whose readings
+    all hold is recorded from the block's verdict tables; any other instance
+    (a failing reading, sides asked for, a package error, or a tag that is
+    not a swap) goes through ``run_instance`` and ``report_to_record``.
+    Descriptors from ``expand_grid`` meet every minimum, so the block path
+    checks none.
+    """
+    records = []
+    for source, run in _runs(chunk):
+        desc = run[0][0]
+        block = _parse(desc["chi"], desc["xi"], source)
+        for payload in run:
+            desc, include_sides = payload
+            record = None
+            if not include_sides and _IDENTITIES[desc["identity"]].reads is not None:
+                record = _held_record(block, desc)
+            records.append(_record_for_instance(payload) if record is None else record)
+    return records
+
+
+def _runs(payloads):
+    """Yield (source, run) for each run of consecutive payloads of one block.
+
+    The block of a payload is the ``_source`` text of its (chi, xi) JSON, as
+    ``_parse`` sees it; payloads that hold the very same chi and xi objects
+    as the one before need no ``repr``.
+    """
+    run, source = [], None
+    chi = xi = None
     for payload in payloads:
         desc = payload[0]
         if desc["chi"] is not chi or desc["xi"] is not xi:
             chi, xi = desc["chi"], desc["xi"]
-            last, source = source, _source(chi, xi)
-            if len(chunk) >= size and source != last:
-                chunks.append(chunk)
-                chunk = []
-        chunk.append(payload)
+            text = _source(chi, xi)
+            if text != source and run:
+                yield source, run
+                run = []
+            source = text
+        run.append(payload)
+    if run:
+        yield source, run
+
+
+def _chunks(payloads, size: int) -> list:
+    """payloads cut into runs of at least ``size`` (the last may be shorter),
+    each ending only where the (chi, xi) JSON changes, so no block is split."""
+    chunks, chunk = [], []
+    for _, run in _runs(payloads):
+        if len(chunk) >= size:
+            chunks.append(chunk)
+            chunk = []
+        chunk += run
     if chunk:
         chunks.append(chunk)
     return chunks
@@ -1016,7 +1123,7 @@ def sweep(grids, include_sides: bool = False, jobs: int = 1):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = [rec for recs in pool.map(_records_for_chunk, chunks) for rec in recs]
     else:
-        results = [_record_for_instance(p) for p in grouped]
+        results = _records_for_chunk(grouped)
     records = [None] * len(results)
     for i, rec in zip(order, results):
         records[i] = rec

@@ -18,9 +18,9 @@ valuation is single-valued: the character must take rational values
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from . import bernoulli as bn
 from .characters import DirichletCharacter
@@ -52,8 +52,7 @@ def max_level(d: int, p: int) -> int:
     return level
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(NamedTuple):
     """chi(x) xi^x x^moment summed over residues mod d p^N."""
 
     chi: DirichletCharacter
@@ -127,8 +126,7 @@ def riemann_sum(spec: IntegrandSpec, p: int, level: int) -> CycloElem:
     return _level_sum(spec, p, level, 0)
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(NamedTuple):
     """Valuations of S_N minus the target number, for N = 1..N_max."""
 
     levels: tuple[int, ...]
@@ -180,8 +178,7 @@ def convergence_check(spec: IntegrandSpec, p: int, level_max: int) -> Convergenc
     return ConvergenceTrace(levels=levels, valuations=tuple(vals))
 
 
-@dataclass(frozen=True)
-class ShiftDiscrepancy:
+class ShiftDiscrepancy(NamedTuple):
     """Level-N residual of the finite shift identity and its valuation."""
 
     level: int

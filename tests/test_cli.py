@@ -15,6 +15,7 @@ import pytest
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import cli
 from twisted_bernoulli import identities as idn
+from twisted_bernoulli.characters import MAX_MODULUS
 from twisted_bernoulli.errors import NotMultiplicative
 from twisted_bernoulli.exact import cyclo_from_json, frac_from_str
 
@@ -255,6 +256,17 @@ def test_config_error_names_key(tmp_path):
         ("compute-polynomial", dict(POLY_PARAMS, k=17), "k"),
         ("verify", dict(grid, identity="theorem1", m=[1, 17]), "m"),
         ("power-sum", dict(POLY_PARAMS, n=10**5 + 1), "n"),
+        # a modulus above characters.MAX_MODULUS = 257, and power sums over
+        # w d or s d terms with a top index w d - 1 above MAX_POWER_SUM_N
+        ("compute-numbers", dict(NUMS_PARAMS, modulus=258), "modulus"),
+        ("verify", dict(grid, d=[1, 258]), "d"),
+        ("verify", dict(grid, character={"modulus": 258, "kind": "principal"}), "modulus"),
+        ("volkenborn", dict(volk, modulus=258, moments=[1]), "modulus"),
+        ("verify", dict(grid, identity="theorem1", d=[4], w1=[25001]), "w1"),
+        ("verify", dict(grid, identity="theorem1", d=[2], w2=[1, 50001]), "w2"),
+        ("verify", dict(grid, identity="eq_1_13", k=[1], d=[4], shift=[25001]), "shift"),
+        ("verify", dict(grid, identity="power_sum_series_check", n=[100002]), "n"),
+        ("volkenborn", dict(volk, check="shift", shift=100002, moments=[1]), "shift"),
         # a table of the wrong length, or one that is not a character
         ("compute-polynomial", dict(POLY_PARAMS, modulus=2), "values"),
         ("compute-polynomial", dict(POLY_PARAMS, character={"kind": "table", "values": []}), "values"),
@@ -285,8 +297,18 @@ def test_series_index_limit_runs():
         ("compute-numbers", dict(NUMS_PARAMS, k=bn.MAX_ORDER, n_max=8)),
         ("compute-polynomial", dict(POLY_PARAMS, k=bn.MAX_ORDER)),
         ("power-sum", dict(POLY_PARAMS, k=bn.MAX_SERIES_INDEX, n=bn.MAX_POWER_SUM_N)),
+        ("compute-numbers", dict(NUMS_PARAMS, modulus=MAX_MODULUS, character={"kind": "principal"}, n_max=2)),
     ):
         assert cli.run(cli.RunConfig(command=command, params=params))[0] == 0
+    # a weight, shift or power-sum-check n whose w d - 1 is the largest top index
+    grid = {"d": [1], "character": {"kind": "principal"}, "xi": {"order": 1, "exponent": 0}}
+    top = bn.MAX_POWER_SUM_N + 1
+    for params in (
+        dict(grid, identity="theorem1", w1=[top], n_max=1),
+        dict(grid, identity="eq_1_13", k=[1], shift=[top]),
+        dict(grid, identity="power_sum_series_check", n=[top], series_order=2),
+    ):
+        assert cli.run(cli.RunConfig(command="verify", params=params))[0] == 0, params
 
 
 def test_unreadable_config(tmp_path):
@@ -543,16 +565,18 @@ EXAMPLE_COMMANDS = {
     "volkenborn_shift": "volkenborn",
 }
 REPLACEMENTS = (True, False, "x", 1.5, None, [], {}, -1, 0, 2)
-# past characters.MAX_ROOT_ORDER and bernoulli.MAX_SERIES_INDEX, one of them past 64 bits
+# past every limit (characters.MAX_ROOT_ORDER and MAX_MODULUS, bernoulli.MAX_SERIES_INDEX,
+# MAX_ORDER and MAX_POWER_SUM_N), one of them past 64 bits
 HUGE = (10**30, 2**63)
-# per example, the keys a limit bounds: root orders, and the keys that set a series length
+# per example, the keys a limit bounds: root orders, moduli, and the keys that set a
+# series length, an order or a power-sum length
 BOUNDED_KEYS = {
-    "compute_numbers": {"order", "n_max", "k"},
-    "compute_polynomial": {"order", "n", "k"},
-    "power_sum": {"order", "n", "k"},
-    "verify_small": {"order", "n_max", "k", "series_order", "m"},
-    "volkenborn_convergence": {"order", "moments"},
-    "volkenborn_shift": {"order", "moments"},
+    "compute_numbers": {"order", "modulus", "n_max", "k"},
+    "compute_polynomial": {"order", "modulus", "n", "k"},
+    "power_sum": {"order", "modulus", "n", "k"},
+    "verify_small": {"order", "d", "n_max", "k", "series_order", "m", "w1", "w2", "shift"},
+    "volkenborn_convergence": {"order", "modulus", "moments"},
+    "volkenborn_shift": {"order", "modulus", "moments", "shift"},
 }
 # wall seconds any one mutated config may run; a huge value must be refused, not run
 CASE_BUDGET_S = 10
@@ -650,5 +674,8 @@ def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
     # 17 nodes set a series length: n_max twice, n, k and its 4 values, and
     # moments with its 5 and 2 values; 7 more set an order or a power-sum
     # length: k of compute_numbers and compute_polynomial, n and k of
-    # power_sum, and m with its 2 values
-    assert cases == 1355 + 2 * (17 + 7)
+    # power_sum, and m with its 2 values; 21 more set a modulus or the
+    # length of a power sum over w d or s d terms: modulus in the five
+    # other examples, d of both grids with its value, w1 and w2 with their
+    # 2 values, shift with its 4 values, and the volkenborn shift
+    assert cases == 1355 + 2 * (17 + 7 + 21)

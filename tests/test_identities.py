@@ -924,10 +924,10 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     # blocks repeat across grids and tags, interleaved with others: each block
     # is built once a sweep, no (series, index) pair reaches the kernel's
     # Cauchy sum twice (named as in the grown-block test above), and a grid
-    # swept again in the same sweep adds no Cauchy sum at all.  Weights 1 and
-    # 2 give distinct twists xi^w for both orders, so no two H keys of a block
-    # name one series.
-    grids = shared_block_grids(weights=(1, 2))
+    # swept again in the same sweep adds no Cauchy sum at all.  Weights 1..3
+    # give the twist xi^3 = xi for xi of order 2: an H key names its last
+    # twist by the weight modulo that order, so no two keys name one series.
+    grids = shared_block_grids()
     assert grids[-1] is grids[0]
     cauchy = _kernel.cauchy_coeff
     built = []
@@ -938,7 +938,10 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
             built.append(self.source)
 
     def cauchy_calls(grids):
-        for f in (bn.family_series, bn._kernel_series, bn.numbers, bn.power_sum):
+        # every growing series bernoulli keeps, so that both sweeps start cold
+        # whichever tests ran before
+        for f in (bn.family_series, bn._kernel_series, bn.numbers, bn.power_sum,
+                  bn._twisted_exp_sum, bn._inverse_denominator):
             f.cache_clear()
         computed, kept = {}, []
 
@@ -1013,3 +1016,51 @@ def test_held_reports_build_their_sides_from_their_own_block(monkeypatch):
     theorem1, remark, _ = reports
     assert theorem1.readings == {"symmetric": True, "expansion_literal": False}
     assert remark.readings == {"weighted": True, "as_printed": False} and remark.holds
+
+
+@pytest.mark.parametrize("include_sides", (False, True), ids=("verdicts", "sides"))
+def test_block_records_equal_the_report_records(include_sides, monkeypatch):
+    # a sweep records a swap instance whose readings all hold straight from
+    # its block's verdict tables and any other instance through its report;
+    # either way the record must be the one the report path gives that
+    # instance alone, at any --jobs: with failing second readings, w1 = w2,
+    # every swap tag, m <= 3, the other tags, and a package error raised in
+    # one block (for weight 3, so that block has records of every kind)
+    series_h = idn._series_h
+
+    def failing(block, n, m, wa, wb, *rest):
+        if block.chi.modulus == 3 and block.order == 3 and 3 in (wa, wb):
+            raise NotMultiplicative("injected")
+        return series_h(block, n, m, wa, wb, *rest)
+
+    monkeypatch.setattr(idn, "_series_h", failing)
+    xi2, xi3 = {"order": 2, "exponent": 1}, {"order": 3, "exponent": 1}
+    grids = [
+        {"identity": list(SWAP_TAGS), "d": [1, 3], "character": "all", "xi": [xi2, xi3],
+         "w1": [1, 2, 3], "w2": [1, 2, 3], "m": [1, 2, 3], "n_max": 2},
+        {"identity": ["eq_1_13", "power_sum_series_check"], "d": [3], "character": "all", "xi": xi3,
+         "k": [1, 2], "n": [1, 2], "series_order": 3},
+    ]
+    descs = [desc for grid in grids for desc in idn.expand_grid(grid)]
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    expected = [idn._record_for_instance((desc, include_sides)) for desc in descs]
+    kinds = {("error" in r, r["holds"], all(r.get("readings", {}).values())) for r in expected}
+    assert kinds == {(True, False, True), (False, True, True), (False, True, False)}
+    # the records that need a report: sides, an error, a failing reading, another tag
+    reported = [r for r in expected if include_sides or "error" in r or r["identity"] not in SWAP_TAGS
+                or not (r["holds"] and all(r.get("readings", {}).values()))]
+    run_instance, calls = idn.run_instance, []
+
+    def counting(desc):
+        calls.append(desc)
+        return run_instance(desc)
+
+    monkeypatch.setattr(idn, "run_instance", counting)
+    for jobs in (1, 2):
+        monkeypatch.setattr(idn, "_BLOCK", None)
+        calls.clear()
+        records, summary = idn.sweep(grids, include_sides=include_sides, jobs=jobs)
+        assert records == expected, jobs
+        assert summary["errors"] == sum(1 for r in expected if "error" in r) > 0
+        if jobs == 1:  # only instances whose record needs more than verdicts ask for a report
+            assert len(calls) == len(reported) < len(descs) or include_sides
