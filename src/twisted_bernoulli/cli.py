@@ -40,6 +40,14 @@ from .errors import ConfigError, TwistedBernoulliError
 from .exact import INFINITY, _is_p_power, cyclo_to_json, frac_to_str, is_prime
 
 
+#: Most ``--jobs`` workers.  A forking pool starts all of its workers at
+#: once, each a copy of the interpreter that grows its own series caches
+#: (tens of MB), and workers beyond the cores add only forks and memory.
+#: 64 is above the cores a sweep can use on common machines, and keeps a
+#: mistyped value to a few GB of workers instead of thousands of processes.
+MAX_JOBS = 64
+
+
 class RunConfig(NamedTuple):
     """One CLI invocation: command, parameter block, output destination."""
 
@@ -360,7 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON parameter file")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--format", default="json", choices=("json", "csv"))
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel workers for verify (default: 1)")
+        cmd.add_argument(
+            "--jobs", type=int, default=1, help=f"parallel workers for verify, at most {MAX_JOBS} (default: 1)"
+        )
     return parser
 
 
@@ -380,8 +390,8 @@ def _check_writable(path: str):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("argument --jobs: must be >= 1")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        parser.error(f"argument --jobs: must be from 1 to {MAX_JOBS}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             params = json.load(fh)

@@ -81,11 +81,11 @@ compared once per block, up to the largest n asked for, and serves both
 orders (w1, w2) and (w2, w1), every n and every identity reading that pair.
 When w1 = w2 both sides read one H, so the verdict holds by construction
 and that H is not built unless a side is read.
-Sides are built only for a reading that fails, for its first mismatch and
-printed sides, or when a report's sides are read.  A sweep parses each
-block once and makes the record of a swap instance whose readings all hold
-straight from these tables (``_held_record``); every other instance goes
-through its checker and ``report_to_record``.
+One function, ``_swap_report``, makes every swap report, for a sweep and a
+``check_*`` call alike.  It reads the verdict of each reading off these
+tables and builds the first reading's two sides only when they are printed
+or that reading fails, for its first mismatch.  A sweep parses each block
+once and turns every report into its record with ``report_to_record``.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -108,8 +108,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial
+from itertools import product, repeat
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from . import bernoulli as bn
@@ -336,8 +336,7 @@ class _Block:
 
 # The last block only: a sweep visits each (chi, xi) block in one run of
 # consecutive instances, so memory stays bounded by one block.  Reports of
-# one block share its JSON dicts; a report that held keeps its block until
-# its sides are read.
+# one block share its JSON dicts.
 _BLOCK: _Block | None = None
 
 
@@ -689,68 +688,42 @@ def _compare(identity, params, lhs, rhs) -> IdentityReport:
     )
 
 
-class _HeldReport(IdentityReport):
-    """A report that held by its block's verdict table.
-
-    Its sides are built from that block the first time ``lhs`` or ``rhs``
-    is read, so a sweep that prints no sides builds none.
-    """
-
-    def __init__(self, identity, params, sides):
-        self.identity, self.params, self.holds = identity, params, True
-        self.first_mismatch = self.readings = self.error = None
-        self._sides = sides  # () -> (lhs, rhs), until first read
-
-    def _built(self):
-        if callable(self._sides):
-            self._sides = self._sides()
-        return self._sides
-
-    @property
-    def lhs(self):
-        return self._built()[0]
-
-    @property
-    def rhs(self):
-        return self._built()[1]
-
-
-def _check_swap(tag, chi, xi, **args) -> IdentityReport:
-    """Compare side(w1, w2) with side(w2, w1) under each reading of ``tag``.
+def _swap_report(tag, block, args, sides) -> IdentityReport:
+    """The report of one swap instance of block, read off its verdict tables.
 
     Each side is a projection of an H series the block holds, so a reading
     holds iff its block's table (``_Agreement``) for the pair of H series it
-    compares agrees at the indices its sides read.  A reading that holds
-    builds no side; its report builds them when they are read.  A reading
-    that fails goes through the side builders and ``_compare``, which give
-    its verdict, first mismatch and printed sides; the builders are called
-    through their module globals, so that a wrapper installed on those names
-    sees every build.
+    compares agrees at the indices its sides read.  The first reading
+    decides ``holds``, unless any reading suffices.  The first reading's two
+    sides are built only when ``sides`` is true or that reading fails, for
+    its first mismatch; the builder is called through its module global, so
+    that a wrapper installed on that name sees every build.
     """
+    entry = _IDENTITIES[tag]
+    n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]
+    verdicts = _verdicts(block, tag, n, m, w1, w2)
+    holds = any(verdicts) if entry.any_reading else verdicts[0]
+    rep = IdentityReport(tag, _params(block, **args), holds, None, None)
+    if len(verdicts) > 1:
+        rep.readings = {name: held for (name, _, _), held in zip(entry.readings, verdicts)}
+    if sides or not verdicts[0]:
+        _, left, right = entry.readings[0]
+        side = globals()[entry.side]
+        head = (n, m) if "m" in args else (n,)
+        rep.lhs = side(*head, block.chi, block.xi, w1, w2, **left)
+        rep.rhs = side(*head, block.chi, block.xi, w2, w1, **right)
+        if isinstance(rep.lhs, BivariatePoly):
+            rep.first_mismatch = rep.lhs.first_mismatch(rep.rhs)
+    return rep
+
+
+def _check_swap(tag, chi, xi, **args) -> IdentityReport:
+    """Compare side(w1, w2) with side(w2, w1) under each reading of ``tag``."""
     entry = _IDENTITIES[tag]
     for key in entry.keys:
         if args[key.name] < key.minimum:
             raise ValueError("need " + ", ".join(f"{k.name} >= {k.minimum}" for k in entry.keys))
-    n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]
-    block = _block(chi, xi)
-    params = _params(block, **args)
-    reps = []
-    for (_, left, right), held in zip(entry.readings, _verdicts(block, tag, n, m, w1, w2)):
-        if held:
-            reps.append(_HeldReport(tag, params, lambda left=left, right=right: (
-                _side(tag, block, n, m, w1, w2, **left), _side(tag, block, n, m, w2, w1, **right)
-            )))
-        else:
-            side = globals()[entry.side]
-            head = (n, m) if "m" in args else (n,)
-            lhs, rhs = side(*head, chi, xi, w1, w2, **left), side(*head, chi, xi, w2, w1, **right)
-            reps.append(_compare(tag, params, lhs, rhs))
-    rep = reps[0]
-    if len(reps) > 1:
-        rep.readings = {name: r.holds for (name, _, _), r in zip(entry.readings, reps)}
-        if entry.any_reading:
-            rep.holds = any(rep.readings.values())
-    return rep
+    return _swap_report(tag, _block(chi, xi), args, sides=True)
 
 
 def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
@@ -886,6 +859,13 @@ _SERIES_KEYS = ("k", "series_order")
 #: Listed grid keys s that set a power sum over s d terms (bounded by bn.MAX_POWER_SUM_N).
 _POWER_SUM_KEYS = ("w1", "w2", "shift", "n")
 
+#: Most instances one sweep may expand to.  A sweep holds every descriptor
+#: and record until it ends, and its output too: about 1 KB an instance.
+#: Ten acceptance grids and one m1_numbers grid, 400 000 instances, peaked
+#: at 378 MB RSS and took 17.5 s of CPU time (Python 3.11, x86-64), about
+#: eleven times the acceptance grid's 36 450 instances.
+MAX_INSTANCES = 400_000
+
 
 def _grid_list(grid, key, kind, what) -> list:
     """grid[key] as a non-empty list of kind; a lone value of kind is a list of one."""
@@ -931,11 +911,12 @@ def _resolve_characters(grid, d: int) -> list[DirichletCharacter]:
     return [character_from_json(s, modulus=d) for s in specs]
 
 
-def expand_grid(grid: dict):
-    """Yield instance descriptors for one grid object, in deterministic order.
+def _grid_axes(grid: dict) -> list:
+    """(tag, axes) for each tag of one grid object, once every key is checked.
 
-    The order is tag, d, chi, xi, then the tag's table keys in table order.
-    A grid that would expand to no instance is a configuration error.
+    The axes are the chi JSON, the xi JSON, then the values of the tag's
+    table keys in table order; the tag's instances are their product.  A
+    grid that would expand to no instance is a configuration error.
     """
     if not isinstance(grid, dict):
         raise ConfigError("each grid must be a JSON object")
@@ -964,138 +945,92 @@ def expand_grid(grid: dict):
             bn.power_sum_multiple(listed[key][-1], d_max, key)
     roots = [root_from_json(v) for v in _grid_list(grid, "xi", dict, "an object")]
     roots = [root_to_json(r) for r in sorted(roots, key=lambda r: (r.order, r.exponent))]
-    for tag in tags:
-        keys = _IDENTITIES[tag].keys
-        names = [key.name for key in keys]
-        axes = [_key_values(tag, key, listed, n_max) for key in keys]
-        for chi, xi, *values in product(chars, roots, *axes):
+    return [(tag, [chars, roots, *(_key_values(tag, key, listed, n_max) for key in _IDENTITIES[tag].keys)])
+            for tag in tags]
+
+
+def expand_grid(grid: dict):
+    """Yield instance descriptors for one grid object, in deterministic order.
+
+    The order is tag, d, chi, xi, then the tag's table keys in table order.
+    """
+    for tag, axes in _grid_axes(grid):
+        names = [key.name for key in _IDENTITIES[tag].keys]
+        for chi, xi, *values in product(*axes):
             yield {"identity": tag, "chi": chi, "xi": xi, **dict(zip(names, values))}
 
 
-def _instance(desc: dict):
-    """(table entry, block, checker keywords) of one instance descriptor."""
-    entry = _IDENTITIES[desc["identity"]]
-    args = {key.name: desc[key.name] for key in entry.keys}
-    return entry, _parse(desc["chi"], desc["xi"]), args
+def _instance_count(grids) -> int:
+    """The number of instances grids expand to, counted from their axes alone."""
+    return sum(prod(map(len, axes)) for grid in grids for _, axes in _grid_axes(grid))
 
 
 def run_instance(desc: dict) -> IdentityReport:
     """Run one instance descriptor through its identity's checker."""
-    entry, block, args = _instance(desc)
+    entry = _IDENTITIES[desc["identity"]]
+    block = _parse(desc["chi"], desc["xi"])
+    args = {key.name: desc[key.name] for key in entry.keys}
     return globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
 
 
-def _record_for_instance(payload) -> dict:
-    """The record of one payload (descriptor, include_sides), through its report."""
-    desc, include_sides = payload
-    try:  # a held report builds its sides here, when they are printed
-        return report_to_record(run_instance(desc), include_sides)
-    except TwistedBernoulliError as exc:  # a package error fails this instance only
-        _, block, args = _instance(desc)
-        rep = IdentityReport(
-            identity=desc["identity"], params=_params(block, **args), holds=False,
-            lhs=None, rhs=None, error=str(exc),
-        )
-    return report_to_record(rep, include_sides)
+def _records_for_chunk(chunk, include_sides) -> list:
+    """The records of a chunk of (source, descriptors) blocks, in order.
 
-
-def _held_record(block, desc):
-    """The record of a swap instance of block whose readings all hold, or None.
-
-    It is the record ``report_to_record`` makes of the instance's report
-    without sides, built from the block's verdict tables alone: None when a
-    reading fails or a package error is raised, whose records need the report.
-    """
-    tag = desc["identity"]
-    try:
-        if not all(_verdicts(block, tag, desc["n"], desc.get("m", 1), desc["w1"], desc["w2"])):
-            return None
-    except TwistedBernoulliError:
-        return None
-    entry = _IDENTITIES[tag]
-    record = {"identity": tag, "params": _params(block, **{key.name: desc[key.name] for key in entry.keys}),
-              "holds": True}
-    if len(entry.readings) > 1:
-        record["readings"] = {name: True for name, _, _ in entry.readings}
-    return record
-
-
-def _records_for_chunk(chunk) -> list:
-    """The records of payloads made from ``expand_grid`` descriptors, in order.
-
-    Each run of one block is parsed once.  A swap instance whose readings
-    all hold is recorded from the block's verdict tables; any other instance
-    (a failing reading, sides asked for, a package error, or a tag that is
-    not a swap) goes through ``run_instance`` and ``report_to_record``.
-    Descriptors from ``expand_grid`` meet every minimum, so the block path
-    checks none.
+    Each block is parsed once.  A swap instance is reported by
+    ``_swap_report`` and any other by its checker, called through its module
+    global; a package error raised inside one instance fails that instance
+    only.  Descriptors from ``expand_grid`` meet every minimum, so none is
+    checked here.
     """
     records = []
-    for source, run in _runs(chunk):
-        desc = run[0][0]
-        block = _parse(desc["chi"], desc["xi"], source)
-        for payload in run:
-            desc, include_sides = payload
-            record = None
-            if not include_sides and _IDENTITIES[desc["identity"]].reads is not None:
-                record = _held_record(block, desc)
-            records.append(_record_for_instance(payload) if record is None else record)
+    for source, descs in chunk:
+        block = _parse(descs[0]["chi"], descs[0]["xi"], source)
+        for desc in descs:
+            tag = desc["identity"]
+            entry = _IDENTITIES[tag]
+            args = {key.name: desc[key.name] for key in entry.keys}
+            try:
+                if entry.side is None:
+                    rep = globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
+                else:
+                    rep = _swap_report(tag, block, args, include_sides)
+            except TwistedBernoulliError as exc:
+                rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
+            records.append(report_to_record(rep, include_sides))
     return records
 
 
-def _runs(payloads):
-    """Yield (source, run) for each run of consecutive payloads of one block.
-
-    The block of a payload is the ``_source`` text of its (chi, xi) JSON, as
-    ``_parse`` sees it; payloads that hold the very same chi and xi objects
-    as the one before need no ``repr``.
-    """
-    run, source = [], None
-    chi = xi = None
-    for payload in payloads:
-        desc = payload[0]
-        if desc["chi"] is not chi or desc["xi"] is not xi:
-            chi, xi = desc["chi"], desc["xi"]
-            text = _source(chi, xi)
-            if text != source and run:
-                yield source, run
-                run = []
-            source = text
-        run.append(payload)
-    if run:
-        yield source, run
-
-
-def _chunks(payloads, size: int) -> list:
-    """payloads cut into runs of at least ``size`` (the last may be shorter),
-    each ending only where the (chi, xi) JSON changes, so no block is split."""
-    chunks, chunk = [], []
-    for _, run in _runs(payloads):
-        if len(chunk) >= size:
+def _chunks(groups, size: int) -> list:
+    """(source, descriptors) groups packed in order into chunks of at least
+    ``size`` descriptors (the last may hold fewer), so no block is split."""
+    chunks, chunk, count = [], [], 0
+    for group in groups:
+        if count >= size:
             chunks.append(chunk)
-            chunk = []
-        chunk += run
+            chunk, count = [], 0
+        chunk.append(group)
+        count += len(group[1])
     if chunk:
         chunks.append(chunk)
     return chunks
 
 
-def _block_order(payloads) -> list:
-    """Indices of payloads, stably grouped by the first appearance of their block.
+def _block_order(descs) -> list:
+    """(source, indices) for each block of descs, in the order blocks first appear.
 
-    The block of a payload is the ``_source`` text of its (chi, xi) JSON, as
-    ``_parse`` sees it; each distinct pair of chi and xi objects is turned
-    into text once.
+    The block of a descriptor is the ``_source`` text of its (chi, xi) JSON,
+    as ``_parse`` sees it; each distinct pair of chi and xi objects is
+    turned into text once.
     """
     groups, sources = {}, {}
-    for i, (desc, _) in enumerate(payloads):
+    for i, desc in enumerate(descs):
         chi, xi = desc["chi"], desc["xi"]
-        ident = (id(chi), id(xi))  # payloads keep chi and xi alive: ids are not reused
+        ident = (id(chi), id(xi))  # descs keep chi and xi alive: ids are not reused
         source = sources.get(ident)
         if source is None:
             source = sources[ident] = _source(chi, xi)
         groups.setdefault(source, []).append(i)
-    return [i for group in groups.values() for i in group]
+    return list(groups.items())
 
 
 def sweep(grids, include_sides: bool = False, jobs: int = 1):
@@ -1106,26 +1041,32 @@ def sweep(grids, include_sides: bool = False, jobs: int = 1):
     sweep; records are put back in the deterministic expansion order
     regardless of the number of worker processes.  Each worker is handed
     whole blocks, about eight chunks per worker, so no two workers build the
-    series of one block.
+    series of one block; no more workers start than there are chunks.  The
+    grids are counted before any descriptor is built, and more than
+    ``MAX_INSTANCES`` instances is a configuration error naming 'grids'.
     """
     if isinstance(grids, dict):
         grids = [grids]
+    total = _instance_count(grids)
+    if total > MAX_INSTANCES:
+        raise ConfigError(f"key 'grids' expands to {total} instances, more than {MAX_INSTANCES}")
     instances = []
     for grid in grids:
         instances.extend(expand_grid(grid))
-    payloads = [(desc, include_sides) for desc in instances]
-    order = _block_order(payloads)
-    grouped = [payloads[i] for i in order]
-    if jobs > 1 and len(payloads) > 1:
+    groups = _block_order(instances)
+    blocks = [(source, [instances[i] for i in indices]) for source, indices in groups]
+    chunks = _chunks(blocks, max(1, len(instances) // (jobs * 8))) if jobs > 1 else [blocks]
+    if len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = _chunks(grouped, max(1, len(payloads) // (jobs * 8)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [rec for recs in pool.map(_records_for_chunk, chunks) for rec in recs]
+        # a forking pool starts all its workers at once: none beyond the chunks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            recs = pool.map(_records_for_chunk, chunks, repeat(include_sides))
+            results = [rec for chunk_recs in recs for rec in chunk_recs]
     else:
-        results = _records_for_chunk(grouped)
+        results = _records_for_chunk(blocks, include_sides)
     records = [None] * len(results)
-    for i, rec in zip(order, results):
+    for i, rec in zip((i for _, indices in groups for i in indices), results):
         records[i] = rec
     summary = {
         "total": len(records),

@@ -279,6 +279,12 @@ def test_config_error_names_key(tmp_path):
         # the keys of the {"grids": [...]} form, and a volkenborn check kind
         ("verify", {"grids": [{}]}, "grids"),
         ("verify", dict(grid, include_sides=True), "grids"),
+        # more than identities.MAX_INSTANCES instances, counted before any is
+        # built: this 0.5 KB grid expands to 3 744 000
+        ("verify", dict(grid, identity="theorem1", w1=list(range(1, 61)), w2=list(range(1, 61)),
+                        m=list(range(1, 17)), n_max=64), "grids"),
+        ("verify", {"grids": [dict(grid, identity="remark_m1", w1=list(range(1, 201)),
+                                   w2=list(range(1, 201)), n_max=9)] * 2}, "grids"),
         ("volkenborn", {k: v for k, v in volk.items() if k != "check"}, "check"),
         ("volkenborn", dict(volk, check="x", shift=1, moments=[1]), "check"),
     ):
@@ -418,6 +424,60 @@ def test_jobs_below_one_rejected(tmp_path):
     proc = run_cli(tmp_path, "verify", [], jobs=0)
     assert proc.returncode == 2
     assert "--jobs" in proc.stderr.decode()
+
+
+def test_jobs_above_max_rejected(tmp_path, capsys):
+    # refused by the parser, in this process: no worker is started
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[]")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(cfg), "--jobs", str(cli.MAX_JOBS + 1)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_sweep_starts_no_more_workers_than_chunks(tmp_path, capsys, monkeypatch):
+    # a fake executor stands in for the process pool, so no process starts:
+    # three (chi, xi) blocks make three chunks at any --jobs above 2
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    grid = {
+        "identity": "remark_m1",
+        "d": [1, 3],
+        "character": "all",
+        "xi": {"order": 2, "exponent": 1},
+        "w1": [1, 2],
+        "w2": [1, 2],
+        "n_max": 3,
+    }
+    serial = idn.sweep(grid)
+    for jobs, workers in ((2, 2), (3, 3), (cli.MAX_JOBS, 3)):
+        started.clear()
+        assert idn.sweep(grid, jobs=jobs) == serial
+        assert started == [workers], jobs
+    # the largest --jobs the command takes starts no more workers either
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(grid))
+    started.clear()
+    assert cli.main(["verify", "--config", str(cfg), "--jobs", str(cli.MAX_JOBS)]) == 0
+    assert started == [3]
+    assert json.loads(capsys.readouterr().out)["reports"] == serial[0]
 
 
 def test_jobs_flag_preserves_output(tmp_path):

@@ -88,10 +88,13 @@ def test_theorem1_generic_with_random_point_crosscheck():
 
 
 def test_theorem1_readings_reported():
-    rep = idn.check_theorem1(3, 2, LEG3, RootOfUnity(9, 1), 1, 2)
-    assert rep.readings["symmetric"] is True
+    xi = RootOfUnity(9, 1)
+    rep = idn.check_theorem1(3, 2, LEG3, xi, 1, 2)
+    assert rep.readings == {"symmetric": True, "expansion_literal": False}
     assert rep.holds is rep.readings["symmetric"]
-    assert set(rep.readings) == {"symmetric", "expansion_literal"}
+    # a checker's report carries the sides of its first reading
+    assert (rep.lhs, rep.rhs) == (idn._theorem1_side(3, 2, LEG3, xi, 1, 2), idn._theorem1_side(3, 2, LEG3, xi, 2, 1))
+    assert rep.first_mismatch is None
 
 
 def test_theorem1_literal_reading_fails_where_twists_differ():
@@ -188,6 +191,9 @@ def test_remark_2_11_readings():
     assert rep.readings["weighted"] is True
     assert rep.readings["as_printed"] is False
     assert rep.holds  # at least one reading holds
+
+    rep = idn.check_remark_2_11(3, P1, RootOfUnity(3, 1), 2, 1)
+    assert rep.readings == {"weighted": True, "as_printed": False} and rep.holds
 
     trivial = idn.check_remark_2_11(2, P1, ONE, 1, 2)
     assert trivial.readings["weighted"] and trivial.readings["as_printed"]
@@ -514,8 +520,9 @@ def test_sides_equal_the_literal_printed_sums(chi, monkeypatch):
 
 def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
     # the names that perfbench's tracer wraps must be looked up at call time:
-    # every checker, and the side builders of each reading that fails, here
-    # made to fail by a changed h_0 on the w1 < w2 side
+    # every checker, and the side builder, called once for each side of the
+    # first reading; every reading is made to fail here by a changed h_0 on
+    # the w1 < w2 side
     checkers = {tag: f"check_{tag}" for tag in ("eq_1_13", *SWAP_TAGS)}
     checkers["power_sum_series_check"] = "check_power_sum_series"
     builders = {tag: f"_{tag}_side" for tag in SWAP_TAGS}
@@ -547,7 +554,7 @@ def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
         assert idn.run_instance(desc).holds is (tag not in builders)
         assert calls.get(checker) == 1
         if tag in builders:
-            assert calls.get(builders[tag]) == 2 * len(idn._IDENTITIES[tag].readings)
+            assert calls.get(builders[tag]) == 2
 
 
 # --- sweep -----------------------------------------------------------------------------
@@ -713,25 +720,28 @@ def test_chunks_never_split_a_block():
          "w1": [1, 2], "w2": [1, 2], "m": [1, 2], "n_max": 2},
         {"identity": "eq_1_13", "d": [3], "character": "all", "xi": {"order": 3, "exponent": 1}, "k": [1, 2]},
     ]
-    payloads = [(desc, False) for g in grids for desc in idn.expand_grid(g)]
+    descs = [desc for g in grids for desc in idn.expand_grid(g)]
     # equal JSON in other objects is the same block, as _parse sees it; True
     # for 1 is another block
-    copies = [(json.loads(json.dumps(desc)), False) for desc, _ in payloads]
-    retyped = [(dict(desc, xi={"order": True, "exponent": 0}) if desc["xi"]["order"] == 1 else desc, False)
-               for desc, _ in payloads]
-    for items in (payloads, copies, retyped):
-        blocks = [idn._source(desc["chi"], desc["xi"]) for desc, _ in items]
-        starts = {i for i in range(1, len(items)) if blocks[i] != blocks[i - 1]}
-        assert len(starts) >= 20
+    copies = [json.loads(json.dumps(desc)) for desc in descs]
+    retyped = [dict(desc, xi={"order": True, "exponent": 0}) if desc["xi"]["order"] == 1 else desc
+               for desc in descs]
+    for items in (descs, copies, retyped):
+        groups = idn._block_order(items)
+        sources = [source for source, _ in groups]
+        assert len(sources) == len(set(sources)) == 12  # 5 characters x 2 twists, 2 x 1
+        assert sorted(i for _, indices in groups for i in indices) == list(range(len(items)))
+        for source, indices in groups:
+            assert {idn._source(items[i]["chi"], items[i]["xi"]) for i in indices} == {source}
+            assert indices == sorted(indices)
+        blocks = [(source, [items[i] for i in indices]) for source, indices in groups]
         for size in (1, 2, 7, 40, len(items) - 1, len(items), len(items) + 1):
-            chunks = idn._chunks(items, size)
-            flat = [p for chunk in chunks for p in chunk]
-            assert len(flat) == len(items) and all(a is b for a, b in zip(flat, items))
-            assert all(len(chunk) >= size for chunk in chunks[:-1])
-            ends = {sum(map(len, chunks[: i + 1])) for i in range(len(chunks) - 1)}
-            assert ends <= starts
+            chunks = idn._chunks(blocks, size)
+            assert [group for chunk in chunks for group in chunk] == blocks
+            sizes = [sum(len(descs) for _, descs in chunk) for chunk in chunks]
+            assert all(count >= size for count in sizes[:-1])
             if size == 1:
-                assert ends == starts  # one block a chunk
+                assert all(len(chunk) == 1 for chunk in chunks)  # one block a chunk
 
 
 def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(monkeypatch):
@@ -889,6 +899,15 @@ def count_side_builds(monkeypatch) -> dict:
     return calls
 
 
+def failing_first_readings(records) -> dict:
+    """The number of swap records of each tag whose first reading fails."""
+    failing = dict.fromkeys(SWAP_TAGS, 0)
+    for r in records:
+        if r["identity"] in failing:
+            failing[r["identity"]] += not next(iter(r["readings"].values())) if "readings" in r else not r["holds"]
+    return failing
+
+
 def failing_readings(records) -> dict:
     """The number of failing readings of each swap tag in sweep records."""
     failing = dict.fromkeys(SWAP_TAGS, 0)
@@ -971,65 +990,39 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
 @pytest.mark.parametrize("perturb", (False, True), ids=("as_is", "perturbed_h"))
 def test_side_builders_run_for_failing_readings_only(perturb, monkeypatch):
     # verdicts come from the blocks' tables, a scalar side n! h_n decided by
-    # index n alone and the other sides by h_0..h_n: a reading that fails
-    # builds its two sides once, and one that holds builds none, so a sweep
-    # where everything holds (the second readings aside) builds no side
+    # index n alone and the other sides by h_0..h_n: an instance whose first
+    # reading fails builds its two sides once, for its first mismatch and
+    # printed sides, and any other builds none, so a sweep where only second
+    # readings fail builds no side
     if perturb:
         perturb_h(monkeypatch)
     calls = count_side_builds(monkeypatch)
     monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(shared_block_grids())
-    failing = failing_readings(records)
+    failing = failing_first_readings(records)
     assert calls == {tag: 2 * count for tag, count in failing.items()}
-    assert set(failing) == set(SWAP_TAGS)
     if perturb:
         assert all(failing.values())
     else:
         assert summary["holds"] == summary["total"]
-        assert {tag for tag, count in failing.items() if count} == {"theorem1", "remark_2_11"}
-        # without their second readings, nothing is built
-        calls = count_side_builds(monkeypatch)
-        grids = [dict(g, identity=[t for t in g["identity"] if t not in ("theorem1", "remark_2_11")])
-                 for g in shared_block_grids() if isinstance(g["identity"], list)]
-        idn.sweep(grids)
         assert sum(calls.values()) == 0
-
-
-def test_held_reports_build_their_sides_from_their_own_block(monkeypatch):
-    # a report that held builds lhs and rhs when they are read, equal to the
-    # side builders' sides, from its own block even after the sweep's block
-    # has moved on, and without replacing that block
-    monkeypatch.setattr(idn, "_BLOCK", None)
-    cases = [
-        (idn.check_theorem1, idn._theorem1_side, (3, 2, LEG3, RootOfUnity(9, 1)), (1, 2), {}),
-        (idn.check_remark_2_11, idn._remark_2_11_side, (3, P1, RootOfUnity(3, 1)), (2, 1), {"with_weights": True}),
-        (idn.check_corollary4, idn._corollary4_side, (4, 2, CHI4, RootOfUnity(4, 1)), (2, 3), {}),
-    ]
-    reports = [check(*head, *ws) for check, _, head, ws, _ in cases]
-    assert all(isinstance(rep, idn._HeldReport) and callable(vars(rep)["_sides"]) for rep in reports)
-    last = idn._BLOCK
-    got = [(rep.lhs, rep.rhs) for rep in reports]
-    assert idn._BLOCK is last
-    monkeypatch.setattr(idn, "_BLOCK", None)
-    for (_, side, head, (w1, w2), kw), sides in zip(cases, got):
-        assert sides == (side(*head, w1, w2, **kw), side(*head, w2, w1, **kw))
-    theorem1, remark, _ = reports
-    assert theorem1.readings == {"symmetric": True, "expansion_literal": False}
-    assert remark.readings == {"weighted": True, "as_printed": False} and remark.holds
+        # the second readings of theorem1 and remark_2_11 fail, unbuilt
+        assert {tag for tag, count in failing_readings(records).items() if count} == {"theorem1", "remark_2_11"}
 
 
 @pytest.mark.parametrize("include_sides", (False, True), ids=("verdicts", "sides"))
 def test_block_records_equal_the_report_records(include_sides, monkeypatch):
-    # a sweep records a swap instance whose readings all hold straight from
-    # its block's verdict tables and any other instance through its report;
-    # either way the record must be the one the report path gives that
-    # instance alone, at any --jobs: with failing second readings, w1 = w2,
-    # every swap tag, m <= 3, the other tags, and a package error raised in
-    # one block (for weight 3, so that block has records of every kind)
+    # a sweep reports each instance of a block from that block's tables; the
+    # record must be the one its checker's report gives that instance alone,
+    # key order included, at any --jobs: with failing second readings,
+    # w1 = w2, every swap tag, m <= 3, the other tags, and a package error
+    # raised in one block (for weight 3, so that block has records of every
+    # kind; and w1 != w2, since a w1 = w2 instance reads no series unless a
+    # side is built, which a checker always does)
     series_h = idn._series_h
 
     def failing(block, n, m, wa, wb, *rest):
-        if block.chi.modulus == 3 and block.order == 3 and 3 in (wa, wb):
+        if block.chi.modulus == 3 and block.order == 3 and 3 in (wa, wb) and wa != wb:
             raise NotMultiplicative("injected")
         return series_h(block, n, m, wa, wb, *rest)
 
@@ -1041,26 +1034,107 @@ def test_block_records_equal_the_report_records(include_sides, monkeypatch):
         {"identity": ["eq_1_13", "power_sum_series_check"], "d": [3], "character": "all", "xi": xi3,
          "k": [1, 2], "n": [1, 2], "series_order": 3},
     ]
-    descs = [desc for grid in grids for desc in idn.expand_grid(grid)]
+
+    def reference(desc):
+        try:
+            return idn.report_to_record(idn.run_instance(desc), include_sides)
+        except NotMultiplicative as exc:
+            args = {key.name: desc[key.name] for key in idn._IDENTITIES[desc["identity"]].keys}
+            params = idn._params(idn._parse(desc["chi"], desc["xi"]), **args)
+            return {"identity": desc["identity"], "params": params, "holds": False, "error": str(exc)}
+
     monkeypatch.setattr(idn, "_BLOCK", None)
-    expected = [idn._record_for_instance((desc, include_sides)) for desc in descs]
+    expected = [reference(desc) for grid in grids for desc in idn.expand_grid(grid)]
     kinds = {("error" in r, r["holds"], all(r.get("readings", {}).values())) for r in expected}
     assert kinds == {(True, False, True), (False, True, True), (False, True, False)}
-    # the records that need a report: sides, an error, a failing reading, another tag
-    reported = [r for r in expected if include_sides or "error" in r or r["identity"] not in SWAP_TAGS
-                or not (r["holds"] and all(r.get("readings", {}).values()))]
-    run_instance, calls = idn.run_instance, []
-
-    def counting(desc):
-        calls.append(desc)
-        return run_instance(desc)
-
-    monkeypatch.setattr(idn, "run_instance", counting)
     for jobs in (1, 2):
         monkeypatch.setattr(idn, "_BLOCK", None)
-        calls.clear()
         records, summary = idn.sweep(grids, include_sides=include_sides, jobs=jobs)
         assert records == expected, jobs
+        assert all(json.dumps(a) == json.dumps(b) for a, b in zip(records, expected))  # key order
         assert summary["errors"] == sum(1 for r in expected if "error" in r) > 0
-        if jobs == 1:  # only instances whose record needs more than verdicts ask for a report
-            assert len(calls) == len(reported) < len(descs) or include_sides
+
+
+# --- the records of mixed verdicts, frozen ------------------------------------------
+
+def pinned_params(n, xi, m=None):
+    """The params of a (w1, w2) = (1, 2) record of the principal character mod 1."""
+    head = {"n": n} if m is None else {"n": n, "m": m}
+    return {**head, "d": 1, "chi": {"modulus": 1, "kind": "principal"}, "xi": xi, "w1": 1, "w2": 2}
+
+
+def test_mixed_verdict_records_are_pinned(monkeypatch):
+    # frozen records, byte for byte in key order, of three mixed cases:
+    # * only theorem1's second reading fails (n = 1): "readings" shows it,
+    #   with no first mismatch and no sides, and no side is built;
+    # * remark_2_11's "weighted" fails and "as_printed" holds: "holds" is
+    #   true, with the first mismatch of "weighted" and no sides;
+    # * theorem1's first reading fails: its first mismatch and both sides.
+    principal = {"kind": "principal"}
+    xi2, one = {"order": 2, "exponent": 1}, {"order": 1, "exponent": 0}
+    literal = {"identity": "theorem1", "d": [1], "character": principal, "xi": xi2,
+               "w1": [1], "w2": [2], "m": [2], "n_max": 1}
+    calls = count_side_builds(monkeypatch)
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    records, summary = idn.sweep(literal)
+    assert json.dumps(records) == json.dumps([
+        {"identity": "theorem1", "params": pinned_params(0, xi2, 2), "holds": True,
+         "readings": {"symmetric": True, "expansion_literal": True}},
+        {"identity": "theorem1", "params": pinned_params(1, xi2, 2), "holds": True,
+         "readings": {"symmetric": True, "expansion_literal": False}},
+    ])
+    assert summary == {"total": 2, "holds": 2, "failures": 0, "errors": 0}
+    assert sum(calls.values()) == 0
+
+    # h_0 + 1 in each H that keeps the weights of S, on the w1 < w2 side:
+    # every theorem1 reading and remark_2_11 "weighted" fail, "as_printed" holds
+    series_h = idn._series_h
+
+    def perturbed(block, n, m, wa, wb, last_w, with_weights):
+        h = series_h(block, n, m, wa, wb, last_w, with_weights)
+        return (h[0] + 1,) + h[1:] if with_weights and wa < wb else h
+
+    monkeypatch.setattr(idn, "_series_h", perturbed)
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    weighted = {"identity": "remark_2_11", "d": [1], "character": principal, "xi": one,
+                "w1": [1], "w2": [2], "n_max": 1}
+    first = {"identity": "theorem1", "d": [1], "character": principal, "xi": one,
+             "w1": [1], "w2": [2], "m": [1], "n_max": 1}
+    records, summary = idn.sweep([weighted, first])
+    both_fail = {"symmetric": False, "expansion_literal": False}
+    assert json.dumps(records) == json.dumps([
+        {"identity": "remark_2_11", "params": pinned_params(0, one), "holds": True,
+         "readings": {"weighted": False, "as_printed": True}, "first_mismatch": [0, 0]},
+        {"identity": "remark_2_11", "params": pinned_params(1, one), "holds": True,
+         "readings": {"weighted": False, "as_printed": True}, "first_mismatch": [1, 0]},
+        {"identity": "theorem1", "params": pinned_params(0, one, 1), "holds": False,
+         "readings": both_fail, "first_mismatch": [0, 0],
+         "lhs": {"deg_x": 0, "deg_y": 0, "coeffs": [["2/1"]]},
+         "rhs": {"deg_x": 0, "deg_y": 0, "coeffs": [["1/1"]]}},
+        {"identity": "theorem1", "params": pinned_params(1, one, 1), "holds": False,
+         "readings": both_fail, "first_mismatch": [0, 1],
+         "lhs": {"deg_x": 1, "deg_y": 1, "coeffs": [["-1/2", "4/1"], ["4/1", "0/1"]]},
+         "rhs": {"deg_x": 1, "deg_y": 1, "coeffs": [["-1/2", "2/1"], ["2/1", "0/1"]]}},
+    ])
+    assert summary == {"total": 4, "holds": 2, "failures": 2, "errors": 0}
+
+
+def test_sweep_counts_instances_before_expanding(monkeypatch):
+    # the count read off a grid's axes is the number of descriptors it
+    # expands to; a sweep of exactly MAX_INSTANCES runs, and one more is
+    # refused before any descriptor is built
+    grids = shared_block_grids()
+    total = sum(1 for grid in grids for _ in idn.expand_grid(grid))
+    assert idn._instance_count(grids) == total
+    assert idn._instance_count([grids[1]]) == 2 * 2  # eq_1_13 mod 4: two characters, k = 1, 2
+    monkeypatch.setattr(idn, "MAX_INSTANCES", total)
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    assert idn.sweep(grids)[1]["total"] == total
+    monkeypatch.setattr(idn, "MAX_INSTANCES", total - 1)
+
+    def expand(grid):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(idn, "expand_grid", expand)
+    with pytest.raises(ConfigError, match=f"key 'grids' expands to {total} instances, more than {total - 1}"):
+        idn.sweep(grids)
