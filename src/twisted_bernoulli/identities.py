@@ -84,8 +84,9 @@ and that H is not built unless a side is read.
 One function, ``_swap_report``, makes every swap report, for a sweep and a
 ``check_*`` call alike.  It reads the verdict of each reading off these
 tables and builds the first reading's two sides only when they are printed
-or that reading fails, for its first mismatch.  A sweep parses each block
-once and turns every report into its record with ``report_to_record``.
+or that reading fails, for its first mismatch.  A sweep reads its blocks
+off the grids' axes (``_plan``), parses each block once and turns every
+report into its record with ``report_to_record``.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -334,8 +335,8 @@ class _Block:
         return self.get(("spec", w), lambda: bn.twist_spec(self.chi, self.xi**w, conductor=self.cond))
 
 
-# The last block only: a sweep visits each (chi, xi) block in one run of
-# consecutive instances, so memory stays bounded by one block.  Reports of
+# The last block only: a sweep runs the instances of each (chi, xi) block
+# one after another, so memory stays bounded by one block.  Reports of
 # one block share its JSON dicts.
 _BLOCK: _Block | None = None
 
@@ -360,7 +361,7 @@ def _source(chi_json, xi_json) -> str:
 
 
 def _parse(chi_json, xi_json, source=None) -> _Block:
-    """The block of a descriptor's chi and xi, parsed again only when their JSON changes.
+    """The block of a chi and xi JSON pair, parsed again only when the JSON changes.
 
     The JSON is compared by its ``repr`` text, so types count: True is not 1,
     1.0 is not 1.  That costs half a ``json.dumps``, saved when the caller
@@ -859,11 +860,11 @@ _SERIES_KEYS = ("k", "series_order")
 #: Listed grid keys s that set a power sum over s d terms (bounded by bn.MAX_POWER_SUM_N).
 _POWER_SUM_KEYS = ("w1", "w2", "shift", "n")
 
-#: Most instances one sweep may expand to.  A sweep holds every descriptor
-#: and record until it ends, and its output too: about 1 KB an instance.
-#: Ten acceptance grids and one m1_numbers grid, 400 000 instances, peaked
-#: at 378 MB RSS and took 17.5 s of CPU time (Python 3.11, x86-64), about
-#: eleven times the acceptance grid's 36 450 instances.
+#: Most instances one sweep may expand to.  A sweep holds every record until
+#: it ends, and its output too: about 0.9 KB an instance.  Ten acceptance
+#: grids and one m1_numbers grid, 400 000 instances, peaked at 355 MB RSS
+#: and took 16 s of CPU time (Python 3.11, x86-64), about eleven times the
+#: acceptance grid's 36 450 instances.
 MAX_INSTANCES = 400_000
 
 
@@ -960,9 +961,24 @@ def expand_grid(grid: dict):
             yield {"identity": tag, "chi": chi, "xi": xi, **dict(zip(names, values))}
 
 
-def _instance_count(grids) -> int:
-    """The number of instances grids expand to, counted from their axes alone."""
-    return sum(prod(map(len, axes)) for grid in grids for _, axes in _grid_axes(grid))
+def _plan(grids) -> tuple:
+    """(instance count, blocks) of grids, read off each grid's axes once.
+
+    A block is (``_source`` text, chi JSON, xi JSON, runs), in the order
+    blocks first appear.  Each (grid, tag, chi, xi) is one run (start, size,
+    tag, axes): the product of the tag's remaining axes, ``size`` instances
+    from position ``start`` of the expansion order.
+    """
+    blocks, total = {}, 0
+    for grid in grids:
+        for tag, (chars, roots, *axes) in _grid_axes(grid):
+            size = prod(map(len, axes))
+            for chi in chars:
+                for xi in roots:
+                    source = _source(chi, xi)
+                    blocks.setdefault(source, (source, chi, xi, []))[3].append((total, size, tag, axes))
+                    total += size
+    return total, list(blocks.values())
 
 
 def run_instance(desc: dict) -> IdentityReport:
@@ -974,88 +990,67 @@ def run_instance(desc: dict) -> IdentityReport:
 
 
 def _records_for_chunk(chunk, include_sides) -> list:
-    """The records of a chunk of (source, descriptors) blocks, in order.
+    """The records of a chunk of ``_plan`` blocks, block by block, run by run.
 
-    Each block is parsed once.  A swap instance is reported by
-    ``_swap_report`` and any other by its checker, called through its module
-    global; a package error raised inside one instance fails that instance
-    only.  Descriptors from ``expand_grid`` meet every minimum, so none is
-    checked here.
+    Each block is parsed once, and each run's axes are expanded in place.  A
+    swap instance is reported by ``_swap_report`` and any other by its
+    checker, called through its module global; a package error raised
+    inside one instance fails that instance only.  Axes from ``_grid_axes``
+    meet every minimum, so no instance is checked here.
     """
     records = []
-    for source, descs in chunk:
-        block = _parse(descs[0]["chi"], descs[0]["xi"], source)
-        for desc in descs:
-            tag = desc["identity"]
+    for source, chi_json, xi_json, runs in chunk:
+        block = _parse(chi_json, xi_json, source)
+        for _, _, tag, axes in runs:
             entry = _IDENTITIES[tag]
-            args = {key.name: desc[key.name] for key in entry.keys}
-            try:
-                if entry.side is None:
-                    rep = globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
-                else:
-                    rep = _swap_report(tag, block, args, include_sides)
-            except TwistedBernoulliError as exc:
-                rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
-            records.append(report_to_record(rep, include_sides))
+            names = [key.name for key in entry.keys]
+            for values in product(*axes):
+                args = dict(zip(names, values))
+                try:
+                    if entry.side is None:
+                        rep = globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
+                    else:
+                        rep = _swap_report(tag, block, args, include_sides)
+                except TwistedBernoulliError as exc:
+                    rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
+                records.append(report_to_record(rep, include_sides))
     return records
 
 
-def _chunks(groups, size: int) -> list:
-    """(source, descriptors) groups packed in order into chunks of at least
-    ``size`` descriptors (the last may hold fewer), so no block is split."""
+def _chunks(blocks, size: int) -> list:
+    """``_plan`` blocks packed in order into chunks of at least ``size``
+    instances (the last may hold fewer), so no block is split."""
     chunks, chunk, count = [], [], 0
-    for group in groups:
+    for block in blocks:
         if count >= size:
             chunks.append(chunk)
             chunk, count = [], 0
-        chunk.append(group)
-        count += len(group[1])
+        chunk.append(block)
+        count += sum(run[1] for run in block[3])
     if chunk:
         chunks.append(chunk)
     return chunks
 
 
-def _block_order(descs) -> list:
-    """(source, indices) for each block of descs, in the order blocks first appear.
-
-    The block of a descriptor is the ``_source`` text of its (chi, xi) JSON,
-    as ``_parse`` sees it; each distinct pair of chi and xi objects is
-    turned into text once.
-    """
-    groups, sources = {}, {}
-    for i, desc in enumerate(descs):
-        chi, xi = desc["chi"], desc["xi"]
-        ident = (id(chi), id(xi))  # descs keep chi and xi alive: ids are not reused
-        source = sources.get(ident)
-        if source is None:
-            source = sources[ident] = _source(chi, xi)
-        groups.setdefault(source, []).append(i)
-    return list(groups.items())
-
-
 def sweep(grids, include_sides: bool = False, jobs: int = 1):
     """Run every instance of every grid; returns (records, summary).
 
-    Instances run grouped by (chi, xi) block, across grids and tags, in the
-    order in which blocks first appear, so each block is built once per
-    sweep; records are put back in the deterministic expansion order
-    regardless of the number of worker processes.  Each worker is handed
-    whole blocks, about eight chunks per worker, so no two workers build the
-    series of one block; no more workers start than there are chunks.  The
-    grids are counted before any descriptor is built, and more than
-    ``MAX_INSTANCES`` instances is a configuration error naming 'grids'.
+    Instances run grouped by the (chi, xi) blocks ``_plan`` reads off the
+    grids' axes, across grids and tags, in the order in which blocks first
+    appear, so each block is built once per sweep; each run's records go
+    back to its place in the deterministic expansion order at any number of
+    worker processes.  Each worker is handed whole blocks, about eight
+    chunks per worker, so no two workers build the series of one block; no
+    more workers start than there are chunks.  More than ``MAX_INSTANCES``
+    instances is a configuration error naming 'grids', raised before any
+    instance runs.
     """
     if isinstance(grids, dict):
         grids = [grids]
-    total = _instance_count(grids)
+    total, blocks = _plan(grids)
     if total > MAX_INSTANCES:
         raise ConfigError(f"key 'grids' expands to {total} instances, more than {MAX_INSTANCES}")
-    instances = []
-    for grid in grids:
-        instances.extend(expand_grid(grid))
-    groups = _block_order(instances)
-    blocks = [(source, [instances[i] for i in indices]) for source, indices in groups]
-    chunks = _chunks(blocks, max(1, len(instances) // (jobs * 8))) if jobs > 1 else [blocks]
+    chunks = _chunks(blocks, max(1, total // (jobs * 8))) if jobs > 1 else [blocks]
     if len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -1065,9 +1060,11 @@ def sweep(grids, include_sides: bool = False, jobs: int = 1):
             results = [rec for chunk_recs in recs for rec in chunk_recs]
     else:
         results = _records_for_chunk(blocks, include_sides)
-    records = [None] * len(results)
-    for i, rec in zip((i for _, indices in groups for i in indices), results):
-        records[i] = rec
+    records, done = [None] * total, 0
+    for *_, runs in blocks:
+        for start, size, *_ in runs:
+            records[start : start + size] = results[done : done + size]
+            done += size
     summary = {
         "total": len(records),
         "holds": sum(1 for r in records if r["holds"]),

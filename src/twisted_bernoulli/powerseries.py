@@ -9,13 +9,11 @@ Products, inverses, powers and quotients are computed on :class:`Series`,
 which grows coefficient by coefficient as far as it is asked and computes
 each coefficient once (McIlroy, "Power series, power serious", JFP 1999).
 The functions on :class:`TruncSeries` (``series_mul``, ``series_invert``,
-``series_pow``, ``divide_cancel``) grow one to the order and return that
-prefix.
+``divide_cancel``) grow one to the order and return that prefix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from . import _kernel as K
@@ -215,38 +213,10 @@ def _prefix(s: Series, n: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # truncated series
 
-def constant_series(field: CycloField, value, order: int) -> TruncSeries:
-    """value + 0*t + ... + 0*t^order."""
-    if isinstance(value, (int, Fraction)):
-        value = field.rational(value)
-    return TruncSeries(field, (value,) + (field.zero,) * order)
-
-
-def exp_at(a: CycloElem, order: int) -> TruncSeries:
-    """e^(a t) to the given order: coefficients a^n / n!."""
-    field = a.field
-    out = [field.one]
-    cur = field.one
-    for n in range(1, order + 1):
-        cur = cur * a * Fraction(1, n)
-        out.append(cur)
-    return TruncSeries(field, out)
-
-
-def series_add(s1: TruncSeries, s2: TruncSeries) -> TruncSeries:
-    _check_pair(s1, s2)
-    return TruncSeries(s1.field, tuple(a + b for a, b in zip(s1.coeffs, s2.coeffs)))
-
-
 def series_mul(s1: TruncSeries, s2: TruncSeries) -> TruncSeries:
     """Cauchy product truncated at the common order."""
     _check_pair(s1, s2)
     return _prefix(product(known(s1), known(s2)), s1.order)
-
-
-def series_pow(s: TruncSeries, k: int) -> TruncSeries:
-    """k-th power by repeated squaring; s^0 is the constant series 1."""
-    return _prefix(power(known(s), k), s.order)
 
 
 def series_invert(s: TruncSeries) -> TruncSeries:

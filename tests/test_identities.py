@@ -713,32 +713,54 @@ def test_parallel_sweep_matches_serial():
     assert s1 == s2
 
 
-def test_chunks_never_split_a_block():
+def test_chunks_never_split_a_block(monkeypatch):
     grids = [
         {"identity": ["theorem1", "m1_numbers"], "d": [1, 3, 4], "character": "all",
          "xi": [{"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}],
          "w1": [1, 2], "w2": [1, 2], "m": [1, 2], "n_max": 2},
         {"identity": "eq_1_13", "d": [3], "character": "all", "xi": {"order": 3, "exponent": 1}, "k": [1, 2]},
+        # the mod 3 characters with xi = 1 again, in other objects
+        {"identity": "remark_m1", "d": [3], "character": "all", "xi": {"order": 1, "exponent": 0},
+         "w1": [1], "w2": [2], "n_max": 1},
     ]
-    descs = [desc for g in grids for desc in idn.expand_grid(g)]
+    grid_axes = idn._grid_axes
+
+    def retyped(grid):
+        # True for the order 1 of the last grid's xi: equal JSON, another text
+        axes = grid_axes(grid)
+        if grid is grids[-1]:
+            for _, (_, roots, *_) in axes:
+                roots[:] = [dict(xi, order=True) for xi in roots]
+        return axes
+
     # equal JSON in other objects is the same block, as _parse sees it; True
     # for 1 is another block
-    copies = [json.loads(json.dumps(desc)) for desc in descs]
-    retyped = [dict(desc, xi={"order": True, "exponent": 0}) if desc["xi"]["order"] == 1 else desc
-               for desc in descs]
-    for items in (descs, copies, retyped):
-        groups = idn._block_order(items)
-        sources = [source for source, _ in groups]
-        assert len(sources) == len(set(sources)) == 12  # 5 characters x 2 twists, 2 x 1
-        assert sorted(i for _, indices in groups for i in indices) == list(range(len(items)))
-        for source, indices in groups:
-            assert {idn._source(items[i]["chi"], items[i]["xi"]) for i in indices} == {source}
-            assert indices == sorted(indices)
-        blocks = [(source, [items[i] for i in indices]) for source, indices in groups]
-        for size in (1, 2, 7, 40, len(items) - 1, len(items), len(items) + 1):
+    for retype, n_blocks in ((False, 12), (True, 14)):  # 5 characters x 2 twists, 2 x 1 (, 2 x 1)
+        if retype:
+            monkeypatch.setattr(idn, "_grid_axes", retyped)
+        descs = [desc for g in grids for desc in idn.expand_grid(g)]
+        total, blocks = idn._plan(grids)
+        assert total == len(descs)
+        sources = [source for source, *_ in blocks]
+        assert len(sources) == len(set(sources)) == n_blocks
+        # the runs cover every position once, each in order within its block
+        runs = [run for *_, block_runs in blocks for run in block_runs]
+        assert sorted(i for start, size, *_ in runs for i in range(start, start + size)) == list(range(total))
+        for source, chi, xi, block_runs in blocks:
+            assert idn._source(chi, xi) == source
+            starts = [start for start, *_ in block_runs]
+            assert starts == sorted(starts)
+            for start, size, tag, axes in block_runs:
+                names = [key.name for key in idn._IDENTITIES[tag].keys]
+                got = [(idn._source(d["chi"], d["xi"]), d["identity"], [d[name] for name in names])
+                       for d in descs[start : start + size]]
+                assert got == [(source, tag, list(values)) for values in product(*axes)]
+        # the mod 3 blocks with xi = 1 hold runs of two grids unless retyped
+        assert max(len(block_runs) for *_, block_runs in blocks) == (2 if retype else 3)
+        for size in (1, 2, 7, 40, total - 1, total, total + 1):
             chunks = idn._chunks(blocks, size)
-            assert [group for chunk in chunks for group in chunk] == blocks
-            sizes = [sum(len(descs) for _, descs in chunk) for chunk in chunks]
+            assert [block for chunk in chunks for block in chunk] == blocks
+            sizes = [sum(run[1] for *_, block_runs in chunk for run in block_runs) for chunk in chunks]
             assert all(count >= size for count in sizes[:-1])
             if size == 1:
                 assert all(len(chunk) == 1 for chunk in chunks)  # one block a chunk
@@ -1122,19 +1144,51 @@ def test_mixed_verdict_records_are_pinned(monkeypatch):
 def test_sweep_counts_instances_before_expanding(monkeypatch):
     # the count read off a grid's axes is the number of descriptors it
     # expands to; a sweep of exactly MAX_INSTANCES runs, and one more is
-    # refused before any descriptor is built
+    # refused before any instance runs
     grids = shared_block_grids()
     total = sum(1 for grid in grids for _ in idn.expand_grid(grid))
-    assert idn._instance_count(grids) == total
-    assert idn._instance_count([grids[1]]) == 2 * 2  # eq_1_13 mod 4: two characters, k = 1, 2
+    assert idn._plan(grids)[0] == total
+    assert idn._plan([grids[1]])[0] == 2 * 2  # eq_1_13 mod 4: two characters, k = 1, 2
     monkeypatch.setattr(idn, "MAX_INSTANCES", total)
     monkeypatch.setattr(idn, "_BLOCK", None)
     assert idn.sweep(grids)[1]["total"] == total
     monkeypatch.setattr(idn, "MAX_INSTANCES", total - 1)
 
+    def run(chunk, include_sides):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(idn, "_records_for_chunk", run)
+    with pytest.raises(ConfigError, match=f"key 'grids' expands to {total} instances, more than {total - 1}"):
+        idn.sweep(grids)
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_sweep_reads_each_grid_once_and_builds_no_descriptor(jobs, monkeypatch):
+    # one xi and one d listed twice: a block holds several runs of one grid
+    # and tag, each put back at its own place in the expansion order
+    xi2, xi3 = {"order": 2, "exponent": 1}, {"order": 3, "exponent": 1}
+    grids = [
+        {"identity": ["remark_m1", "corollary2"], "d": [3, 1, 3], "character": "all", "xi": [xi2, xi3, xi2],
+         "w1": [1, 2], "w2": [2, 1], "m": [1, 2], "n_max": 2},
+        {"identity": "eq_1_13", "d": [3], "character": "all", "xi": xi2, "k": [1, 2], "shift": [1, 2]},
+    ]
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    expected = [idn.report_to_record(idn.run_instance(d)) for grid in grids for d in idn.expand_grid(grid)]
+    _, blocks = idn._plan(grids)
+    assert any(len(runs) > len({tag for _, _, tag, _ in runs}) for *_, runs in blocks)
+    grid_axes, read = idn._grid_axes, []
+
+    def counted(grid):
+        read.append(grid)
+        return grid_axes(grid)
+
     def expand(grid):
         raise AssertionError("expanded")
 
+    monkeypatch.setattr(idn, "_grid_axes", counted)
     monkeypatch.setattr(idn, "expand_grid", expand)
-    with pytest.raises(ConfigError, match=f"key 'grids' expands to {total} instances, more than {total - 1}"):
-        idn.sweep(grids)
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    records, summary = idn.sweep(grids, jobs=jobs)
+    assert [id(grid) for grid in read] == [id(grid) for grid in grids]
+    assert records == expected
+    assert summary["total"] == len(expected) == 5 * 3 * (2 * 2 * 3 + 2 * 2 * 2 * 3) + 2 * 2 * 2
