@@ -235,8 +235,12 @@ def _cyclic_characters(d: int) -> tuple[DirichletCharacter, ...]:
 #   {"modulus": d, "kind": "index", "j": int}       (j-th enumerated character)
 
 def _json_int(val, key: str, minimum: int | None = None) -> int:
-    """A JSON integer (not a boolean) under key, at least minimum if given."""
-    if not isinstance(val, int) or isinstance(val, bool):
+    """A JSON integer under key, at least minimum if given.
+
+    The type must be int exactly: a bool, or an IntEnum a caller passes,
+    would reach the output, which carries no int subclass.
+    """
+    if type(val) is not int:
         raise ConfigError(f"key '{key}' must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"key '{key}' must be >= {minimum}, got {val}")

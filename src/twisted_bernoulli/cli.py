@@ -11,11 +11,13 @@ Subcommands (parameters come from a JSON config file, see README):
 Output is deterministic: the same config always produces byte-identical
 bytes.  Fractions are serialized as "num/den" strings, never floats.  JSON
 output is the text of ``json.dumps(payload, indent=2)`` and a newline, made
-by a small writer (``_to_json_bytes``) that encodes one list element at a
-time into one buffer, so a sweep's millions of chunks are never held at
-once.  It writes only dicts with str keys, lists, str, int, bool and None,
-and raises TypeError on anything else: a float in a payload is refused, not
-merely absent.  CSV cells pass the same check.
+by one writer (``jsontext``) that writes only dicts with str keys, lists,
+str, int, bool and None, and raises TypeError on anything else: a float in a
+payload is refused, not merely absent.  CSV cells pass the same check.
+``_to_json_bytes`` encodes one list element at a time into one buffer.
+verify encodes nothing but its summary: each record's text is made where
+its verdict is read (``identities.sweep_text``, in the worker that read it
+at ``--jobs N``), and the texts are written into the buffer one by one.
 Exit codes: 0 success / all checks hold, 1 at least one check failed,
 2 configuration error (the diagnostic names the offending key).
 """
@@ -29,11 +31,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import bernoulli as bn
 from . import identities as idn
+from . import jsontext
 from . import volkenborn as vk
 from .characters import _json_int, character_from_json, modulus_from_json, root_from_json
 from .errors import ConfigError, TwistedBernoulliError
@@ -114,6 +116,8 @@ def _cmd_power_sum(params: dict):
 
 
 def _cmd_verify(params: dict, jobs: int):
+    """((summary, texts), exit code): each record's text is made where its
+    verdict is read (``idn.sweep_text``)."""
     # include_sides belongs to the {"grids": [...]} form only
     if isinstance(params, dict) and ("grids" in params or "include_sides" in params):
         _require_keys(params, {"grids"}, {"include_sides"})
@@ -131,10 +135,9 @@ def _cmd_verify(params: dict, jobs: int):
         raise ConfigError("verify config must be a grid object, a list, or {'grids': [...]}")
     if not grids:
         raise ConfigError("key 'grids' must list at least one grid; an empty sweep checks nothing")
-    records, summary = idn.sweep(grids, include_sides=include_sides, jobs=jobs)
-    payload = {"summary": summary, "reports": records}
+    texts, summary = idn.sweep_text(grids, include_sides=include_sides, jobs=jobs)
     ok = summary["failures"] == 0 and summary["errors"] == 0
-    return payload, 0 if ok else 1
+    return (summary, texts), 0 if ok else 1
 
 
 def _val_str(v) -> str:
@@ -221,78 +224,49 @@ def _cmd_volkenborn(params: dict):
 # ---------------------------------------------------------------------------
 # serialization
 
-#: JSON text of each scalar type output may carry, by exact type: no float,
-#: and no subclass but bool.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-
-
-def _scalar(value) -> str:
-    """The JSON text of one scalar; TypeError for any type not in ``_SCALARS``."""
-    text = _SCALARS.get(type(value))
-    if text is None:
-        raise TypeError(f"output cannot carry {type(value).__name__} {value!r}")
-    return text(value)
-
-
 def _to_json_bytes(payload) -> bytes:
     """``json.dumps(payload, indent=2)`` and a newline, as ASCII bytes.
 
-    Depth first, each value by its exact type: dicts (str keys only), lists
-    and the scalars of ``_SCALARS``; anything else raises TypeError.  The
-    pending chunks are joined into the buffer after each list element, so
-    besides the buffer at most one element's chunks (one verify record) exist.
+    Written by ``jsontext.writer``, which raises TypeError on any value it
+    cannot carry.  The pending pieces are joined into the buffer after each
+    list element, so besides the buffer at most one element's pieces exist.
     """
     out = io.BytesIO()
     chunks = []
-    put = chunks.append
 
     def flush():
         out.write("".join(chunks).encode("ascii"))
         chunks.clear()
 
-    def write(value, pad):  # pad: a newline and the value's indentation
-        kind = type(value)
-        if kind is dict and value:
-            inner = pad + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                text = _SCALARS.get(type(item))
-                if text is None:
-                    put(sep + encode_basestring_ascii(key) + ": ")  # TypeError unless key is a str
-                    write(item, inner)
-                else:  # a scalar value goes out with its key in one piece
-                    put(sep + encode_basestring_ascii(key) + ": " + text(item))
-                sep = "," + inner
-            put(pad + "}")
-        elif kind is list and value:
-            inner = pad + "  "
-            sep = "[" + inner
-            for item in value:
-                put(sep)
-                write(item, inner)
-                flush()
-                sep = "," + inner
-            put(pad + "]")
-        elif kind is dict or kind is list:
-            put("{}" if kind is dict else "[]")
-        else:
-            put(_scalar(value))
-
-    write(payload, "\n")
-    put("\n")
+    jsontext.writer(chunks.append, flush)(payload, "\n")
+    chunks.append("\n")
     flush()
+    return out.getvalue()
+
+
+def _verify_json_bytes(summary: dict, texts: list) -> bytes:
+    """``_to_json_bytes({"summary": summary, "reports": records})`` from the
+    records' texts, each made at its place in "reports" (``idn.sweep_text``).
+
+    The summary is encoded here, and every text is written as it is, one at
+    a time, into the one buffer, and dropped from ``texts`` once written, so
+    the texts and the buffer together never hold much more than one output.
+    """
+    out = io.BytesIO()
+    out.write(('{\n  "summary": ' + jsontext.text(summary, "\n  ") + ',\n  "reports": ').encode("ascii"))
+    sep = "[" + idn.RECORD_PAD
+    for i, text in enumerate(texts):
+        out.write((sep + text).encode("ascii"))
+        texts[i] = None
+        sep = "," + idn.RECORD_PAD
+    out.write(b"[]\n}\n" if not texts else b"\n  ]\n}\n")
     return out.getvalue()
 
 
 def _cells(row: list) -> list:
     """row, once each cell has passed the JSON writer's scalar check."""
     for cell in row:
-        _scalar(cell)
+        jsontext.scalar(cell)
     return row
 
 
@@ -339,7 +313,11 @@ def run(config: RunConfig) -> tuple[int, bytes]:
     elif config.command == "power-sum":
         payload, code = _cmd_power_sum(config.params)
     elif config.command == "verify":
-        payload, code = _cmd_verify(config.params, config.jobs)
+        (summary, texts), code = _cmd_verify(config.params, config.jobs)
+        if config.format == "json":
+            return code, _verify_json_bytes(summary, texts)
+        # a CSV row reads its record parsed back from its text, one at a time
+        payload = {"summary": summary, "reports": map(json.loads, texts)}
     elif config.command == "volkenborn":
         payload, code = _cmd_volkenborn(config.params)
     else:

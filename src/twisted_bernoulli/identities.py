@@ -85,8 +85,12 @@ One function, ``_swap_report``, makes every swap report, for a sweep and a
 ``check_*`` call alike.  It reads the verdict of each reading off these
 tables and builds the first reading's two sides only when they are printed
 or that reading fails, for its first mismatch.  A sweep reads its blocks
-off the grids' axes (``_plan``), parses each block once and turns every
-report into its record with ``report_to_record``.
+off the grids' axes (``_plan``), parses each block once and makes each
+record's JSON text where its verdict is read (``_records_for_chunk``): a
+held swap instance without sides fills its run's template with the text of
+its values and verdicts, and makes no report or dict; any other record is
+its report's, made by ``report_to_record`` and written by the same writer
+(``jsontext``).  ``sweep`` parses the texts back into records.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -107,6 +111,7 @@ largest index where the slices differ (``BivariatePoly.first_mismatch``).
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
@@ -114,6 +119,7 @@ from math import comb, factorial, prod
 from typing import NamedTuple
 
 from . import bernoulli as bn
+from . import jsontext
 from . import powerseries as ps
 from .characters import (
     DirichletCharacter,
@@ -860,23 +866,26 @@ _SERIES_KEYS = ("k", "series_order")
 #: Listed grid keys s that set a power sum over s d terms (bounded by bn.MAX_POWER_SUM_N).
 _POWER_SUM_KEYS = ("w1", "w2", "shift", "n")
 
-#: Most instances one sweep may expand to.  A sweep holds every record until
-#: it ends, and its output too: about 0.9 KB an instance.  Ten acceptance
-#: grids and one m1_numbers grid, 400 000 instances, peaked at 355 MB RSS
-#: and took 16 s of CPU time (Python 3.11, x86-64), about eleven times the
-#: acceptance grid's 36 450 instances.
+#: Most instances one sweep may expand to.  A sweep holds every record's
+#: text until it ends, and verify its output too: about 0.75 KB an instance.
+#: Ten acceptance grids and one m1_numbers grid (w1 1..71, w2 1..10, n_max
+#: 49), 400 000 instances, about eleven times the acceptance grid's 36 450,
+#: peaked at 297-300 MB RSS and took 8.5-9.8 s of CPU time through verify
+#: at --jobs 1 (two runs, Python 3.11.7, x86-64).
 MAX_INSTANCES = 400_000
 
 
 def _grid_list(grid, key, kind, what) -> list:
-    """grid[key] as a non-empty list of kind; a lone value of kind is a list of one."""
+    """grid[key] as a non-empty list of kind; a lone value of kind is a list of one.
+
+    Each value's type must be kind exactly, so no bool passes for an int and
+    no subclass (an IntEnum a caller passes) reaches the output.
+    """
     if key not in grid:
         raise ConfigError(f"missing required key '{key}' in grid")
     val = grid[key]
-    val = [val] if isinstance(val, kind) else val
-    if not isinstance(val, list) or not val or not all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in val
-    ):
+    val = [val] if type(val) is kind else val
+    if type(val) is not list or not val or not all(type(v) is kind for v in val):
         raise ConfigError(f"key '{key}' must be {what} or a non-empty list of them")
     return val
 
@@ -989,32 +998,89 @@ def run_instance(desc: dict) -> IdentityReport:
     return globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
 
 
-def _records_for_chunk(chunk, include_sides) -> list:
-    """The records of a chunk of ``_plan`` blocks, block by block, run by run.
+#: A record's pad in the verify output: a newline and the indentation of a
+#: "reports" item.  Every record's text is made at this indentation, where
+#: its verdict is read, so the output is the texts written one by one.
+RECORD_PAD = "\n    "
 
-    Each block is parsed once, and each run's axes are expanded in place.  A
-    swap instance is reported by ``_swap_report`` and any other by its
-    checker, called through its module global; a package error raised
-    inside one instance fails that instance only.  Axes from ``_grid_axes``
-    meet every minimum, so no instance is checked here.
+#: Stand-in strings for the values a held swap record's text leaves open: an
+#: instance value or verdict, and the block's chi and xi.
+_OPEN, _CHI, _XI = "\x00", "\x01", "\x02"
+
+
+def _held_template(tag, names, block, chi_text, xi_text) -> str:
+    """The text of a held swap record of one run without sides, as a %-format.
+
+    The open values are n, then m when ``names`` has it, the other names in
+    order (w1, w2), then the verdict of each reading when there are several.
+    The record is the one ``report_to_record`` makes, its open values and
+    chi and xi stood in for by strings no encoded value holds, written once
+    per run by the same writer as every other record; chi_text and xi_text
+    are the block's chi and xi at their indentation, written once per block.
     """
-    records = []
+    rep = IdentityReport(tag, _params(block, **dict.fromkeys(names, _OPEN)), True, None, None)
+    rep.params.update(chi=_CHI, xi=_XI)
+    readings = _IDENTITIES[tag].readings
+    if len(readings) > 1:
+        rep.readings = dict.fromkeys((name for name, _, _ in readings), _OPEN)
+    text = jsontext.text(report_to_record(rep), RECORD_PAD)
+    text = text.replace(jsontext.scalar(_CHI), chi_text).replace(jsontext.scalar(_XI), xi_text)
+    return text.replace("%", "%%").replace(jsontext.scalar(_OPEN), "%s")
+
+
+def _records_for_chunk(chunk, include_sides) -> tuple:
+    """(texts, holds, errors) of a chunk of ``_plan`` blocks, block by block, run by run.
+
+    Each text is one record's JSON at ``RECORD_PAD``; holds and errors count
+    the records that hold and those that carry an error.  Each block is
+    parsed once, and each run's axes are expanded in place.  A held swap
+    instance without sides is its run's template (``_held_template``) filled
+    with the text of its values and verdicts, with no report or dict of its
+    own.  Any other record is its report's (``_swap_report`` for a swap
+    instance, its checker, called through its module global, for any other)
+    made by ``report_to_record`` and written by the same writer; a package
+    error raised inside one instance fails that instance only.  Axes from
+    ``_grid_axes`` meet every minimum, so no instance is checked here.
+    """
+    texts, holds, errors = [], 0, 0
+    scalar = jsontext.scalar
+    pad = RECORD_PAD + "    "  # a "params" item's
     for source, chi_json, xi_json, runs in chunk:
         block = _parse(chi_json, xi_json, source)
+        chi_text, xi_text = jsontext.text(block.chi_json, pad), jsontext.text(block.xi_json, pad)
         for _, _, tag, axes in runs:
             entry = _IDENTITIES[tag]
             names = [key.name for key in entry.keys]
+            held = None
+            if entry.side is not None and not include_sides:
+                held = _held_template(tag, names, block, chi_text, xi_text)
             for values in product(*axes):
-                args = dict(zip(names, values))
                 try:
+                    if held is not None:  # swap keys: w1, w2, m if a key, n
+                        w1, w2, n = values[0], values[1], values[-1]
+                        m = values[2] if len(values) == 4 else 1
+                        verdicts = _verdicts(block, tag, n, m, w1, w2)
+                        if verdicts[0]:
+                            head = (n, m, w1, w2) if len(values) == 4 else (n, w1, w2)
+                            if len(verdicts) > 1:  # a record prints several readings' verdicts
+                                head += tuple(verdicts)
+                            texts.append(held % tuple(map(scalar, head)))
+                            holds += 1
+                            continue
+                    args = dict(zip(names, values))
                     if entry.side is None:
                         rep = globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
                     else:
                         rep = _swap_report(tag, block, args, include_sides)
                 except TwistedBernoulliError as exc:
+                    args = dict(zip(names, values))
                     rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
-                records.append(report_to_record(rep, include_sides))
-    return records
+                texts.append(jsontext.text(report_to_record(rep, include_sides), RECORD_PAD))
+                if rep.error is not None:
+                    errors += 1
+                elif rep.holds:
+                    holds += 1
+    return texts, holds, errors
 
 
 def _chunks(blocks, size: int) -> list:
@@ -1032,18 +1098,19 @@ def _chunks(blocks, size: int) -> list:
     return chunks
 
 
-def sweep(grids, include_sides: bool = False, jobs: int = 1):
-    """Run every instance of every grid; returns (records, summary).
+def sweep_text(grids, include_sides: bool = False, jobs: int = 1):
+    """Run every instance of every grid; returns (texts, summary).
 
-    Instances run grouped by the (chi, xi) blocks ``_plan`` reads off the
-    grids' axes, across grids and tags, in the order in which blocks first
-    appear, so each block is built once per sweep; each run's records go
-    back to its place in the deterministic expansion order at any number of
-    worker processes.  Each worker is handed whole blocks, about eight
-    chunks per worker, so no two workers build the series of one block; no
-    more workers start than there are chunks.  More than ``MAX_INSTANCES``
-    instances is a configuration error naming 'grids', raised before any
-    instance runs.
+    ``texts`` holds each record's JSON text at ``RECORD_PAD``, in the
+    deterministic expansion order.  Instances run grouped by the (chi, xi)
+    blocks ``_plan`` reads off the grids' axes, across grids and tags, in the
+    order in which blocks first appear, so each block is built once per
+    sweep; each run's texts go back to its place in the expansion order at
+    any number of worker processes.  Each worker is handed whole blocks,
+    about eight chunks per worker, so no two workers build the series of one
+    block, and sends back texts and counts; no more workers start than there
+    are chunks.  More than ``MAX_INSTANCES`` instances is a configuration
+    error naming 'grids', raised before any instance runs.
     """
     if isinstance(grids, dict):
         grids = [grids]
@@ -1056,19 +1123,25 @@ def sweep(grids, include_sides: bool = False, jobs: int = 1):
 
         # a forking pool starts all its workers at once: none beyond the chunks
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            recs = pool.map(_records_for_chunk, chunks, repeat(include_sides))
-            results = [rec for chunk_recs in recs for rec in chunk_recs]
+            parts = list(pool.map(_records_for_chunk, chunks, repeat(include_sides)))
     else:
-        results = _records_for_chunk(blocks, include_sides)
-    records, done = [None] * total, 0
+        parts = [_records_for_chunk(blocks, include_sides)]
+    results = [text for chunk_texts, _, _ in parts for text in chunk_texts]
+    texts, done = [None] * total, 0
     for *_, runs in blocks:
         for start, size, *_ in runs:
-            records[start : start + size] = results[done : done + size]
+            texts[start : start + size] = results[done : done + size]
             done += size
-    summary = {
-        "total": len(records),
-        "holds": sum(1 for r in records if r["holds"]),
-        "failures": sum(1 for r in records if not r["holds"] and "error" not in r),
-        "errors": sum(1 for r in records if "error" in r),
-    }
-    return records, summary
+    holds = sum(part[1] for part in parts)
+    errors = sum(part[2] for part in parts)
+    return texts, {"total": total, "holds": holds, "failures": total - holds - errors, "errors": errors}
+
+
+def sweep(grids, include_sides: bool = False, jobs: int = 1):
+    """Run every instance of every grid; returns (records, summary).
+
+    The records are the texts of ``sweep_text``, parsed: dicts in the
+    expansion order, whose JSON is the verify output's "reports".
+    """
+    texts, summary = sweep_text(grids, include_sides, jobs)
+    return [json.loads(text) for text in texts], summary

@@ -547,8 +547,8 @@ def test_run_config_in_process():
 # --- the output writer ----------------------------------------------------------
 
 def verify_payload(grids, include_sides=False):
-    payload, _ = cli._cmd_verify({"grids": grids, "include_sides": include_sides}, 1)
-    return payload
+    records, summary = idn.sweep(grids, include_sides=include_sides)
+    return {"summary": summary, "reports": records}
 
 
 SMALL_GRID = {
@@ -611,6 +611,86 @@ def test_writer_holds_one_record_at_a_time(monkeypatch):
     assert len(out) > 50 * longest
     assert len(writes) >= len(payload["reports"])
     assert max(writes) <= longest + 200
+
+
+# every tag; both characters mod 3 and two twists make blocks of each kind
+ALL_TAG_GRIDS = [
+    {"identity": [tag for tag in idn.IDENTITY_TAGS if tag not in ("eq_1_13", "power_sum_series_check")],
+     "d": [1, 3], "character": "all", "xi": [{"order": 2, "exponent": 1}, {"order": 3, "exponent": 1}],
+     "w1": [1, 2], "w2": [1, 2], "m": [1, 2], "n_max": 2},
+    {"identity": ["eq_1_13", "power_sum_series_check"], "d": [3], "character": "all",
+     "xi": {"order": 3, "exponent": 1}, "k": [1, 2], "n": [1, 2], "series_order": 3},
+]
+
+
+@pytest.mark.parametrize("altered", (False, True), ids=("as_is", "perturbed_and_failing"))
+@pytest.mark.parametrize("include_sides", (False, True), ids=("verdicts", "sides"))
+def test_record_texts_print_what_json_dumps_would(include_sides, altered, monkeypatch):
+    # verify writes each record's text as it was made where its verdict was
+    # read; the bytes must be json.dumps of the records sweep() parses back
+    # from those texts, at any --jobs, over every tag, with held, failing and
+    # error records, and the summary must count those records.  Altered: H
+    # changes on the wa < wb side (so some records print their first
+    # mismatch and sides) and raises a package error in one block for
+    # weights {1, 2} at m = 2; --jobs workers inherit both by fork.
+    if altered:
+        series_h = idn._series_h
+
+        def changed(block, n, m, wa, wb, *rest):
+            if block.chi.modulus == 3 and block.order == 3 and m == 2 and {wa, wb} == {1, 2}:
+                raise NotMultiplicative("injected")
+            h = series_h(block, n, m, wa, wb, *rest)
+            return (h[0] + 1,) + h[1:] if wa < wb else h
+
+        monkeypatch.setattr(idn, "_series_h", changed)
+    config = {"grids": ALL_TAG_GRIDS, "include_sides": include_sides}
+    monkeypatch.setattr(idn, "_BLOCK", None)
+    records, summary = idn.sweep(ALL_TAG_GRIDS, include_sides=include_sides)
+    assert {r["identity"] for r in records} == set(idn.IDENTITY_TAGS)
+    assert summary == {
+        "total": len(records),
+        "holds": sum(1 for r in records if r["holds"]),
+        "failures": sum(1 for r in records if not r["holds"] and "error" not in r),
+        "errors": sum(1 for r in records if "error" in r),
+    }
+    assert (summary["errors"] > 0) is altered
+    assert any("first_mismatch" in r for r in records) is altered
+    assert any("lhs" in r for r in records) is (altered or include_sides)
+    expected = (json.dumps({"summary": summary, "reports": records}, indent=2) + "\n").encode()
+    for jobs in (1, 2, 3):
+        monkeypatch.setattr(idn, "_BLOCK", None)
+        code, out = cli.run(cli.RunConfig(command="verify", params=config, jobs=jobs))
+        assert out == expected, jobs
+        assert code == (1 if altered else 0)
+
+
+def test_record_texts_refuse_floats(monkeypatch):
+    # a value outside the scalar table raises TypeError where the record's
+    # text is made: in a held swap record's template (a verdict of theorem1's
+    # second reading) and in a record made from its report (eq_1_13)
+    theorem1 = {"identity": "theorem1", "d": [1], "character": "all", "xi": {"order": 2, "exponent": 1},
+                "w1": [1, 2], "w2": [1, 2], "m": [1], "n_max": 1}
+    eq_1_13 = {"identity": "eq_1_13", "d": [1], "character": "all", "xi": {"order": 1, "exponent": 0},
+               "k": [1], "shift": [1]}
+    verdicts = idn._verdicts
+    check = idn.check_eq_1_13
+
+    def half_verdict(block, tag, n, m, w1, w2):
+        return [True, 0.5]
+
+    def float_param(chi, xi, k, n):
+        rep = check(chi, xi, k, n)
+        rep.params = {**rep.params, "k": 1.0}
+        return rep
+
+    for name, fake, grid in (("_verdicts", half_verdict, theorem1), ("check_eq_1_13", float_param, eq_1_13)):
+        monkeypatch.setattr(idn, name, fake)
+        for jobs in (1, 2):
+            monkeypatch.setattr(idn, "_BLOCK", None)
+            with pytest.raises(TypeError, match="float"):
+                cli.run(cli.RunConfig(command="verify", params=grid, jobs=jobs))
+        monkeypatch.setattr(idn, "_verdicts", verdicts)
+        monkeypatch.setattr(idn, "check_eq_1_13", check)
 
 
 # --- every single-node mutation of the example configs ------------------------

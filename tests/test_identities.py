@@ -1,5 +1,6 @@
 import json
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -655,6 +656,25 @@ def test_sweep_rejects_unknown_keys():
     for base in (eq, thm):
         with pytest.raises(ConfigError, match="'n_max'"):
             list(idn.expand_grid({k: v for k, v in base.items() if k not in ("k", "n_max")}))
+
+
+def test_sweep_refuses_int_subclasses():
+    # an IntEnum a caller passes is an int, but not a JSON integer: it is a
+    # configuration error naming its key before any instance runs, not a
+    # value that expands, prints in the records and fails only when the
+    # output is written
+    class Two(IntEnum):
+        TWO = 2
+
+    thm = {"identity": "theorem1", "d": [3], "character": "all", "xi": {"order": 2, "exponent": 1},
+           "w1": [1], "w2": [1], "n_max": 1}
+    for key, grid in (
+        ("w1", {**thm, "w1": [1, Two.TWO]}),
+        ("w1", {**thm, "w1": Two.TWO}),
+        ("order", {**thm, "xi": {"order": Two.TWO, "exponent": 1}}),
+    ):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            idn.sweep(grid)
 
 
 def test_sweep_collects_instance_errors(monkeypatch):
