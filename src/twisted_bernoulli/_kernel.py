@@ -1,11 +1,14 @@
-"""Pure-Python arithmetic kernels for fraction-free cyclotomic coordinate vectors.
+"""Fraction-free arithmetic kernels for cyclotomic coordinate vectors, in pure Python.
 
 An element of Q(zeta_m) is carried as ``(nums, den)``: a tuple of integer
 coordinates in the power basis together with a positive common denominator,
 reduced so that gcd(den, *nums) == 1 (the zero vector has den == 1).  ``red``
 is the reduction table of the field: row t holds the integer coordinates of
 zeta^(phi+t) in the basis, so products can be folded back below degree phi.
-The contracts are tested in tests/test_kernel.py.
+The contracts are tested in tests/test_kernel.py.  Callers reach these
+functions as attributes of the module (``from . import _kernel as K``), and
+the kernels call ``normalize`` the same way, so a wrapper installed on a
+module attribute sees every call, from inside the kernel too.
 """
 
 from math import gcd

@@ -11,13 +11,13 @@ Subcommands (parameters come from a JSON config file, see README):
 Output is deterministic: the same config always produces byte-identical
 bytes.  Fractions are serialized as "num/den" strings, never floats.  JSON
 output is the text of ``json.dumps(payload, indent=2)`` and a newline, made
-by one writer (``jsontext``) that writes only dicts with str keys, lists,
-str, int, bool and None, and raises TypeError on anything else: a float in a
-payload is refused, not merely absent.  CSV cells pass the same check.
-``_to_json_bytes`` encodes one list element at a time into one buffer.
-verify encodes nothing but its summary: each record's text is made where
-its verdict is read (``identities.sweep_text``, in the worker that read it
-at ``--jobs N``), and the texts are written into the buffer one by one.
+by one encoder (``jsontext.text``) that writes only dicts with str keys,
+lists, str, int, bool and None, and raises TypeError on anything else: a
+float in a payload is refused, not merely absent.  CSV cells pass the same
+check.  verify encodes nothing but its summary: each record's text is made
+where its verdict is read (``identities.sweep_text``, in the worker that
+read it at ``--jobs N``), and the texts are written one by one into the
+output buffer (``_verify_json_bytes``).
 Exit codes: 0 success / all checks hold, 1 at least one check failed,
 2 configuration error (the diagnostic names the offending key).
 """
@@ -175,10 +175,11 @@ def _cmd_volkenborn(params: dict):
     if not moments:
         raise ConfigError("key 'moments' must be an integer or a non-empty list of integers")
     moments = [bn.series_index(_json_int(m, "moments", 1 if kind == "shift" else 0), "moments") for m in moments]
-    level_max = vk.DEFAULT_LEVEL_CAP.get(p, 5)
+    # the p check above makes top at least 2; a default level never exceeds it
+    top = vk.max_level(chi.modulus, p)
+    level_max = min(vk.DEFAULT_LEVEL_CAP.get(p, 5), top)
     if "level_max" in params:
         level_max = _int_param(params, "level_max", 2)
-    top = vk.max_level(chi.modulus, p)
     if level_max > top:
         raise ConfigError(
             f"key 'level_max' is {level_max}, but a level above {top} sums more than "
@@ -227,21 +228,10 @@ def _cmd_volkenborn(params: dict):
 def _to_json_bytes(payload) -> bytes:
     """``json.dumps(payload, indent=2)`` and a newline, as ASCII bytes.
 
-    Written by ``jsontext.writer``, which raises TypeError on any value it
-    cannot carry.  The pending pieces are joined into the buffer after each
-    list element, so besides the buffer at most one element's pieces exist.
+    Written by ``jsontext.text``, which raises TypeError on any value it
+    cannot carry.
     """
-    out = io.BytesIO()
-    chunks = []
-
-    def flush():
-        out.write("".join(chunks).encode("ascii"))
-        chunks.clear()
-
-    jsontext.writer(chunks.append, flush)(payload, "\n")
-    chunks.append("\n")
-    flush()
-    return out.getvalue()
+    return (jsontext.text(payload) + "\n").encode("ascii")
 
 
 def _verify_json_bytes(summary: dict, texts: list) -> bytes:
@@ -264,7 +254,7 @@ def _verify_json_bytes(summary: dict, texts: list) -> bytes:
 
 
 def _cells(row: list) -> list:
-    """row, once each cell has passed the JSON writer's scalar check."""
+    """row, once each cell has passed the JSON encoder's scalar check."""
     for cell in row:
         jsontext.scalar(cell)
     return row

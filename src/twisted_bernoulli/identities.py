@@ -89,8 +89,8 @@ off the grids' axes (``_plan``), parses each block once and makes each
 record's JSON text where its verdict is read (``_records_for_chunk``): a
 held swap instance without sides fills its run's template with the text of
 its values and verdicts, and makes no report or dict; any other record is
-its report's, made by ``report_to_record`` and written by the same writer
-(``jsontext``).  ``sweep`` parses the texts back into records.
+its report's, made by ``report_to_record`` and encoded by
+``jsontext.text``.  ``sweep`` parses the texts back into records.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -99,14 +99,13 @@ instead of xi^wb; remark_2_11 "as_printed" drops the weights xi^(wb i) from
 S, which the m = 1 specialization of the general form carries.  Reports
 carry the verdict of every reading.
 
-A bivariate side keeps its slice h_0..h_n of H and fills its matrix only
-when read, for output or by a caller.  The verdict needs no matrix: both
-sides of a swap share n and c = w1 w2, so entry (a, b) of either is the same
-nonzero integer n!/(a! b!) c^(a+b) times its own coefficient of index
-r = n - a - b, and every r <= n occurs, at (n - r, 0).  The matrices are
-equal iff the slices are, and the first mismatch in row-major order is
-(0, n - r*) for the x, y sides and (n - r*, 0) for the y = 0 sides, r* the
-largest index where the slices differ (``BivariatePoly.first_mismatch``).
+A bivariate side is its filled matrix (``BivariatePoly.from_series``), yet
+the verdict needs none: both sides of a swap share n and c = w1 w2, so entry
+(a, b) of either is the same nonzero integer n!/(a! b!) c^(a+b) times its own
+h_r, r = n - a - b, and every r <= n occurs, at (n - r, 0).  So the matrices
+are equal iff the slices are, and only a failed reading's are scanned, for
+the first mismatch in row-major order: (0, n - r*) with y, (n - r*, 0)
+without, r* the largest index where the slices differ.
 """
 
 from __future__ import annotations
@@ -159,18 +158,14 @@ def _trimmed(field: CycloField, rows) -> tuple:
 class BivariatePoly:
     """Coefficient matrix rows[i][j] = coefficient of x^i y^j, trimmed.
 
-    ``from_series`` makes a polynomial n! [t^n] H(t) e^(c (x + y) t) that
-    keeps only the slice h_0..h_n of H it is read from and fills its matrix
-    the first time ``rows`` is read.  Two such polynomials with equal n, c,
-    layout and field are compared on their slices (``first_mismatch``).
+    ``from_series`` fills it from a slice of a series H (module docstring).
     """
 
-    __slots__ = ("field", "_rows", "_series")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field: CycloField, rows):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_rows", _trimmed(field, rows))
-        object.__setattr__(self, "_series", None)
+        object.__setattr__(self, "rows", _trimmed(field, rows))
 
     @classmethod
     def from_series(cls, field: CycloField, coeffs, c: int, with_y: bool = True) -> "BivariatePoly":
@@ -181,26 +176,15 @@ class BivariatePoly:
         """
         if not c:
             raise ValueError("c must be nonzero")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "_rows", None)
-        object.__setattr__(obj, "_series", (tuple(coeffs), c, with_y))
-        return obj
+        n = len(coeffs) - 1
+        return cls(field, [
+            [coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
+             for b in range(n - a + 1 if with_y else 1)]
+            for a in range(n + 1)
+        ])
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
-
-    @property
-    def rows(self) -> tuple:
-        if self._rows is None:
-            coeffs, c, with_y = self._series
-            n = len(coeffs) - 1
-            mat = [[self.field.zero] * (n + 1) for _ in range(n + 1)]
-            for a in range(n + 1):
-                for b in range(n - a + 1 if with_y else 1):
-                    mat[a][b] = coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
-            object.__setattr__(self, "_rows", _trimmed(self.field, mat))
-        return self._rows
 
     @property
     def deg_x(self) -> int:
@@ -216,24 +200,7 @@ class BivariatePoly:
         return self.field.zero
 
     def first_mismatch(self, other: "BivariatePoly"):
-        """Lexicographically first (i, j) where the matrices differ, or None.
-
-        Two polynomials read off slices with equal n, c, layout and field are
-        compared on the slices, without filling the matrices: r* the largest
-        index where the slices differ gives (0, n - r*) with y and
-        (n - r*, 0) without (see the module docstring).
-        """
-        mine, theirs = self._series, other._series
-        if (
-            mine is not None and theirs is not None and self.field == other.field
-            and len(mine[0]) == len(theirs[0]) and mine[1:] == theirs[1:]
-        ):
-            a, b = mine[0], theirs[0]
-            if a == b:
-                return None
-            n = len(a) - 1
-            r = next(r for r in range(n, -1, -1) if a[r] != b[r])
-            return (0, n - r) if mine[2] else (n - r, 0)
+        """Lexicographically first (i, j) where the matrices differ, or None."""
         dx = max(self.deg_x, other.deg_x)
         dy = max(self.deg_y, other.deg_y)
         for i in range(dx + 1):
@@ -439,15 +406,6 @@ def _series_h(block, n, m, wa, wb, last_w, with_weights):
     return block.get(("H", m, wa, wb, last_w, with_weights), build).coeffs(n)
 
 
-def _xy_poly(coeffs, n, c, with_y=True) -> BivariatePoly:
-    """n! [t^n] H(t) e^(c (x + y) t), from the ordinary coefficients of H.
-
-    The field is that of the coefficients; the matrix is filled only when
-    read (``BivariatePoly.from_series``).
-    """
-    return BivariatePoly.from_series(coeffs[0].field, coeffs[: n + 1], c, with_y)
-
-
 def _h_key(block, m, wa, wb, last_twist_wa=False, with_weights=True) -> tuple:
     """The arguments (m, wa, wb, last twist, with_weights) of the H a side reads.
 
@@ -465,7 +423,7 @@ def _side(tag, block, n, m, wa, wb, **reading):
     reads = _IDENTITIES[tag].reads
     if reads == "h_n":
         return h[n] * factorial(n)
-    return _xy_poly(h, n, wa * wb, with_y=reads == "xy")
+    return BivariatePoly.from_series(h[0].field, h[: n + 1], wa * wb, with_y=reads == "xy")
 
 
 class _Agreement:
@@ -672,29 +630,6 @@ def _params(block, n, m=None, **args) -> dict:
     return {"n": n, "m": m, "d": block.chi.modulus, "chi": block.chi_json, "xi": block.xi_json, **args}
 
 
-def _compare(identity, params, lhs, rhs) -> IdentityReport:
-    """Report whether lhs equals rhs, with the first differing entry of two polynomials.
-
-    Sides read off slices of H are compared on the slices, without filling
-    their matrices (module docstring); the verdict and mismatch are those
-    of the matrices.
-    """
-    if isinstance(lhs, BivariatePoly):
-        mismatch = lhs.first_mismatch(rhs)
-        equal = mismatch is None
-    else:
-        equal = lhs == rhs
-        mismatch = None
-    return IdentityReport(
-        identity=identity,
-        params=params,
-        holds=equal,
-        lhs=lhs,
-        rhs=rhs,
-        first_mismatch=mismatch,
-    )
-
-
 def _swap_report(tag, block, args, sides) -> IdentityReport:
     """The report of one swap instance of block, read off its verdict tables.
 
@@ -719,7 +654,7 @@ def _swap_report(tag, block, args, sides) -> IdentityReport:
         head = (n, m) if "m" in args else (n,)
         rep.lhs = side(*head, block.chi, block.xi, w1, w2, **left)
         rep.rhs = side(*head, block.chi, block.xi, w2, w1, **right)
-        if isinstance(rep.lhs, BivariatePoly):
+        if not verdicts[0] and isinstance(rep.lhs, BivariatePoly):
             rep.first_mismatch = rep.lhs.first_mismatch(rep.rhs)
     return rep
 
@@ -747,7 +682,7 @@ def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
     )
     lhs = (shifted - bn.numbers(spec, 1, k).numbers[k]) * Fraction(1, k)
     rhs = bn.power_sum(spec, k - 1, n * d - 1)
-    return _compare("eq_1_13", _params(block, n=n, k=k), lhs, rhs)
+    return IdentityReport("eq_1_13", _params(block, n=n, k=k), lhs == rhs, lhs, rhs)
 
 
 def check_theorem1(n, m, chi, xi, w1, w2) -> IdentityReport:
@@ -807,14 +742,7 @@ def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
     block = _block(chi, xi)
     rep = bn.power_sum_series_check(block.spec(1), n, series_order)
     params = _params(block, n=n, series_order=series_order)
-    return IdentityReport(
-        identity="power_sum_series_check",
-        params=params,
-        holds=rep.holds,
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        first_mismatch=rep.first_mismatch,
-    )
+    return IdentityReport("power_sum_series_check", params, rep.holds, rep.lhs, rep.rhs, rep.first_mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +891,9 @@ def expand_grid(grid: dict):
     """Yield instance descriptors for one grid object, in deterministic order.
 
     The order is tag, d, chi, xi, then the tag's table keys in table order.
+    A sweep reads the same axes without descriptors (``_plan``), so nothing
+    in the package calls this: it is the tests' reference for the expansion
+    order, and perfbench's set-up probe and tracer call it.
     """
     for tag, axes in _grid_axes(grid):
         names = [key.name for key in _IDENTITIES[tag].keys]
@@ -991,7 +922,12 @@ def _plan(grids) -> tuple:
 
 
 def run_instance(desc: dict) -> IdentityReport:
-    """Run one instance descriptor through its identity's checker."""
+    """Run one instance descriptor through its identity's checker.
+
+    A sweep does not call this (``_records_for_chunk`` reads its blocks):
+    it is the tests' per-instance reference and a hook perfbench's tracer
+    counts instances at.
+    """
     entry = _IDENTITIES[desc["identity"]]
     block = _parse(desc["chi"], desc["xi"])
     args = {key.name: desc[key.name] for key in entry.keys}
@@ -1015,7 +951,7 @@ def _held_template(tag, names, block, chi_text, xi_text) -> str:
     order (w1, w2), then the verdict of each reading when there are several.
     The record is the one ``report_to_record`` makes, its open values and
     chi and xi stood in for by strings no encoded value holds, written once
-    per run by the same writer as every other record; chi_text and xi_text
+    per run by the same encoder as every other record; chi_text and xi_text
     are the block's chi and xi at their indentation, written once per block.
     """
     rep = IdentityReport(tag, _params(block, **dict.fromkeys(names, _OPEN)), True, None, None)
@@ -1038,7 +974,7 @@ def _records_for_chunk(chunk, include_sides) -> tuple:
     with the text of its values and verdicts, with no report or dict of its
     own.  Any other record is its report's (``_swap_report`` for a swap
     instance, its checker, called through its module global, for any other)
-    made by ``report_to_record`` and written by the same writer; a package
+    made by ``report_to_record`` and encoded by ``jsontext.text``; a package
     error raised inside one instance fails that instance only.  Axes from
     ``_grid_axes`` meet every minimum, so no instance is checked here.
     """

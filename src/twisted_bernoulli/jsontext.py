@@ -5,7 +5,7 @@ the scalars of ``SCALARS`` (str, int, bool and None).  Anything else raises
 TypeError, a float above all, so output that carries no float is checked on
 every run rather than assumed.  ``text`` gives a value's text at any
 indentation, so a part made on its own (one verify record) fits unchanged
-into the document it goes in; ``writer`` gives it piece by piece.
+into the document it goes in.
 """
 
 from __future__ import annotations
@@ -30,49 +30,25 @@ def scalar(value) -> str:
     return text(value)
 
 
-def writer(put, flush=None):
-    """``write(value, pad)``: put the text of value through ``put``, piece by piece.
+def text(value, pad: str = "\n") -> str:
+    """The JSON text of value at indentation ``pad``.
 
     ``pad`` is a newline and the value's indentation: the text of an item of
     a dict or list is indented two spaces more than its container.  Depth
-    first, each value by its exact type; ``flush()``, when given, is called
-    after each list element.
+    first, each value by its exact type.
     """
-
-    def write(value, pad):
-        kind = type(value)
-        if kind is dict and value:
-            inner = pad + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                text = SCALARS.get(type(item))
-                if text is None:
-                    put(sep + encode_basestring_ascii(key) + ": ")  # TypeError unless key is a str
-                    write(item, inner)
-                else:  # a scalar value goes out with its key in one piece
-                    put(sep + encode_basestring_ascii(key) + ": " + text(item))
-                sep = "," + inner
-            put(pad + "}")
-        elif kind is list and value:
-            inner = pad + "  "
-            sep = "[" + inner
-            for item in value:
-                put(sep)
-                write(item, inner)
-                if flush is not None:
-                    flush()
-                sep = "," + inner
-            put(pad + "]")
-        elif kind is dict or kind is list:
-            put("{}" if kind is dict else "[]")
-        else:
-            put(scalar(value))
-
-    return write
-
-
-def text(value, pad: str = "\n") -> str:
-    """The JSON text of value at indentation ``pad`` (see ``writer``)."""
-    chunks = []
-    writer(chunks.append)(value, pad)
-    return "".join(chunks)
+    kind = type(value)
+    if kind is dict and value:
+        inner = pad + "  "
+        items = []
+        for key, item in value.items():
+            encode = SCALARS.get(type(item))
+            value_text = text(item, inner) if encode is None else encode(item)
+            items.append(encode_basestring_ascii(key) + ": " + value_text)  # TypeError unless key is a str
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list and value:
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([text(item, inner) for item in value]) + pad + "]"
+    if kind is dict or kind is list:
+        return "{}" if kind is dict else "[]"
+    return scalar(value)

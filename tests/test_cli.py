@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import signal
@@ -8,13 +7,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import cli
 from twisted_bernoulli import identities as idn
+from twisted_bernoulli import volkenborn as vk
 from twisted_bernoulli.characters import MAX_MODULUS
 from twisted_bernoulli.errors import NotMultiplicative
 from twisted_bernoulli.exact import cyclo_from_json, frac_from_str
@@ -365,6 +364,27 @@ def test_volkenborn_shift_output(tmp_path):
     assert payload["checks"][0]["passed"] is True
 
 
+def test_volkenborn_default_level_stays_within_the_term_budget(tmp_path):
+    # p = 101 has no default level cap of its own: its default of 5 would
+    # sum 101^5 terms, more than volkenborn.MAX_LEVEL_TERMS, so the default
+    # is the top level, 3; a level_max above the top level still exits 2
+    params = {
+        "p": 101,
+        "check": "convergence",
+        "modulus": 1,
+        "character": {"kind": "principal"},
+        "xi": {"order": 1, "exponent": 0},
+        "moments": [0],
+    }
+    proc = run_cli(tmp_path, "volkenborn", params)
+    assert proc.returncode == 0, proc.stderr
+    levels = [row["level"] for row in json.loads(proc.stdout)["checks"][0]["trace"]]
+    assert max(levels) == vk.max_level(1, 101) == 3
+    proc = run_cli(tmp_path, "volkenborn", dict(params, level_max=4))
+    assert proc.returncode == 2
+    assert "'level_max'" in proc.stderr.decode()
+
+
 def test_volkenborn_csv(tmp_path):
     params = {
         "p": 2,
@@ -592,25 +612,6 @@ def test_writer_refuses_floats_and_unknown_types():
     checks = [{"moment": 1, "trace": [{"p": 2, "level": 1, "valuation": 1.0}], "passed": True}]
     with pytest.raises(TypeError):
         cli._to_csv_bytes("volkenborn", {"p": 2, "check": "convergence", "checks": checks})
-
-
-def test_writer_holds_one_record_at_a_time(monkeypatch):
-    writes = []
-
-    class Sink(io.BytesIO):
-        def write(self, data):
-            writes.append(len(data))
-            return super().write(data)
-
-    monkeypatch.setattr(cli, "io", SimpleNamespace(BytesIO=Sink))
-    payload = verify_payload([{**SMALL_GRID, "d": [1, 2, 3], "n_max": 3}])
-    out = cli._to_json_bytes(payload)
-    assert out == (json.dumps(payload, indent=2) + "\n").encode()
-    # a record's text inside the document: its lines indented two levels
-    longest = max(len(json.dumps(rec, indent=2).replace("\n", "\n    ")) for rec in payload["reports"])
-    assert len(out) > 50 * longest
-    assert len(writes) >= len(payload["reports"])
-    assert max(writes) <= longest + 200
 
 
 # every tag; both characters mod 3 and two twists make blocks of each kind

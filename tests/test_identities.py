@@ -20,7 +20,7 @@ from twisted_bernoulli.characters import (
     root_to_json,
 )
 from twisted_bernoulli.errors import ConfigError, NotMultiplicative
-from twisted_bernoulli.exact import RootOfUnity, cyclo_field
+from twisted_bernoulli.exact import RootOfUnity, cyclo_field, cyclo_from_json
 
 import _oracles
 from _oracles import bernoulli_recurrence, classical_poly_at
@@ -275,10 +275,22 @@ def eager_xy_poly(coeffs, n, c, with_y=True):
     return idn.BivariatePoly(fld, mat)
 
 
+def slice_mismatch(coeffs, other, with_y):
+    """The first mismatch of the two sides read off two slices of H, by the
+    rule of the identities docstring: (0, n - r*) with y and (n - r*, 0)
+    without, r* the largest index where the slices differ; None if equal."""
+    n = len(coeffs) - 1
+    differ = [r for r in range(n + 1) if coeffs[r] != other[r]]
+    if not differ:
+        return None
+    return (0, n - differ[-1]) if with_y else (n - differ[-1], 0)
+
+
 def test_slice_mismatch_equals_matrix_mismatch():
-    # a verdict and first mismatch read off two slices of H must be those of
-    # the filled matrices, for every change of one or two coefficients of a
-    # slice; changes to zero move the trimmed shapes
+    # the first mismatch of two sides read off slices of H must follow from
+    # the slices alone, and each side must be the filled matrix, for every
+    # change of one or two coefficients of a slice; changes to zero move the
+    # trimmed shapes
     rng = random.Random(8)
     fld = cyclo_field(3)
 
@@ -303,28 +315,43 @@ def test_slice_mismatch_equals_matrix_mismatch():
             for other in changed:
                 lhs = idn.BivariatePoly.from_series(fld, coeffs, c, with_y)
                 rhs = idn.BivariatePoly.from_series(fld, other, c, with_y)
-                rep = idn._compare("t", {}, lhs, rhs)
-                assert lhs._rows is None and rhs._rows is None  # decided on the slices
-                left, right = eager_xy_poly(coeffs, n, c, with_y), eager_xy_poly(other, n, c, with_y)
-                expected = left.first_mismatch(right)
-                assert rep.first_mismatch == expected, (n, with_y, c, coeffs, other)
-                assert rep.holds is (expected is None) is (coeffs == other)
-                # the matrices filled on first read are the eager ones
-                assert (lhs.rows, rhs.rows) == (left.rows, right.rows)
-                assert idn._compare("t", {}, left, right).first_mismatch == expected
+                expected = slice_mismatch(coeffs, other, with_y)
+                assert lhs.first_mismatch(rhs) == expected, (n, with_y, c, coeffs, other)
+                assert (lhs == rhs) is (expected is None) is (coeffs == other)
+                assert (lhs, rhs) == (eager_xy_poly(coeffs, n, c, with_y), eager_xy_poly(other, n, c, with_y))
                 cases += 1
     assert cases == 3 * sum(1 + 3 * (n + 1) + comb(n + 1, 2) for n in range(7)) * 2
 
 
+def printed_first_mismatch(lhs, rhs):
+    """Row-major first (i, j) where two printed side matrices differ, an
+    entry past a trimmed edge read as zero; None if they are equal."""
+    zero = cyclo_from_json(lhs["coeffs"][0][0]).field.zero
+
+    def entry(side, i, j):
+        rows = side["coeffs"]
+        return cyclo_from_json(rows[i][j]) if i < len(rows) and j < len(rows[i]) else zero
+
+    for i in range(max(lhs["deg_x"], rhs["deg_x"]) + 1):
+        for j in range(max(lhs["deg_y"], rhs["deg_y"]) + 1):
+            if entry(lhs, i, j) != entry(rhs, i, j):
+                return (i, j)
+    return None
+
+
 def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
     # one changed coefficient of H, on one side of a swap only, must fail its
-    # instance with the same first mismatch and printed sides as filled matrices.
+    # instance with the first mismatch of its printed matrices, entry by
+    # entry, and the one the slice rule gives for the changed index.
     # Only h_0..h_n reach a side of degree n, so only r <= n is perturbed.
     series_h = idn._series_h
 
+    def changed_index(wa, wb, m):
+        return (wa + 2 * wb + m) % 4
+
     def perturbed(block, n, m, wa, wb, *rest, **kw):
         h = series_h(block, n, m, wa, wb, *rest, **kw)
-        r = (wa + 2 * wb + m) % 4
+        r = changed_index(wa, wb, m)
         if wa < wb and r <= n:
             h = h[:r] + (h[r] + 1,) + h[r + 1:]
         return h
@@ -342,12 +369,15 @@ def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
     }
     monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(grid)
-    monkeypatch.setattr(idn, "_BLOCK", None)
-    monkeypatch.setattr(idn, "_xy_poly", eager_xy_poly)
-    eager, eager_summary = idn.sweep(grid)
-    assert records == eager and summary == eager_summary
     failed = [r for r in records if not r["holds"]]
     assert summary["failures"] == len(failed) > 0
+    for r in failed:
+        if "first_mismatch" in r:
+            par = r["params"]
+            n, with_y = par["n"], idn._IDENTITIES[r["identity"]].reads == "xy"
+            index = changed_index(min(par["w1"], par["w2"]), max(par["w1"], par["w2"]), par.get("m", 1))
+            expected = (0, n - index) if with_y else (n - index, 0)
+            assert tuple(r["first_mismatch"]) == printed_first_mismatch(r["lhs"], r["rhs"]) == expected, r
     mismatches = {(r["identity"], tuple(r["first_mismatch"])) for r in failed if "first_mismatch" in r}
     assert {tag for tag, _ in mismatches} == {"theorem1", "remark_m1", "theorem3", "remark_2_11"}
     assert len({fm for _, fm in mismatches}) >= 6
