@@ -14,12 +14,11 @@ The twist may be a root of unity of any finite order; the p-adic module
 restricts to twists of p-power order where the valuation theory applies.
 All results are cached: families, polynomials and power sums are immutable
 and reused across identity checks.  The series behind them are kept one per
-twist spec (the kernel quotient, its numerator's exponential sum and its
-denominator's inverse, which the power-sum series check shares) and one per
-(spec, k) (its k-th power), and grow coefficient by coefficient to the
-largest n asked for so far, so that asking for n computes no coefficient
-past t^n and none twice.  No config may
-ask for an index above ``MAX_SERIES_INDEX``.
+twist spec (the kernel quotient, which the power-sum series check shares,
+and its numerator's exponential sum) and one per (spec, k) (the k-th power,
+``generating_series``), and grow coefficient by coefficient to the largest n
+asked for so far, so that asking for n computes no coefficient past t^n and
+none twice.  No config may ask for an index above ``MAX_SERIES_INDEX``.
 
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
 exponential sum sum_{a<d} chi(a) xi^a e^(a t) is read off them.  They are
@@ -204,8 +203,7 @@ def _twist_weights(spec: TwistSpec) -> tuple[int, tuple[tuple[int, tuple[int, ..
 def _twisted_exp_sum(spec: TwistSpec) -> ps.Series:
     """sum_{a<d} chi(a) xi^a e^(a t): coefficient i is T_i(d - 1) / i!.
 
-    One growing series per spec, shared by the kernel series and every
-    ``power_sum_series_check`` of the spec.
+    One growing series per spec, the numerator of the kernel series.
     """
     d = spec.chi.modulus
     return ps.generated(spec.ambient, lambda i: power_sum(spec, i, d - 1) * Fraction(1, factorial(i)))
@@ -227,49 +225,23 @@ def _cancelled(spec: TwistSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def _inverse_denominator(spec: TwistSpec) -> ps.Series:
-    """The inverse of (xi^d e^(d t) - 1) / t^v, v = ``_cancelled(spec)``.
-
-    One growing series per spec, shared by the kernel series and every
-    ``power_sum_series_check`` of the spec.
-    """
-    v = _cancelled(spec)
-    return ps.inverse(ps.shifted(_twisted_exp_minus_one(spec, spec.chi.modulus), v))
-
-
-@lru_cache(maxsize=None)
 def _kernel_series(spec: TwistSpec) -> ps.Series:
     """t * sum_a chi(a) xi^a e^(a t) / (xi^d e^(d t) - 1), with the common t cancelled."""
     field = spec.ambient
     exp_sum = _twisted_exp_sum(spec)
     numerator = ps.generated(field, lambda r: exp_sum.coeff(r - 1) if r else field.zero)
-    return ps.product(ps.shifted(numerator, _cancelled(spec)), _inverse_denominator(spec))
+    return ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, spec.chi.modulus), _cancelled(spec))
 
 
 @lru_cache(maxsize=None)
-def family_series(spec: TwistSpec, k: int) -> ps.Series:
+def generating_series(spec: TwistSpec, k: int) -> ps.Series:
     """The order-k generating series, grown as far as it is asked.
 
     F^(k) is the k-th power of the kernel series by repeated squaring, and
     each power reads the smaller powers of the same spec from this cache, so
     F^(2) is one product shared by F^(3) and F^(4).  k = 0 gives 1.
     """
-    return ps.power(_kernel_series(spec), k, lambda j: family_series(spec, j))
-
-
-@lru_cache(maxsize=None)
-def generating_series(spec: TwistSpec, k: int, order: int) -> ps.TruncSeries:
-    """Order-k generating series, from the truncation order given.
-
-    Requires order >= k + 2 so that extraction never starves after the t
-    cancellation, which leaves order - 1 when xi^d = 1; k = 0 gives the
-    constant series 1.
-    """
-    if k < 0:
-        raise ValueError("order k must be >= 0")
-    if order < k + 2:
-        raise ValueError(f"truncation order {order} < k + 2 = {k + 2}")
-    return ps.TruncSeries(spec.ambient, family_series(spec, k).coeffs(order - _cancelled(spec)))
+    return ps.power(_kernel_series(spec), k, lambda j: generating_series(spec, j))
 
 
 @lru_cache(maxsize=None)
@@ -279,8 +251,8 @@ def numbers(spec: TwistSpec, k: int, max_n: int) -> BernoulliFamily:
         raise ValueError("max_n must be >= 0")
     if k < 0:
         raise ValueError("order k must be >= 0")
-    coeffs = family_series(spec, k).coeffs(max_n)
-    nums = tuple(c * factorial(n) for n, c in enumerate(coeffs))
+    series = generating_series(spec, k)
+    nums = tuple(ps.egf_coefficient(series, n) for n in range(max_n + 1))
     return BernoulliFamily(spec=spec, order_k=k, max_n=max_n, numbers=nums)
 
 
@@ -346,8 +318,10 @@ def power_sum_series_check(spec: TwistSpec, n: int, order: int) -> PowerSumSerie
         raise ValueError("need n >= 1 and order >= 1")
     d = spec.chi.modulus
     v = _cancelled(spec)
-    numerator = ps.product(_twisted_exp_minus_one(spec, n * d), _twisted_exp_sum(spec))
-    lhs = ps.product(ps.shifted(numerator, v), _inverse_denominator(spec)).coeffs(order - v)
+    # (xi^(nd) e^(nd t) - 1) times the kernel series t E / (xi^d e^(d t) - 1)
+    # has no constant term, and dropping its t leaves the quotient
+    head = _twisted_exp_minus_one(spec, n * d)
+    lhs = ps.shifted(ps.series_mul(head, _kernel_series(spec)), 1).coeffs(order - v)
     rhs = tuple(
         power_sum(spec, k, n * d - 1) * Fraction(1, factorial(k)) for k in range(len(lhs))
     )

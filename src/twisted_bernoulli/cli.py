@@ -175,6 +175,9 @@ def _cmd_volkenborn(params: dict):
     if not moments:
         raise ConfigError("key 'moments' must be an integer or a non-empty list of integers")
     moments = [bn.series_index(_json_int(m, "moments", 1 if kind == "shift" else 0), "moments") for m in moments]
+    # each moment is checked once, so the list holds at most 65 of them
+    if len(set(moments)) != len(moments):
+        raise ConfigError("key 'moments' must not repeat a moment")
     # the p check above makes top at least 2; a default level never exceeds it
     top = vk.max_level(chi.modulus, p)
     level_max = min(vk.DEFAULT_LEVEL_CAP.get(p, 5), top)

@@ -23,26 +23,10 @@ class UnsupportedField(TwistedBernoulliError):
     """p-adic valuation requested in a field where it is not single-valued."""
 
 
-# truncated series
+# power series
 
 class NonUnitConstantTerm(TwistedBernoulliError):
     """Series inversion needs a nonzero constant term."""
-
-
-class PoleAtZero(TwistedBernoulliError):
-    """Quotient of series would have a pole at t = 0."""
-
-
-class ZeroDenominator(TwistedBernoulliError):
-    """Division by a series that is zero to the truncation order."""
-
-
-class OrderExceeded(TwistedBernoulliError):
-    """Coefficient index beyond the truncation order."""
-
-
-class OrderMismatch(TwistedBernoulliError):
-    """Binary series operation with different truncation orders."""
 
 
 # characters

@@ -361,7 +361,7 @@ def _scaled_numbers(block, tw, k, w) -> ps.Series:
     tw %= block.order
 
     def build():
-        fam = bn.family_series(block.spec(tw), k)
+        fam = bn.generating_series(block.spec(tw), k)
         return fam if w == 1 else ps.generated(fam.field, lambda r: fam.coeff(r) * w**r)
 
     return block.get(("F", tw, k, w), build)
@@ -395,12 +395,12 @@ def _series_h(block, n, m, wa, wb, last_w, with_weights):
     """
 
     def lead_s():
-        return ps.product(_scaled_numbers(block, wa, m, wa), _s_factor(block, wa, wb, with_weights))
+        return ps.series_mul(_scaled_numbers(block, wa, m, wa), _s_factor(block, wa, wb, with_weights))
 
     def build():
         h = block.get(("LS", m, wa, wb, with_weights), lead_s)
         if m > 1:  # F^(0) = 1
-            h = ps.product(h, _scaled_numbers(block, last_w, m - 1, wb))
+            h = ps.series_mul(h, _scaled_numbers(block, last_w, m - 1, wb))
         return h
 
     return block.get(("H", m, wa, wb, last_w, with_weights), build).coeffs(n)

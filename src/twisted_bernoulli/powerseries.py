@@ -1,15 +1,11 @@
-"""Truncated formal power series in t over a cyclotomic field.
+"""Formal power series in t over a cyclotomic field, grown on demand.
 
-Ordinary coefficients are stored (coefficient of t^n, not of t^n/n!); the
-factorial is applied exactly at extraction time by :func:`egf_coefficient`,
-so multiplication stays a plain Cauchy product.  Binary operations require
-equal fields and equal truncation orders; nothing is silently re-truncated.
-
-Products, inverses, powers and quotients are computed on :class:`Series`,
-which grows coefficient by coefficient as far as it is asked and computes
-each coefficient once (McIlroy, "Power series, power serious", JFP 1999).
-The functions on :class:`TruncSeries` (``series_mul``, ``series_invert``,
-``divide_cancel``) grow one to the order and return that prefix.
+A :class:`Series` grows coefficient by coefficient as far as it is asked
+and computes each coefficient once (McIlroy, "Power series, power serious",
+JFP 1999).  Ordinary coefficients are stored (coefficient of t^n, not of
+t^n/n!), so a product is a plain Cauchy sum; the factorial is applied
+exactly at extraction time by :func:`egf_coefficient`.  Binary operations
+require equal fields.
 """
 
 from __future__ import annotations
@@ -17,61 +13,9 @@ from __future__ import annotations
 from math import factorial
 
 from . import _kernel as K
-from .errors import (
-    FieldMismatch,
-    NonUnitConstantTerm,
-    OrderExceeded,
-    OrderMismatch,
-    PoleAtZero,
-    ZeroDenominator,
-)
+from .errors import FieldMismatch, NonUnitConstantTerm
 from .exact import CycloElem, CycloField
 
-
-class TruncSeries:
-    """Coefficients c_0..c_order of a series over one cyclotomic field."""
-
-    __slots__ = ("field", "order", "coeffs")
-
-    def __init__(self, field: CycloField, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least the constant term")
-        for c in coeffs:
-            if c.field.conductor != field.conductor:
-                raise FieldMismatch("series coefficient from a different field")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "order", len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (
-            self.field.conductor == other.field.conductor
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.conductor, self.coeffs))
-
-    def __repr__(self):
-        return f"TruncSeries(m={self.field.conductor}, N={self.order})"
-
-
-def _check_pair(s1: TruncSeries, s2: TruncSeries):
-    if s1.field.conductor != s2.field.conductor:
-        raise FieldMismatch("series over different fields")
-    if s1.order != s2.order:
-        raise OrderMismatch(f"truncation orders differ: {s1.order} vs {s2.order}")
-
-
-# ---------------------------------------------------------------------------
-# series grown on demand
 
 class Series:
     """Coefficients c_0, c_1, ... of a series over one field, each computed once.
@@ -124,21 +68,12 @@ class Series:
         return f"Series(m={self.field.conductor}, computed={len(self._coeffs)})"
 
 
-def known(s: TruncSeries) -> Series:
-    """The coefficients of s; asking for one past s.order raises OrderExceeded."""
-
-    def step(_, r):
-        raise OrderExceeded(f"index {r} beyond truncation order {s.order}")
-
-    return Series(s.field, step, s.coeffs)
-
-
 def generated(field: CycloField, term) -> Series:
     """The series whose coefficient r is term(r)."""
     return Series(field, lambda _, r: term(r))
 
 
-def product(a: Series, b: Series) -> Series:
+def series_mul(a: Series, b: Series) -> Series:
     """a b: coefficient r is one Cauchy sum over c_0..c_r of each factor."""
     if a.field.conductor != b.field.conductor:
         raise FieldMismatch("series over different fields")
@@ -153,7 +88,7 @@ def product(a: Series, b: Series) -> Series:
     return Series(field, step)
 
 
-def inverse(s: Series) -> Series:
+def series_invert(s: Series) -> Series:
     """1/s: inv_r = -(c_1 inv_(r-1) + ... + c_r inv_0) inv_0, with inv_0 = 1/c_0."""
     field = s.field
     red = field.reduction_rows
@@ -190,9 +125,9 @@ def power(s: Series, k: int, smaller=None) -> Series:
         return s
     smaller = smaller or (lambda j: power(s, j))
     if k & 1:
-        return product(smaller(k - 1), s)
+        return series_mul(smaller(k - 1), s)
     half = smaller(k // 2)
-    return product(half, half)
+    return series_mul(half, half)
 
 
 def shifted(s: Series, v: int) -> Series:
@@ -200,57 +135,15 @@ def shifted(s: Series, v: int) -> Series:
     return generated(s.field, lambda r: s.coeff(r + v)) if v else s
 
 
-def quotient(num: Series, den: Series, v: int) -> Series:
-    """(num / t^v) / (den / t^v); den / t^v must have a nonzero constant term."""
-    return product(shifted(num, v), inverse(shifted(den, v)))
+def divide_cancel(num: Series, den: Series, v: int) -> Series:
+    """(num / t^v) / (den / t^v), the common t^v cancelled.
 
-
-def _prefix(s: Series, n: int) -> TruncSeries:
-    """c_0..c_n of s as a truncated series."""
-    return TruncSeries(s.field, s.coeffs(n))
-
-
-# ---------------------------------------------------------------------------
-# truncated series
-
-def series_mul(s1: TruncSeries, s2: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the common order."""
-    _check_pair(s1, s2)
-    return _prefix(product(known(s1), known(s2)), s1.order)
-
-
-def series_invert(s: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse to the same order (unit constant term required)."""
-    return _prefix(inverse(known(s)), s.order)
-
-
-def t_valuation(s: TruncSeries):
-    """Index of the first nonzero coefficient, or None if all vanish."""
-    for i, c in enumerate(s.coeffs):
-        if not c.is_zero():
-            return i
-    return None
-
-
-def divide_cancel(num: TruncSeries, den: TruncSeries) -> TruncSeries:
-    """num/den after cancelling the common power of t carried by den.
-
-    Both series lose t^v (v the t-adic valuation of den) and the result is
-    truncated to order N - v.  PoleAtZero if num vanishes to lower order than
-    den; ZeroDenominator if den is identically zero to order N.
+    den / t^v must have a nonzero constant term; the coefficients of num
+    below t^v are taken to be zero and are not read.
     """
-    _check_pair(num, den)
-    vd = t_valuation(den)
-    if vd is None:
-        raise ZeroDenominator("denominator vanishes to the truncation order")
-    vn = t_valuation(num)
-    if vn is not None and vn < vd:
-        raise PoleAtZero(f"numerator valuation {vn} < denominator valuation {vd}")
-    return _prefix(quotient(known(num), known(den), vd), num.order - vd)
+    return series_mul(shifted(num, v), series_invert(shifted(den, v)))
 
 
-def egf_coefficient(s: TruncSeries, n: int) -> CycloElem:
+def egf_coefficient(s: Series, n: int) -> CycloElem:
     """The coefficient of t^n/n!, i.e. n! times the ordinary coefficient."""
-    if n > s.order:
-        raise OrderExceeded(f"index {n} beyond truncation order {s.order}")
-    return s.coeffs[n] * factorial(n)
+    return s.coeff(n) * factorial(n)

@@ -29,6 +29,7 @@ from .exact import (
     INFINITY,
     CycloElem,
     RootOfUnity,
+    _is_p_power,
     as_cyclo,
     cyclo_field,
     is_prime,
@@ -73,10 +74,7 @@ def integrand_spec(chi: DirichletCharacter, xi: RootOfUnity, moment: int) -> Int
 def _validate_twist(spec: IntegrandSpec, p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    o = spec.xi.order
-    while o % p == 0:
-        o //= p
-    if o != 1:
+    if not _is_p_power(spec.xi.order, p):
         raise UnsupportedField(
             f"twist of order {spec.xi.order} is not a power of {p}; valuations would be ambiguous"
         )

@@ -14,11 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from twisted_bernoulli import _kernel as K
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
-from twisted_bernoulli import powerseries as ps
-from twisted_bernoulli.exact import CycloElem, as_cyclo, cyclo_field
+from twisted_bernoulli.exact import as_cyclo, cyclo_field
 
 
 # --- integer/rational polynomials, ascending coefficients -------------------
@@ -142,40 +140,36 @@ def classical_poly_at(n, x):
 
 # --- eager series loops over the field ---------------------------------------
 #
-# The bodies series_mul and series_invert had before series grew on demand:
-# every coefficient to the truncation order, in one loop, with one kernel
-# Cauchy sum per index.
+# Lists of field elements to one common length, each coefficient summed
+# term by term with the elements' own * and +, so no kernel Cauchy sum is
+# shared with the grown series these check.
 
-def eager_series_mul(s1, s2):
-    """Cauchy product of two series of one order, to that order."""
-    field = s1.field
-    red = field.reduction_rows
-    anums = [c.nums for c in s1.coeffs]
-    adens = [c.den for c in s1.coeffs]
-    bnums = [c.nums for c in s2.coeffs]
-    bdens = [c.den for c in s2.coeffs]
-    out = [
-        CycloElem._raw(field, *K.cauchy_coeff(anums, adens, bnums, bdens, n, red))
-        for n in range(s1.order + 1)
-    ]
-    return ps.TruncSeries(field, out)
+def eager_series_mul(a, b):
+    """Cauchy product of two coefficient lists, to the shorter length."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        acc = a[0].field.zero
+        for i in range(n + 1):
+            acc = acc + a[i] * b[n - i]
+        out.append(acc)
+    return out
 
 
-def eager_series_invert(s):
-    """Inverse to the same order, by inv_n = -(sum_{i=1..n} c_i inv_(n-i)) / c_0."""
-    c = s.coeffs
-    field = s.field
-    red = field.reduction_rows
+def eager_series_invert(c):
+    """Inverse to the same length, by inv_n = -(sum_{i=1..n} c_i inv_(n-i)) / c_0."""
     c0inv = c[0].inverse()
     inv = [c0inv]
-    cn = [x.nums for x in c]
-    cd = [x.den for x in c]
-    for n in range(1, s.order + 1):
-        invn = [x.nums for x in inv]
-        invd = [x.den for x in inv]
-        acc = CycloElem._raw(field, *K.cauchy_coeff(cn[1:], cd[1:], invn, invd, n - 1, red))
+    for n in range(1, len(c)):
+        acc = c[0].field.zero
+        for i in range(1, n + 1):
+            acc = acc + c[i] * inv[n - i]
         inv.append(-(acc * c0inv))
-    return ps.TruncSeries(field, inv)
+    return inv
+
+
+def t_valuation(coeffs):
+    """Index of the first nonzero coefficient, or None if all vanish."""
+    return next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
 
 
 # --- twisted sums, one element operation per term ----------------------------

@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import powerseries as ps
 from twisted_bernoulli.characters import enumerate_cyclic, from_table, principal
-from twisted_bernoulli.errors import NonDivisibleConductor
-from twisted_bernoulli.exact import RootOfUnity, as_cyclo, cyclo_field, galois_apply
+from twisted_bernoulli.errors import NonCyclicUnitGroup, NonDivisibleConductor
+from twisted_bernoulli.exact import RootOfUnity, as_cyclo, galois_apply
 
 import _oracles
 from _oracles import bernoulli_recurrence, classical_poly_at, twisted_minus_one
@@ -28,7 +28,7 @@ def test_classical_numbers_match_recurrence_oracle():
 
 
 def test_generating_series_egf_coefficients():
-    series = bn.generating_series(CLASSICAL, 1, 8)
+    series = bn.generating_series(CLASSICAL, 1)
     got = [ps.egf_coefficient(series, n).rational_value() for n in range(5)]
     assert got == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
 
@@ -53,9 +53,9 @@ def test_twist_order_three_first_number():
 
 def test_order_zero_is_constant_one():
     for spec in (CLASSICAL, bn.twist_spec(from_table(4, [0, 1, 0, -1]), RootOfUnity(4, 1))):
-        series = bn.generating_series(spec, 0, 6)
-        assert series.coeffs[0] == 1
-        assert all(c.is_zero() for c in series.coeffs[1:])
+        coeffs = bn.generating_series(spec, 0).coeffs(6)
+        assert coeffs[0] == 1
+        assert all(c.is_zero() for c in coeffs[1:])
 
 
 def test_higher_order_head_vanishes():
@@ -153,8 +153,7 @@ def test_integer_sums_match_term_by_term_oracle(order):
 def test_power_sum_series_check_examples():
     rep = bn.power_sum_series_check(CLASSICAL, 2, 8)
     assert rep.holds
-    egf = [ps.egf_coefficient(ps.TruncSeries(cyclo_field(1), rep.lhs), k).rational_value()
-           for k in range(4)]
+    egf = [(rep.lhs[k] * factorial(k)).rational_value() for k in range(4)]
     assert egf == [2, 1, 1, 1]
 
     chi4 = from_table(4, [0, 1, 0, -1])
@@ -164,6 +163,50 @@ def test_power_sum_series_check_examples():
     # xi^(nd) = 1 branch: the head factor has zero constant term
     rep3 = bn.power_sum_series_check(bn.twist_spec(principal(1), RootOfUnity(3, 1)), 3, 8)
     assert rep3.holds
+
+
+def _characters_up_to(d_max):
+    """Every character enumerate_cyclic gives for d <= d_max, and the principal
+    character where the unit group is not cyclic."""
+    out = []
+    for d in range(1, d_max + 1):
+        try:
+            out += enumerate_cyclic(d)
+        except NonCyclicUnitGroup:
+            out.append(principal(d))
+    return out
+
+
+def test_power_sum_series_lhs_equals_the_eager_quotient():
+    # lhs is read off the kernel series F = t E / D, as (xi^(nd) e^(nd t) - 1) F / t;
+    # the eager route divides (xi^(nd) e^(nd t) - 1) E by D = xi^d e^(d t) - 1
+    # in lists, with the common t^v cancelled, E summed term by term
+    order, cases = 10, 0
+    for chi in _characters_up_to(9):
+        d = chi.modulus
+        for o in range(1, 7):
+            for e in range(o):
+                spec = bn.twist_spec(chi, RootOfUnity(o, e))
+                field = spec.ambient
+
+                def exp_minus_one(c):
+                    xic = as_cyclo(spec.xi**c, field.conductor)
+                    out = [xic * Fraction(c**r, factorial(r)) for r in range(order + 1)]
+                    return [out[0] - 1] + out[1:]
+
+                den = exp_minus_one(d)
+                v = 0 if not den[0].is_zero() else 1
+                inv = _oracles.eager_series_invert(den[v:])
+                exp_sum = _oracles.twisted_exp_sum(spec, order + 1)
+                for n in range(1, 4):
+                    num = _oracles.eager_series_mul(exp_minus_one(n * d), exp_sum)
+                    assert all(c.is_zero() for c in num[:v])
+                    want = _oracles.eager_series_mul(num[v:], inv)
+                    rep = bn.power_sum_series_check(spec, n, order)
+                    assert rep.lhs == tuple(want), (chi, spec.xi, n)
+                    assert rep.holds and rep.order == order - v
+                    cases += 1
+    assert cases == 1575
 
 
 def test_power_sum_series_check_mismatch_reporting():
@@ -184,19 +227,20 @@ def _specs_for_properties():
 
 def test_order_composition():
     for spec in _specs_for_properties():
-        base = bn.generating_series(spec, 1, 10)
-        power = ps.TruncSeries(base.field, (base.field.one,) + (base.field.zero,) * base.order)
+        base = bn.generating_series(spec, 1).coeffs(10)
+        field = spec.ambient
+        power = [field.one] + [field.zero] * 10
         for k in range(1, 5):
-            power = ps.series_mul(power, base)
-            assert bn.generating_series(spec, k, 10) == power
+            power = _oracles.eager_series_mul(power, base)
+            assert bn.generating_series(spec, k).coeffs(10) == tuple(power)
 
 
 def test_vanishing_head_valuation():
     for spec in _specs_for_properties():
-        base = bn.generating_series(spec, 1, 10)
-        v1 = ps.t_valuation(base) or 0
+        base = bn.generating_series(spec, 1).coeffs(10)
+        v1 = _oracles.t_valuation(base) or 0
         for k in (2, 3):
-            vk = ps.t_valuation(bn.generating_series(spec, k, 10))
+            vk = _oracles.t_valuation(bn.generating_series(spec, k).coeffs(10))
             if vk is None:
                 continue  # identically zero to this order: valuation exceeds it
             assert vk >= k * v1

@@ -225,6 +225,7 @@ def test_config_error_names_key(tmp_path):
         ("volkenborn", dict(volk, p=4, moments=[1]), "p"),
         ("volkenborn", dict(volk, moments=[-1]), "moments"),
         ("volkenborn", dict(volk, moments=[]), "moments"),
+        ("volkenborn", dict(volk, moments=[1, 1]), "moments"),
         ("volkenborn", dict(volk, check="shift", shift=1, moments=[0]), "moments"),
         # shift belongs to shift checks only, and they need it
         ("volkenborn", dict(volk, shift=1, moments=[1]), "shift"),

@@ -836,7 +836,7 @@ def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(mon
         return out
 
     def fresh():
-        for f in (bn.family_series, bn._kernel_series, bn.numbers, bn.power_sum):
+        for f in (bn.generating_series, bn._kernel_series, bn.numbers, bn.power_sum):
             f.cache_clear()
         monkeypatch.setattr(idn, "_BLOCK", None)
 
@@ -1031,8 +1031,8 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     def cauchy_calls(grids):
         # every growing series bernoulli keeps, so that both sweeps start cold
         # whichever tests ran before
-        for f in (bn.family_series, bn._kernel_series, bn.numbers, bn.power_sum,
-                  bn._twisted_exp_sum, bn._inverse_denominator):
+        for f in (bn.generating_series, bn._kernel_series, bn.numbers, bn.power_sum,
+                  bn._twisted_exp_sum):
             f.cache_clear()
         computed, kept = {}, []
 
