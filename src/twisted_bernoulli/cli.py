@@ -37,7 +37,7 @@ from . import bernoulli as bn
 from . import identities as idn
 from . import jsontext
 from . import volkenborn as vk
-from .characters import _json_int, character_from_json, modulus_from_json, root_from_json
+from .characters import DirichletCharacter, _json_int, character_from_json, modulus_from_json, root_from_json
 from .errors import ConfigError, TwistedBernoulliError
 from .exact import INFINITY, _is_p_power, cyclo_to_json, frac_to_str, is_prime
 
@@ -48,6 +48,16 @@ from .exact import INFINITY, _is_p_power, cyclo_to_json, frac_to_str, is_prime
 #: 64 is above the cores a sweep can use on common machines, and keeps a
 #: mistyped value to a few GB of workers instead of thousands of processes.
 MAX_JOBS = 64
+
+
+#: Each subcommand with its help line.
+_COMMANDS = {
+    "compute-numbers": "compute a family of generalized twisted Bernoulli numbers",
+    "compute-polynomial": "compute one generalized twisted Bernoulli polynomial",
+    "power-sum": "compute a twisted character power sum",
+    "verify": "verify identities over a parameter grid",
+    "volkenborn": "finite-level p-adic convergence and shift traces",
+}
 
 
 class RunConfig(NamedTuple):
@@ -74,16 +84,16 @@ def _require_keys(params: dict, required: set, optional: set = frozenset()):
             raise ConfigError(f"unknown key '{key}' in config")
 
 
-def _int_param(params: dict, key: str, minimum: int | None = None) -> int:
-    return _json_int(params[key], key, minimum)
-
-
-def _spec_from_params(params: dict) -> bn.TwistSpec:
+def _character(params: dict) -> DirichletCharacter:
+    """The character of keys 'character' and 'modulus', which must agree."""
     chi = character_from_json(params["character"], modulus=params["modulus"])
     if chi.modulus != params["modulus"]:
         raise ConfigError("key 'modulus' disagrees with the character spec")
-    xi = root_from_json(params["xi"])
-    return bn.twist_spec(chi, xi)
+    return chi
+
+
+def _spec_from_params(params: dict) -> bn.TwistSpec:
+    return bn.twist_spec(_character(params), root_from_json(params["xi"]))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +102,8 @@ def _spec_from_params(params: dict) -> bn.TwistSpec:
 def _cmd_compute_numbers(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n_max"})
     spec = _spec_from_params(params)
-    k = bn.family_order(_int_param(params, "k", 0), "k")
-    n_max = bn.series_index(_int_param(params, "n_max", 0), "n_max")
+    k = bn.family_order(_json_int(params["k"], "k", 0), "k")
+    n_max = bn.series_index(_json_int(params["n_max"], "n_max", 0), "n_max")
     fam = bn.numbers(spec, k, n_max)
     return [cyclo_to_json(c) for c in fam.numbers], 0
 
@@ -101,8 +111,8 @@ def _cmd_compute_numbers(params: dict):
 def _cmd_compute_polynomial(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n"})
     spec = _spec_from_params(params)
-    k = bn.family_order(_int_param(params, "k", 0), "k")
-    n = bn.series_index(_int_param(params, "n", 0), "n")
+    k = bn.family_order(_json_int(params["k"], "k", 0), "k")
+    n = bn.series_index(_json_int(params["n"], "n", 0), "n")
     poly = bn.polynomial(spec, k, n)
     return [cyclo_to_json(c) for c in poly.coeffs], 0
 
@@ -110,8 +120,8 @@ def _cmd_compute_polynomial(params: dict):
 def _cmd_power_sum(params: dict):
     _require_keys(params, {"modulus", "character", "xi", "k", "n"})
     spec = _spec_from_params(params)
-    k = bn.series_index(_int_param(params, "k", 0), "k")
-    n = bn.power_sum_top(_int_param(params, "n", 0), "n")
+    k = bn.series_index(_json_int(params["k"], "k", 0), "k")
+    n = bn.power_sum_top(_json_int(params["n"], "n", 0), "n")
     return cyclo_to_json(bn.power_sum(spec, k, n)), 0
 
 
@@ -152,7 +162,7 @@ def _cmd_volkenborn(params: dict):
     shift = {"shift"} if kind == "shift" else set()
     _require_keys(params, {"p", "check", "modulus", "character", "xi", "moments", *shift}, {"level_max"})
     d = modulus_from_json(params["modulus"])
-    p = _int_param(params, "p", 2)
+    p = _json_int(params["p"], "p", 2)
     # every trace sums level 2 (level_max >= 2); bound p before the
     # trial-division primality test, whose cost grows with sqrt(p)
     if d * p * p > vk.MAX_LEVEL_TERMS:
@@ -162,9 +172,7 @@ def _cmd_volkenborn(params: dict):
         )
     if not is_prime(p):
         raise ConfigError(f"key 'p' must be a prime, got {p}")
-    chi = character_from_json(params["character"], modulus=params["modulus"])
-    if chi.modulus != params["modulus"]:
-        raise ConfigError("key 'modulus' disagrees with the character spec")
+    chi = _character(params)
     if chi.value_conductor() != 1:
         raise ConfigError("key 'character' must take rational values (orders one and two)")
     xi = root_from_json(params["xi"])
@@ -182,46 +190,31 @@ def _cmd_volkenborn(params: dict):
     top = vk.max_level(chi.modulus, p)
     level_max = min(vk.DEFAULT_LEVEL_CAP.get(p, 5), top)
     if "level_max" in params:
-        level_max = _int_param(params, "level_max", 2)
+        level_max = _json_int(params["level_max"], "level_max", 2)
     if level_max > top:
         raise ConfigError(
             f"key 'level_max' is {level_max}, but a level above {top} sums more than "
             f"{vk.MAX_LEVEL_TERMS} terms d * p^N for d = {chi.modulus} and p = {p}"
         )
+    if kind == "shift":
+        n_shift = bn.power_sum_multiple(_json_int(params["shift"], "shift", 1), chi.modulus, "shift")
     checks = []
-    all_pass = True
-    if kind == "convergence":
-        for n in sorted(moments):
-            spec = vk.integrand_spec(chi, xi, n)
+    for n in sorted(moments):
+        spec = vk.integrand_spec(chi, xi, n)
+        if kind == "convergence":
             trace = vk.convergence_check(spec, p, level_max)
-            passed = trace.passes()
-            all_pass = all_pass and passed
-            checks.append(
-                {
-                    "moment": n,
-                    "target": cyclo_to_json(vk.bernoulli_target(spec)),
-                    "trace": [
-                        {"p": p, "level": lev, "valuation": _val_str(v)}
-                        for lev, v in zip(trace.levels, trace.valuations)
-                    ],
-                    "passed": passed,
-                }
-            )
-    else:
-        n_shift = bn.power_sum_multiple(_int_param(params, "shift", 1), chi.modulus, "shift")
-        for k in sorted(moments):
-            spec = vk.integrand_spec(chi, xi, k)
-            rows = []
-            vals = []
-            for lev in range(1, level_max + 1):
-                res = vk.shift_identity_check(spec, p, n_shift, lev)
-                vals.append(res.valuation)
-                rows.append({"p": p, "level": lev, "valuation": _val_str(res.valuation)})
-            passed = vk.ConvergenceTrace(
-                levels=tuple(range(1, level_max + 1)), valuations=tuple(vals)
-            ).passes()
-            all_pass = all_pass and passed
-            checks.append({"moment": k, "shift": n_shift, "trace": rows, "passed": passed})
+            check = {"moment": n, "target": cyclo_to_json(vk.bernoulli_target(spec))}
+        else:
+            levels = tuple(range(1, level_max + 1))
+            vals = tuple(vk.shift_identity_check(spec, p, n_shift, lev).valuation for lev in levels)
+            trace = vk.ConvergenceTrace(levels, vals)
+            check = {"moment": n, "shift": n_shift}
+        check["trace"] = [
+            {"p": p, "level": lev, "valuation": _val_str(v)} for lev, v in zip(trace.levels, trace.valuations)
+        ]
+        check["passed"] = trace.passes()
+        checks.append(check)
+    all_pass = all(check["passed"] for check in checks)
     return {"p": p, "check": kind, "checks": checks}, 0 if all_pass else 1
 
 
@@ -273,7 +266,7 @@ def _to_csv_bytes(command: str, payload) -> bytes:
                 writer.writerow(
                     _cells([check["moment"], row["p"], row["level"], row["valuation"], check["passed"]])
                 )
-    elif command == "verify":
+    else:  # verify
         writer.writerow(["identity", "n", "m", "d", "chi", "xi", "w1", "w2", "k", "shift", "holds"])
         for rec in payload["reports"]:
             par = rec["params"]
@@ -292,13 +285,20 @@ def _to_csv_bytes(command: str, payload) -> bytes:
                     rec["holds"],
                 ])
             )
-    else:
-        raise ConfigError("csv output is limited to the verify and volkenborn commands")
     return buf.getvalue().encode()
 
 
 def run(config: RunConfig) -> tuple[int, bytes]:
-    """Execute a validated run configuration; returns (exit_code, output bytes)."""
+    """Execute a validated run configuration; returns (exit_code, output bytes).
+
+    The command and the format are checked before the command runs.
+    """
+    if config.command not in _COMMANDS:
+        raise ConfigError(f"unknown command '{config.command}'")
+    if config.format not in ("json", "csv"):
+        raise ConfigError(f"unknown format '{config.format}'")
+    if config.format == "csv" and config.command not in ("verify", "volkenborn"):
+        raise ConfigError("csv output is limited to the verify and volkenborn commands")
     if config.command == "compute-numbers":
         payload, code = _cmd_compute_numbers(config.params)
     elif config.command == "compute-polynomial":
@@ -311,15 +311,11 @@ def run(config: RunConfig) -> tuple[int, bytes]:
             return code, _verify_json_bytes(summary, texts)
         # a CSV row reads its record parsed back from its text, one at a time
         payload = {"summary": summary, "reports": map(json.loads, texts)}
-    elif config.command == "volkenborn":
-        payload, code = _cmd_volkenborn(config.params)
     else:
-        raise ConfigError(f"unknown command '{config.command}'")
+        payload, code = _cmd_volkenborn(config.params)
     if config.format == "json":
         return code, _to_json_bytes(payload)
-    if config.format == "csv":
-        return code, _to_csv_bytes(config.command, payload)
-    raise ConfigError(f"unknown format '{config.format}'")
+    return code, _to_csv_bytes(config.command, payload)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,13 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact twisted Bernoulli computations, identity sweeps, and p-adic traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("compute-numbers", "compute a family of generalized twisted Bernoulli numbers"),
-        ("compute-polynomial", "compute one generalized twisted Bernoulli polynomial"),
-        ("power-sum", "compute a twisted character power sum"),
-        ("verify", "verify identities over a parameter grid"),
-        ("volkenborn", "finite-level p-adic convergence and shift traces"),
-    ):
+    for name, text in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to the JSON parameter file")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -63,9 +63,10 @@ everything besides (chi, xi, conductor) that the value depends on:
 * ("H", m, wa, wb, last twist, with_weights): H itself, one series product
   over the shared values when m > 1;
 * ("agree", key, key'): for two H keys (the five components above) in
-  sorted order, whether the two series agree, index by index;
-* ("tables", tag, m, w1, w2): the "agree" tables of the readings of one
-  swap instance, shared by its every n.
+  sorted order, a list whose entry r is whether the two series agree at
+  index r;
+* ("tables", tag, m, w1, w2): a (key, key', "agree" list) triple for each
+  reading of one swap instance, shared by its every n.
 
 Every series grows coefficient by coefficient (``powerseries.Series``): a
 request for h_0..h_n computes only the coefficients of H and of its factors
@@ -74,18 +75,19 @@ coefficient once, up to the largest n its instances ask for.
 
 Sides are not kept: each is one slice or one scalar product of H.  A swap
 reading compares the side of (w1, w2) with that of (w2, w1), so it compares
-two H series, and its verdict is read off the block's "agree" table of that
-unordered pair: an x, y side or a y = 0 column holds iff h_r = h'_r for every
-r <= n, and a scalar side n! h_n iff h_n = h'_n.  Each pair of H series is
+two H series, and its verdict is read off the block's "agree" list of that
+unordered pair (``_agrees``): an x, y side or a y = 0 column holds iff
+h_r = h'_r for every r <= n, and a scalar side n! h_n iff h_n = h'_n.  Each pair of H series is
 compared once per block, up to the largest n asked for, and serves both
 orders (w1, w2) and (w2, w1), every n and every identity reading that pair.
 When w1 = w2 both sides read one H, so the verdict holds by construction
 and that H is not built unless a side is read.
 One function, ``_swap_report``, makes every swap report, for a sweep and a
 ``check_*`` call alike.  It reads the verdict of each reading off these
-tables and builds the first reading's two sides only when they are printed
+lists and builds the first reading's two sides only when they are printed
 or that reading fails, for its first mismatch.  A sweep reads its blocks
-off the grids' axes (``_plan``), parses each block once and makes each
+off the grids' axes (``_plan``), parses each block's chi and xi once,
+finds its ``_Block`` by those objects (``_block``), and makes each
 record's JSON text where its verdict is read (``_records_for_chunk``): a
 held swap instance without sides fills its run's template with the text of
 its values and verdicts, and makes no report or dict; any other record is
@@ -276,22 +278,20 @@ class _Block:
     tags (``sweep``), so instances (w1, w2) and (w2, w1), every n and every
     tag of a block share its values.  ``values`` holds them under keys
     naming every argument besides chi, xi and the conductor that changes the
-    value: twist specs, growing series and verdict tables, which only grow
-    and are never changed otherwise, because they are shared.  ``source`` is
-    the repr of the (chi, xi) JSON pair it was parsed from, or None when a
-    checker was called with the objects themselves.
+    value: twist specs, growing series and verdict lists, which only grow
+    and are never changed otherwise, because they are shared.  A block is
+    found by its objects only (``_block``).
     """
 
-    __slots__ = ("chi", "xi", "chi_json", "xi_json", "order", "cond", "source", "values")
+    __slots__ = ("chi", "xi", "chi_json", "xi_json", "order", "cond", "values")
 
-    def __init__(self, chi: DirichletCharacter, xi: RootOfUnity, source=None):
+    def __init__(self, chi: DirichletCharacter, xi: RootOfUnity):
         self.chi = chi
         self.xi = xi
         self.chi_json = character_to_json(chi)
         self.xi_json = root_to_json(xi)
         self.order = xi.normalized().order  # xi^w depends on w modulo this only
         self.cond = bn.ambient_conductor(chi, xi.normalized())
-        self.source = source
         self.values = {}
 
     def get(self, key, build):
@@ -329,25 +329,8 @@ def _block(chi, xi) -> _Block:
 
 
 def _source(chi_json, xi_json) -> str:
-    """The text a block is known by: the ``repr`` of its (chi, xi) JSON pair."""
+    """The text a ``_plan`` block is known by: the ``repr`` of its (chi, xi) JSON pair."""
     return repr((chi_json, xi_json))
-
-
-def _parse(chi_json, xi_json, source=None) -> _Block:
-    """The block of a chi and xi JSON pair, parsed again only when the JSON changes.
-
-    The JSON is compared by its ``repr`` text, so types count: True is not 1,
-    1.0 is not 1.  That costs half a ``json.dumps``, saved when the caller
-    passes the text as ``source``.  The objects' identity alone would not do:
-    a dict edited in place is the same object.
-    """
-    global _BLOCK
-    if source is None:
-        source = _source(chi_json, xi_json)
-    last = _BLOCK
-    if last is None or last.source != source:
-        last = _BLOCK = _Block(character_from_json(chi_json), root_from_json(xi_json), source)
-    return last
 
 
 # ---------------------------------------------------------------------------
@@ -426,67 +409,49 @@ def _side(tag, block, n, m, wa, wb, **reading):
     return BivariatePoly.from_series(h[0].field, h[: n + 1], wa * wb, with_y=reads == "xy")
 
 
-class _Agreement:
-    """Whether two H series of one block agree, index by index.
+def _agrees(block, left, right, equal, n, whole) -> bool:
+    """Whether the H series of keys left and right agree at h_0..h_n (whole) or at n.
 
-    ``equal[r]`` is h_r == h'_r, grown to the largest n asked for; H is read
-    through the module global ``_series_h``.  Sides that read h_0..h_n (the
-    x, y sides and the y = 0 columns) agree iff every index <= n does; a
-    scalar side n! h_n agrees iff index n does, since n! != 0.  Two equal
-    keys (w1 = w2, where every reading compares H with itself) name one
-    series, which agrees with itself without being read.
+    ``equal`` is the block's "agree" list of the pair: ``equal[r]`` is
+    h_r == h'_r, grown here to index n, with H read through the module
+    global ``_series_h``.  Sides that read h_0..h_n (the x, y sides and the
+    y = 0 columns) agree iff every index <= n does; a scalar side n! h_n
+    agrees iff index n does, since n! != 0.  Two equal keys (w1 = w2, where
+    every reading compares H with itself) name one series, which agrees
+    with itself without being read.
     """
-
-    __slots__ = ("left", "right", "equal")
-
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-        self.equal = []
-
-    def holds(self, block, n, whole) -> bool:
-        """Whether the sides of block that read h_0..h_n (whole) or n! h_n agree.
-
-        The block is passed, not kept: a table the block holds must not
-        hold the block, or the block would outlive its turn in a sweep until
-        the cyclic garbage collector ran.
-        """
-        have = len(self.equal)
-        if n >= have:
-            if self.right == self.left:  # one series: equal by construction, read none
-                self.equal += [True] * (n + 1 - have)
-            else:
-                a = _series_h(block, n, *self.left)
-                b = _series_h(block, n, *self.right)
-                self.equal += [x == y for x, y in zip(a[have:], b[have:])]
-        return all(self.equal[: n + 1]) if whole else self.equal[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, _Agreement):
-            return NotImplemented
-        return (self.left, self.right, self.equal) == (other.left, other.right, other.equal)
-
-
-def _agreement(block, left, right) -> _Agreement:
-    """The block's table for the unordered pair of H keys (left, right)."""
-    pair = (left, right) if left <= right else (right, left)
-    return block.get(("agree",) + pair, lambda: _Agreement(*pair))
+    have = len(equal)
+    if n >= have:
+        if left == right:
+            equal += [True] * (n + 1 - have)
+        else:
+            a = _series_h(block, n, *left)
+            b = _series_h(block, n, *right)
+            equal += [x == y for x, y in zip(a[have:], b[have:])]
+    return all(equal[: n + 1]) if whole else equal[n]
 
 
 def _verdicts(block, tag, n, m, w1, w2) -> list:
-    """Whether each reading of a swap instance holds, read off its block's tables.
+    """Whether each reading of a swap instance holds, read off its block's lists.
 
     A reading compares the side of (w1, w2) with that of (w2, w1), so the
     H series of its two keys, at every index <= n, or at n alone for a
-    scalar side n! h_n.  The block keeps the tables of an instance's
-    readings together, for every n of the instance.
+    scalar side n! h_n.  Each unordered pair of keys has one "agree" list
+    in the block, and the block keeps the (key, key', list) triples of an
+    instance's readings together, for every n of the instance.
     """
     entry = _IDENTITIES[tag]
-    tables = block.get(("tables", tag, m, w1, w2), lambda: tuple(
-        _agreement(block, _h_key(block, m, w1, w2, **left), _h_key(block, m, w2, w1, **right))
-        for _, left, right in entry.readings
-    ))
+
+    def tables():
+        out = []
+        for _, left_kw, right_kw in entry.readings:
+            pair = sorted((_h_key(block, m, w1, w2, **left_kw), _h_key(block, m, w2, w1, **right_kw)))
+            out.append((*pair, block.get(("agree", *pair), list)))
+        return out
+
     whole = entry.reads != "h_n"
-    return [table.holds(block, n, whole) for table in tables]
+    return [_agrees(block, left, right, equal, n, whole)
+            for left, right, equal in block.get(("tables", tag, m, w1, w2), tables)]
 
 
 # ---------------------------------------------------------------------------
@@ -593,34 +558,21 @@ IDENTITY_TAGS = tuple(_IDENTITIES)
 # ---------------------------------------------------------------------------
 # reports and checkers
 
-class IdentityReport:
-    """Outcome of one identity instance.
+class IdentityReport(NamedTuple):
+    """Outcome of one identity instance, its fields set when it is built.
 
     ``holds`` is the verdict of the primary reading; when a checker evaluates
-    several readings their individual verdicts are in ``readings``.  Two
-    reports are equal when they are of one class and every field is equal.
+    several readings their individual verdicts are in ``readings``.
     """
 
-    _FIELDS = ("identity", "params", "holds", "lhs", "rhs", "first_mismatch", "readings", "error")
-
-    def __init__(self, identity, params, holds, lhs, rhs, first_mismatch=None, readings=None, error=None):
-        self.identity, self.params, self.holds = identity, params, holds
-        self.lhs, self.rhs, self.first_mismatch = lhs, rhs, first_mismatch
-        self.readings, self.error = readings, error
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._fields()))
-        return f"{self.__class__.__qualname__}({fields})"
+    identity: str
+    params: dict
+    holds: bool
+    lhs: object
+    rhs: object
+    first_mismatch: object = None
+    readings: dict | None = None
+    error: str | None = None
 
 
 def _params(block, n, m=None, **args) -> dict:
@@ -631,11 +583,11 @@ def _params(block, n, m=None, **args) -> dict:
 
 
 def _swap_report(tag, block, args, sides) -> IdentityReport:
-    """The report of one swap instance of block, read off its verdict tables.
+    """The report of one swap instance of block, read off its verdict lists.
 
     Each side is a projection of an H series the block holds, so a reading
-    holds iff its block's table (``_Agreement``) for the pair of H series it
-    compares agrees at the indices its sides read.  The first reading
+    holds iff its block's "agree" list for the pair of H series it compares
+    (``_verdicts``) agrees at the indices its sides read.  The first reading
     decides ``holds``, unless any reading suffices.  The first reading's two
     sides are built only when ``sides`` is true or that reading fails, for
     its first mismatch; the builder is called through its module global, so
@@ -644,19 +596,20 @@ def _swap_report(tag, block, args, sides) -> IdentityReport:
     entry = _IDENTITIES[tag]
     n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]
     verdicts = _verdicts(block, tag, n, m, w1, w2)
-    holds = any(verdicts) if entry.any_reading else verdicts[0]
-    rep = IdentityReport(tag, _params(block, **args), holds, None, None)
+    readings = None
     if len(verdicts) > 1:
-        rep.readings = {name: held for (name, _, _), held in zip(entry.readings, verdicts)}
+        readings = {name: held for (name, _, _), held in zip(entry.readings, verdicts)}
+    lhs = rhs = first = None
     if sides or not verdicts[0]:
         _, left, right = entry.readings[0]
         side = globals()[entry.side]
         head = (n, m) if "m" in args else (n,)
-        rep.lhs = side(*head, block.chi, block.xi, w1, w2, **left)
-        rep.rhs = side(*head, block.chi, block.xi, w2, w1, **right)
-        if not verdicts[0] and isinstance(rep.lhs, BivariatePoly):
-            rep.first_mismatch = rep.lhs.first_mismatch(rep.rhs)
-    return rep
+        lhs = side(*head, block.chi, block.xi, w1, w2, **left)
+        rhs = side(*head, block.chi, block.xi, w2, w1, **right)
+        if not verdicts[0] and isinstance(lhs, BivariatePoly):
+            first = lhs.first_mismatch(rhs)
+    holds = any(verdicts) if entry.any_reading else verdicts[0]
+    return IdentityReport(tag, _params(block, **args), holds, lhs, rhs, first, readings)
 
 
 def _check_swap(tag, chi, xi, **args) -> IdentityReport:
@@ -929,9 +882,9 @@ def run_instance(desc: dict) -> IdentityReport:
     counts instances at.
     """
     entry = _IDENTITIES[desc["identity"]]
-    block = _parse(desc["chi"], desc["xi"])
+    chi, xi = character_from_json(desc["chi"]), root_from_json(desc["xi"])
     args = {key.name: desc[key.name] for key in entry.keys}
-    return globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
+    return globals()[entry.checker](chi=chi, xi=xi, **args)
 
 
 #: A record's pad in the verify output: a newline and the indentation of a
@@ -954,11 +907,10 @@ def _held_template(tag, names, block, chi_text, xi_text) -> str:
     per run by the same encoder as every other record; chi_text and xi_text
     are the block's chi and xi at their indentation, written once per block.
     """
-    rep = IdentityReport(tag, _params(block, **dict.fromkeys(names, _OPEN)), True, None, None)
-    rep.params.update(chi=_CHI, xi=_XI)
-    readings = _IDENTITIES[tag].readings
-    if len(readings) > 1:
-        rep.readings = dict.fromkeys((name for name, _, _ in readings), _OPEN)
+    params = {**_params(block, **dict.fromkeys(names, _OPEN)), "chi": _CHI, "xi": _XI}
+    readings = [name for name, _, _ in _IDENTITIES[tag].readings]
+    opened = dict.fromkeys(readings, _OPEN) if len(readings) > 1 else None
+    rep = IdentityReport(tag, params, True, None, None, readings=opened)
     text = jsontext.text(report_to_record(rep), RECORD_PAD)
     text = text.replace(jsontext.scalar(_CHI), chi_text).replace(jsontext.scalar(_XI), xi_text)
     return text.replace("%", "%%").replace(jsontext.scalar(_OPEN), "%s")
@@ -968,8 +920,8 @@ def _records_for_chunk(chunk, include_sides) -> tuple:
     """(texts, holds, errors) of a chunk of ``_plan`` blocks, block by block, run by run.
 
     Each text is one record's JSON at ``RECORD_PAD``; holds and errors count
-    the records that hold and those that carry an error.  Each block is
-    parsed once, and each run's axes are expanded in place.  A held swap
+    the records that hold and those that carry an error.  Each block's chi
+    and xi are parsed once, and each run's axes are expanded in place.  A held swap
     instance without sides is its run's template (``_held_template``) filled
     with the text of its values and verdicts, with no report or dict of its
     own.  Any other record is its report's (``_swap_report`` for a swap
@@ -981,8 +933,8 @@ def _records_for_chunk(chunk, include_sides) -> tuple:
     texts, holds, errors = [], 0, 0
     scalar = jsontext.scalar
     pad = RECORD_PAD + "    "  # a "params" item's
-    for source, chi_json, xi_json, runs in chunk:
-        block = _parse(chi_json, xi_json, source)
+    for _, chi_json, xi_json, runs in chunk:
+        block = _block(character_from_json(chi_json), root_from_json(xi_json))
         chi_text, xi_text = jsontext.text(block.chi_json, pad), jsontext.text(block.xi_json, pad)
         for _, _, tag, axes in runs:
             entry = _IDENTITIES[tag]

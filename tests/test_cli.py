@@ -15,7 +15,7 @@ from twisted_bernoulli import cli
 from twisted_bernoulli import identities as idn
 from twisted_bernoulli import volkenborn as vk
 from twisted_bernoulli.characters import MAX_MODULUS
-from twisted_bernoulli.errors import NotMultiplicative
+from twisted_bernoulli.errors import ConfigError, NotMultiplicative
 from twisted_bernoulli.exact import cyclo_from_json, frac_from_str
 
 # a child interpreter imports the package from this checkout, as pytest does
@@ -403,9 +403,23 @@ def test_volkenborn_csv(tmp_path):
     assert len(lines) == 5
 
 
-def test_csv_rejected_for_scalar_commands(tmp_path):
+def test_csv_rejected_for_scalar_commands(tmp_path, monkeypatch):
     proc = run_cli(tmp_path, "compute-numbers", NUMS_PARAMS, fmt="csv")
     assert proc.returncode == 2
+
+    # a format is refused before any command runs
+    def ran(*args):
+        raise AssertionError("ran")
+
+    handlers = ("_cmd_compute_numbers", "_cmd_compute_polynomial", "_cmd_power_sum", "_cmd_verify", "_cmd_volkenborn")
+    for name in handlers:
+        monkeypatch.setattr(cli, name, ran)
+    for command in ("compute-numbers", "compute-polynomial", "power-sum"):
+        with pytest.raises(ConfigError, match="csv output is limited to the verify and volkenborn commands"):
+            cli.run(cli.RunConfig(command, NUMS_PARAMS, format="csv"))
+    for command in ("compute-numbers", "compute-polynomial", "power-sum", "verify", "volkenborn"):
+        with pytest.raises(ConfigError, match="unknown format 'xml'"):
+            cli.run(cli.RunConfig(command, NUMS_PARAMS, format="xml"))
 
 
 def test_verify_csv(tmp_path):
@@ -646,7 +660,6 @@ def test_record_texts_print_what_json_dumps_would(include_sides, altered, monkey
 
         monkeypatch.setattr(idn, "_series_h", changed)
     config = {"grids": ALL_TAG_GRIDS, "include_sides": include_sides}
-    monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(ALL_TAG_GRIDS, include_sides=include_sides)
     assert {r["identity"] for r in records} == set(idn.IDENTITY_TAGS)
     assert summary == {
@@ -682,8 +695,7 @@ def test_record_texts_refuse_floats(monkeypatch):
 
     def float_param(chi, xi, k, n):
         rep = check(chi, xi, k, n)
-        rep.params = {**rep.params, "k": 1.0}
-        return rep
+        return rep._replace(params={**rep.params, "k": 1.0})
 
     for name, fake, grid in (("_verdicts", half_verdict, theorem1), ("check_eq_1_13", float_param, eq_1_13)):
         monkeypatch.setattr(idn, name, fake)

@@ -367,7 +367,6 @@ def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
         "m": [1, 2],
         "n_max": 4,
     }
-    monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(grid)
     failed = [r for r in records if not r["holds"]]
     assert summary["failures"] == len(failed) > 0
@@ -384,11 +383,10 @@ def test_perturbed_h_fails_with_the_eager_first_mismatch(monkeypatch):
     assert all("lhs" in r and "rhs" in r for r in failed)
 
 
-# --- parsing each (chi, xi) block once ----------------------------------------------
+# --- finding each (chi, xi) block ------------------------------------------------
 
-def test_run_instance_reparses_when_json_types_change(monkeypatch):
-    # reusing the last parse must not let true or 1.0 pass where 1 did
-    monkeypatch.setattr(idn, "_BLOCK", None)
+def test_run_instance_reparses_when_json_types_change():
+    # every instance parses its JSON: true or 1.0 must not pass where 1 did
     grid = {
         "identity": "theorem1",
         "d": [3],
@@ -412,22 +410,6 @@ def test_run_instance_reparses_when_json_types_change(monkeypatch):
             desc[part][key] = good
 
 
-def test_parse_shares_a_block_for_type_exact_equal_json_only(monkeypatch):
-    monkeypatch.setattr(idn, "_BLOCK", None)
-    chi, xi = {"modulus": 3, "kind": "index", "j": 1}, {"order": 2, "exponent": 1}
-    block = idn._parse(chi, xi)
-    assert idn._parse(chi, xi) is block
-    # equal JSON in distinct objects shares the block
-    assert idn._parse(json.loads(json.dumps(chi)), dict(xi)) is block
-    # true, or 1.0, where 1 was is parsed again, and refused
-    for bad, key in (({"order": 2, "exponent": True}, "exponent"), ({"order": 2.0, "exponent": 1}, "order")):
-        with pytest.raises(ConfigError, match=f"'{key}'"):
-            idn._parse(chi, bad)
-        assert idn._parse(chi, xi) is block
-    # an equal root given differently is a new block
-    assert idn._parse(chi, {"order": 2, "exponent": 3}) is not block
-
-
 MINUS_JSON = {"order": 2, "exponent": 1}
 
 
@@ -437,8 +419,7 @@ def mod8(minus):
     return [None, one, None, minus, None, one, None, minus]
 
 
-def test_consecutive_blocks_report_their_own_params(monkeypatch):
-    monkeypatch.setattr(idn, "_BLOCK", None)
+def test_consecutive_blocks_report_their_own_params():
     table = {"kind": "table", "values": [None, {"order": 1, "exponent": 0}, {"order": 4, "exponent": 2}]}
     blocks = [
         ({"modulus": 3, "kind": "index", "j": 1}, {"order": 2, "exponent": 1}),
@@ -531,10 +512,9 @@ def side_cases(characters, n_max):
 
 
 @pytest.mark.parametrize("chi", ORACLE_CHARACTERS, ids=lambda chi: chi.label())
-def test_sides_equal_the_literal_printed_sums(chi, monkeypatch):
+def test_sides_equal_the_literal_printed_sums(chi):
     # the swap checks cannot see an error that is symmetric in w1 and w2
     # (a side scaled by w1 + w2, a twist xi^(w1 w2)); the literal sums can
-    monkeypatch.setattr(idn, "_BLOCK", None)
     count = 0
     for n, _, xi, wa, wb in side_cases([chi], 4):
         cond = bn.ambient_conductor(chi, xi.normalized())
@@ -577,7 +557,6 @@ def test_run_instance_calls_checkers_and_builders_by_name(monkeypatch):
         return (h[0] + 1,) + h[1:] if wa < wb else h
 
     monkeypatch.setattr(idn, "_series_h", perturbed)
-    monkeypatch.setattr(idn, "_BLOCK", None)
     xi = {"order": 1, "exponent": 0}
     for tag, checker in checkers.items():
         grid = {"identity": tag, "d": [1], "xi": xi, "k": [1], "w2": [2], "n_max": 1}
@@ -783,8 +762,7 @@ def test_chunks_never_split_a_block(monkeypatch):
                 roots[:] = [dict(xi, order=True) for xi in roots]
         return axes
 
-    # equal JSON in other objects is the same block, as _parse sees it; True
-    # for 1 is another block
+    # equal JSON in other objects is the same block; True for 1 is another
     for retype, n_blocks in ((False, 12), (True, 14)):  # 5 characters x 2 twists, 2 x 1 (, 2 x 1)
         if retype:
             monkeypatch.setattr(idn, "_grid_axes", retyped)
@@ -884,7 +862,6 @@ def test_memoized_sweep_matches_fresh_checks(monkeypatch):
     # one character: every tag falls in one block and shares its values; with
     # both characters the sweep changes block between tags
     grids = [grid, {**grid, "character": "all", "m": [1, 2], "n_max": 2}]
-    monkeypatch.setattr(idn, "_BLOCK", None)
     records, _ = idn.sweep(grids, include_sides=True)
     monkeypatch.setattr(idn._Block, "get", lambda self, key, build: build())
     descs = [desc for g in grids for desc in idn.expand_grid(g)]
@@ -906,7 +883,6 @@ def test_memo_holds_only_the_last_block(monkeypatch):
         "m": [2],
         "n_max": 2,
     }
-    monkeypatch.setattr(idn, "_BLOCK", None)
     idn.sweep(grid)
     both = idn._BLOCK
     monkeypatch.setattr(idn, "_BLOCK", None)
@@ -914,7 +890,6 @@ def test_memo_holds_only_the_last_block(monkeypatch):
     last = idn._BLOCK
     assert both is not last
     assert (both.chi, both.xi, both.cond) == (LEG3, MINUS, 1) == (last.chi, last.xi, last.cond)
-    assert both.source == repr(({"modulus": 3, "kind": "index", "j": 1}, MINUS_JSON)) == last.source
     assert both.values == last.values
 
 
@@ -1026,7 +1001,7 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     class Counted(idn._Block):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append(self.source)
+            built.append(idn._source(self.chi_json, self.xi_json))
 
     def cauchy_calls(grids):
         # every growing series bernoulli keeps, so that both sweeps start cold
@@ -1069,7 +1044,6 @@ def test_side_builders_run_for_failing_readings_only(perturb, monkeypatch):
     if perturb:
         perturb_h(monkeypatch)
     calls = count_side_builds(monkeypatch)
-    monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(shared_block_grids())
     failing = failing_first_readings(records)
     assert calls == {tag: 2 * count for tag, count in failing.items()}
@@ -1112,10 +1086,9 @@ def test_block_records_equal_the_report_records(include_sides, monkeypatch):
             return idn.report_to_record(idn.run_instance(desc), include_sides)
         except NotMultiplicative as exc:
             args = {key.name: desc[key.name] for key in idn._IDENTITIES[desc["identity"]].keys}
-            params = idn._params(idn._parse(desc["chi"], desc["xi"]), **args)
+            params = idn._params(idn._block(character_from_json(desc["chi"]), root_from_json(desc["xi"])), **args)
             return {"identity": desc["identity"], "params": params, "holds": False, "error": str(exc)}
 
-    monkeypatch.setattr(idn, "_BLOCK", None)
     expected = [reference(desc) for grid in grids for desc in idn.expand_grid(grid)]
     kinds = {("error" in r, r["holds"], all(r.get("readings", {}).values())) for r in expected}
     assert kinds == {(True, False, True), (False, True, True), (False, True, False)}
@@ -1147,7 +1120,6 @@ def test_mixed_verdict_records_are_pinned(monkeypatch):
     literal = {"identity": "theorem1", "d": [1], "character": principal, "xi": xi2,
                "w1": [1], "w2": [2], "m": [2], "n_max": 1}
     calls = count_side_builds(monkeypatch)
-    monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(literal)
     assert json.dumps(records) == json.dumps([
         {"identity": "theorem1", "params": pinned_params(0, xi2, 2), "holds": True,
@@ -1200,7 +1172,6 @@ def test_sweep_counts_instances_before_expanding(monkeypatch):
     assert idn._plan(grids)[0] == total
     assert idn._plan([grids[1]])[0] == 2 * 2  # eq_1_13 mod 4: two characters, k = 1, 2
     monkeypatch.setattr(idn, "MAX_INSTANCES", total)
-    monkeypatch.setattr(idn, "_BLOCK", None)
     assert idn.sweep(grids)[1]["total"] == total
     monkeypatch.setattr(idn, "MAX_INSTANCES", total - 1)
 
@@ -1222,7 +1193,6 @@ def test_sweep_reads_each_grid_once_and_builds_no_descriptor(jobs, monkeypatch):
          "w1": [1, 2], "w2": [2, 1], "m": [1, 2], "n_max": 2},
         {"identity": "eq_1_13", "d": [3], "character": "all", "xi": xi2, "k": [1, 2], "shift": [1, 2]},
     ]
-    monkeypatch.setattr(idn, "_BLOCK", None)
     expected = [idn.report_to_record(idn.run_instance(d)) for grid in grids for d in idn.expand_grid(grid)]
     _, blocks = idn._plan(grids)
     assert any(len(runs) > len({tag for _, _, tag, _ in runs}) for *_, runs in blocks)
