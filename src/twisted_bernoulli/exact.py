@@ -8,6 +8,11 @@ Internally the vector is stored fraction-free (integer coordinates plus one
 positive common denominator); the per-coordinate Fractions are exposed
 through :attr:`CycloElem.coeffs`.
 
+Phi_m is a Moebius product of binomials x^d - 1 (:func:`cyclotomic_polynomial`).
+Each interned field keeps one growing table of the integer coordinates of
+zeta^phi, zeta^(phi+1), ... (:meth:`CycloField.power`); the kernel, and
+:func:`as_cyclo`, :func:`embed` and :func:`galois_apply`, all read it.
+
 Conventions fixed here and relied on elsewhere:
 
 * binary operations require equal conductors; callers embed into an
@@ -72,58 +77,29 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials (integer coefficients, ascending)
 
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_int(num, den):
-    """Exact division of integer polynomials (den monic up to sign handling)."""
-    num = list(num)
-    dn = len(den) - 1
-    q = [0] * (len(num) - dn)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn]
-        if c % den[dn]:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= den[dn]
-        q[k] = c
-        if c:
-            for j, y in enumerate(den):
-                num[k + j] -= c * y
-    return q, num[:dn]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, ascending, computed by exact recursive division.
+    """Coefficients of Phi_m, ascending, as a Moebius product.
 
-    Phi_m = (x^m - 1) / prod(Phi_d for proper divisors d of m).
+    Phi_m = prod over squarefree e | m of (x^(m/e) - 1)^mu(e) (Washington,
+    *Introduction to Cyclotomic Fields*, ch. 2), taken mod x^(phi+1), where
+    dividing by x^d - 1 is exact.  Times or divided by x^d - 1, both read
+    p_i = q_(i-d) - q_i, in one pass from the top or from the bottom.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]
-    den = [1]
-    for d in _divisors(m)[:-1]:
-        den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod_int(num, den)
-    if any(r):
-        raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(q)
+    phi = totient(m)
+    poly = [1] + [0] * phi
+    factors = [(m, 1)]
+    for p in factorize(m):
+        factors += [(d // p, -mu) for d, mu in factors]
+    for d, mu in factors:
+        for i in range(phi, -1, -1) if mu == 1 else range(phi + 1):
+            poly[i] = (poly[i - d] if i >= d else 0) - poly[i]
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +168,46 @@ MINUS_ONE_ROOT = RootOfUnity(2, 1)
 # fields
 
 class CycloField:
-    """The field Q(zeta_m): conductor, minimal polynomial, reduction table.
+    """The field Q(zeta_m): conductor, degree phi and a table of powers of zeta.
 
-    Instances are interned by :func:`cyclo_field`; never construct directly.
-    The conductor-1 field is Q itself (Phi_1 = x - 1, basis {1}).
+    Table row t holds the integer coordinates of zeta^(phi+t): the row before
+    times zeta, with zeta^phi folded back.  The first max(phi - 1, 1) rows are
+    the kernel's ``reduction_rows``; :meth:`power` grows the table on demand.
+    Instances are interned by :func:`cyclo_field`, one table per conductor;
+    never construct directly.  The conductor-1 field is Q (Phi_1 = x - 1).
     """
 
-    __slots__ = ("conductor", "minimal_polynomial", "degree", "reduction_rows", "zero", "one")
+    __slots__ = ("conductor", "degree", "reduction_rows", "zero", "one", "_powers")
 
     def __init__(self, conductor: int):
         poly = cyclotomic_polynomial(conductor)
         phi = len(poly) - 1
         self.conductor = conductor
-        self.minimal_polynomial = poly
         self.degree = phi
-        base = tuple(-c for c in poly[:-1])  # zeta^phi in the basis
-        rows = [base]
-        cur = list(base)
-        for _ in range(max(phi - 1, 1) - 1):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [v + top * b for v, b in zip(cur, base)]
-            rows.append(tuple(cur))
-        self.reduction_rows = tuple(rows)
+        self._powers = [tuple(-c for c in poly[:-1])]  # zeta^phi in the basis
+        self.power(phi + max(phi - 1, 1) - 1)  # the rows the kernel reads
+        self.reduction_rows = tuple(self._powers)
         self.zero = CycloElem._raw(self, (0,) * phi, 1)
-        one = [0] * phi
-        one[0] = 1
-        self.one = CycloElem._raw(self, tuple(one), 1)
+        self.one = CycloElem._raw(self, self.power(0), 1)
+
+    def power(self, e: int) -> tuple[int, ...]:
+        """Integer coordinates of zeta^e, e >= 0: a unit vector below phi, a table row above.
+
+        Rows past the conductor repeat earlier powers; callers reduce e mod m.
+        """
+        phi = self.degree
+        if e < phi:
+            return (0,) * e + (1,) + (0,) * (phi - e - 1)
+        table = self._powers
+        base = table[0]
+        while len(table) <= e - phi:
+            cur = table[-1]
+            top = cur[-1]
+            cur = (0,) + cur[:-1]
+            if top:
+                cur = tuple([v + top * b for v, b in zip(cur, base)])
+            table.append(cur)
+        return table[e - phi]
 
     def element(self, coeffs) -> "CycloElem":
         """Element from a sequence of phi(m) rationals in the power basis."""
@@ -414,24 +402,6 @@ class CycloElem:
 # ---------------------------------------------------------------------------
 # powers of zeta, embeddings, roots as elements
 
-@lru_cache(maxsize=None)
-def _zeta_power(conductor: int, e: int) -> CycloElem:
-    """zeta_conductor^e as an element (e reduced mod conductor)."""
-    field = cyclo_field(conductor)
-    e %= conductor
-    phi = field.degree
-    if e < phi:
-        nums = [0] * phi
-        nums[e] = 1
-        return CycloElem._raw(field, tuple(nums), 1)
-    prev = _zeta_power(conductor, e - 1)
-    top = prev.nums[-1]
-    cur = [0] + list(prev.nums[:-1])
-    if top:
-        cur = [v + top * b for v, b in zip(cur, field.reduction_rows[0])]
-    return CycloElem._raw(field, *K.normalize(cur, prev.den))
-
-
 def as_cyclo(r: RootOfUnity, m: int) -> CycloElem:
     """The root of unity r as an element of Q(zeta_m).
 
@@ -446,7 +416,19 @@ def as_cyclo(r: RootOfUnity, m: int) -> CycloElem:
         return field.rational(-1)
     if m % o:
         raise NonDivisibleConductor(f"root of order {o} does not lie in Q(zeta_{m})")
-    return _zeta_power(m, j * (m // o))
+    return CycloElem._raw(field, field.power(j * (m // o)), 1)
+
+
+def _substitute(e: CycloElem, target: CycloField, k: int) -> CycloElem:
+    """e with zeta_a replaced by zeta^k of the target field, summed in integers."""
+    m = target.conductor
+    acc = [0] * target.degree
+    for i, v in enumerate(e.nums):
+        if v:
+            for j, z in enumerate(target.power(i * k % m)):
+                if z:
+                    acc[j] += v * z
+    return CycloElem._raw(target, *K.normalize(acc, e.den))
 
 
 def embed(e: CycloElem, b: int) -> CycloElem:
@@ -456,12 +438,7 @@ def embed(e: CycloElem, b: int) -> CycloElem:
         raise NonDivisibleConductor(f"conductor {a} does not divide {b}")
     if a == b:
         return e
-    target = cyclo_field(b)
-    z = _zeta_power(b, b // a)
-    acc = target.zero
-    for c in reversed(e.coeffs):
-        acc = acc * z + c
-    return acc
+    return _substitute(e, cyclo_field(b), b // a)
 
 
 def galois_apply(e: CycloElem, s: int) -> CycloElem:
@@ -469,14 +446,7 @@ def galois_apply(e: CycloElem, s: int) -> CycloElem:
     m = e.field.conductor
     if gcd(s, m) != 1:
         raise ValueError(f"{s} is not coprime to the conductor {m}")
-    # sigma_s moves coordinate i onto zeta^(i s), whose coordinates are integers
-    acc = [0] * e.field.degree
-    for i, v in enumerate(e.nums):
-        if v:
-            for j, z in enumerate(_zeta_power(m, (i * s) % m).nums):
-                if z:
-                    acc[j] += v * z
-    return CycloElem._raw(e.field, *K.normalize(acc, e.den))
+    return _substitute(e, e.field, s)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ def test_cyclotomic_small_cases():
     # frozen from the brute-force division oracle
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(6) == tuple(cyclotomic_oracle(6))
+    # three and four distinct primes: Moebius products of 8 and 16 factors
+    for m in (105, 210, 330):
+        assert cyclotomic_polynomial(m) == tuple(cyclotomic_oracle(m)), m
 
 
 @pytest.mark.parametrize("m", range(1, 31))
@@ -63,7 +66,7 @@ def test_cyclotomic_product_recovers_xm_minus_1(m):
 
 
 def test_cyclotomic_degree_is_totient():
-    for m in (1, 2, 3, 8, 12, 15, 30):
+    for m in (1, 2, 3, 8, 12, 15, 30, 2310, 9240):
         assert len(cyclotomic_polynomial(m)) - 1 == totient(m)
 
 
@@ -94,12 +97,23 @@ def test_embed_requires_divisibility():
         embed(as_cyclo(RootOfUnity(3, 1), 3), 4)
 
 
+def horner_embed(e, b):
+    """Reference embedding: sum c_i z^i by Horner's rule, z = zeta_b^(b/a)."""
+    z = as_cyclo(RootOfUnity(b, b // e.field.conductor), b)
+    acc = cyclo_field(b).zero
+    for c in reversed(e.coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def test_embed_is_multiplicative_and_injective():
     rng = random.Random(7)
-    for a, b in ((3, 12), (4, 12), (2, 6), (6, 12)):
+    for a, b in ((3, 12), (4, 12), (2, 6), (6, 12), (5, 15), (9, 36)):
         seen = set()
         for _ in range(8):
             e1, e2 = rand_elem(rng, a), rand_elem(rng, a)
+            for e in (e1, e2, e1 * e2, e1 + e2):
+                assert embed(e, b) == horner_embed(e, b)
             assert embed(e1 * e2, b) == embed(e1, b) * embed(e2, b)
             assert embed(e1 + e2, b) == embed(e1, b) + embed(e2, b)
             seen.add(embed(e1, b))
@@ -289,6 +303,15 @@ def test_galois_apply_is_field_automorphism():
             assert galois_apply(e1 + e2, s) == galois_apply(e1, s) + galois_apply(e2, s)
     z9 = as_cyclo(RootOfUnity(9, 1), 9)
     assert galois_apply(z9, 4) == z9**4
+
+
+def test_high_power_of_zeta_asked_first():
+    # Q(zeta_2310), phi = 480: zeta^2309 lies 1829 rows above the kernel's
+    # table; used by no other test, so this is the first power asked for
+    z2309 = as_cyclo(RootOfUnity(2310, 2309), 2310)
+    zeta = as_cyclo(RootOfUnity(2310, 1), 2310)
+    assert z2309 * zeta == 1
+    assert galois_apply(zeta, 2309) == z2309
 
 
 def test_galois_apply_requires_coprime():
