@@ -12,8 +12,10 @@ degree n is x^n.
 
 The twist may be a root of unity of any finite order; the p-adic module
 restricts to twists of p-power order where the valuation theory applies.
-All results are cached: families, polynomials and power sums are immutable
-and reused across identity checks.  The series behind them are kept one per
+``numbers`` returns the tuple (B^(k)_0, ..., B^(k)_n) and ``polynomial``
+the tuple of coefficients of B^(k)_n(x) in ascending order.  All results
+are cached: numbers, polynomials and power sums are immutable and reused
+across identity checks.  The series behind them are kept one per
 twist spec (the kernel quotient, which the power-sum series check shares,
 and its numerator's exponential sum) and one per (spec, k) (the k-th power,
 ``generating_series``), and grow coefficient by coefficient to the largest n
@@ -22,9 +24,9 @@ none twice.  No config may ask for an index above ``MAX_SERIES_INDEX``.
 
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
 exponential sum sum_{a<d} chi(a) xi^a e^(a t) is read off them.  They are
-accumulated in integers: each weight chi(a) xi^a is the element product of
-two roots of unity, so its coordinates are integers, and it depends on a
-only modulo lcm(d, order of xi).  The powers a^i are summed per residue,
+accumulated in integers: each weight chi(a) xi^a is one root of unity,
+read off the field's table of powers as integer coordinates, and it depends
+on a only modulo lcm(d, order of xi).  The powers a^i are summed per residue,
 each residue's sum weights its integer coordinate vector, and the vector
 is reduced once by the kernel.
 """
@@ -34,7 +36,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import NamedTuple
 
 from . import _kernel as K
 from . import powerseries as ps
@@ -160,42 +161,22 @@ def twist_spec(chi: DirichletCharacter, xi: RootOfUnity, conductor: int | None =
     return TwistSpec(chi, xi, cyclo_field(m))
 
 
-class BernoulliFamily(NamedTuple):
-    """The numbers of one (chi, xi, order k) family up to index max_n."""
-
-    spec: TwistSpec
-    order_k: int
-    max_n: int
-    numbers: tuple[CycloElem, ...]
-
-
-class BernoulliPolynomial(NamedTuple):
-    """Degree-n polynomial in x; coeffs[i] is the coefficient of x^i."""
-
-    degree: int
-    coeffs: tuple[CycloElem, ...]
-
-    @property
-    def field(self) -> CycloField:
-        return self.coeffs[0].field
-
-
 @lru_cache(maxsize=None)
 def _twist_weights(spec: TwistSpec) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
     """(period, ((r, coordinates of chi(r) xi^r) for r < period with chi(r) != 0)).
 
     The weight chi(a) xi^a depends on a only modulo the period
     lcm(d, order of xi), so one weight per residue serves every power sum of
-    the spec.  It is the element product of two roots of unity, so its
-    coordinates are integers over the denominator 1.
+    the spec.  It is one root of unity, the product of two taken as roots,
+    so its coordinates are one integer row of the field's table of powers.
     """
-    field = spec.ambient
+    m = spec.ambient.conductor
     period = lcm(spec.chi.modulus, spec.xi.order)
     weights = []
     for r in range(period):
-        c = spec.chi.value_at(r, field)
-        if not c.is_zero():
-            weights.append((r, (c * as_cyclo(spec.xi**r, field.conductor)).nums))
+        c = spec.chi.value(r)
+        if c is not None:
+            weights.append((r, as_cyclo(c * spec.xi**r, m).nums))
     return period, tuple(weights)
 
 
@@ -245,34 +226,33 @@ def generating_series(spec: TwistSpec, k: int) -> ps.Series:
 
 
 @lru_cache(maxsize=None)
-def numbers(spec: TwistSpec, k: int, max_n: int) -> BernoulliFamily:
-    """The numbers B^(k)_n for n = 0..max_n: n! times the coefficients of F^(k)."""
+def numbers(spec: TwistSpec, k: int, max_n: int) -> tuple[CycloElem, ...]:
+    """(B^(k)_0, ..., B^(k)_max_n): n! times the coefficients of F^(k)."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if k < 0:
         raise ValueError("order k must be >= 0")
     series = generating_series(spec, k)
-    nums = tuple(ps.egf_coefficient(series, n) for n in range(max_n + 1))
-    return BernoulliFamily(spec=spec, order_k=k, max_n=max_n, numbers=nums)
+    return tuple(ps.egf_coefficient(series, n) for n in range(max_n + 1))
 
 
 @lru_cache(maxsize=None)
-def polynomial(spec: TwistSpec, k: int, n: int) -> BernoulliPolynomial:
-    """Degree-n polynomial: coefficient of x^(n-j) is C(n, j) B^(k)_j."""
-    fam = numbers(spec, k, n)
-    coeffs = tuple(comb(n, i) * fam.numbers[n - i] for i in range(n + 1))
-    return BernoulliPolynomial(degree=n, coeffs=coeffs)
+def polynomial(spec: TwistSpec, k: int, n: int) -> tuple[CycloElem, ...]:
+    """Coefficients of B^(k)_n(x), ascending: x^(n-j) has C(n, j) B^(k)_j."""
+    nums = numbers(spec, k, n)
+    return tuple(comb(n, i) * nums[n - i] for i in range(n + 1))
 
 
-def evaluate(poly: BernoulliPolynomial, arg) -> CycloElem:
-    """Horner evaluation; rational args and embeddable elements accepted."""
-    field = poly.field
+def evaluate(coeffs: tuple[CycloElem, ...], arg) -> CycloElem:
+    """Horner evaluation of ascending coefficients; rational args and
+    embeddable elements accepted."""
+    field = coeffs[0].field
     if isinstance(arg, (int, Fraction)):
         arg = field.rational(arg)
     elif isinstance(arg, CycloElem) and arg.field.conductor != field.conductor:
         arg = embed(arg, field.conductor)  # NonDivisibleConductor if impossible
     acc = field.zero
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         acc = acc * arg + c
     return acc
 
@@ -296,23 +276,16 @@ def power_sum(spec: TwistSpec, k: int, n: int) -> CycloElem:
     return CycloElem._raw(spec.ambient, *K.normalize(acc, 1))
 
 
-class PowerSumSeriesReport(NamedTuple):
-    """Outcome of the power-sum generating-series comparison."""
-
-    holds: bool
-    order: int
-    first_mismatch: int | None
-    lhs: tuple[CycloElem, ...]
-    rhs: tuple[CycloElem, ...]
-
-
-def power_sum_series_check(spec: TwistSpec, n: int, order: int) -> PowerSumSeriesReport:
-    """Compare two constructions of the power-sum generating function.
+def power_sum_series_check(
+    spec: TwistSpec, n: int, order: int
+) -> tuple[tuple[CycloElem, ...], tuple[CycloElem, ...]]:
+    """(lhs, rhs): two constructions of the power-sum generating function.
 
     The first divides (xi^(nd) e^(nd t) - 1) * sum_{i<d} chi(i) xi^i e^(i t)
     by xi^d e^(d t) - 1; the second assembles the series whose t^k/k!
     coefficient is T_k(nd - 1) directly from the power sums.  They must agree
-    coefficient-by-coefficient.
+    coefficient-by-coefficient; each has order - v + 1 coefficients, where
+    v is 1 when xi^d = 1 (the quotient loses that power of t) and 0 if not.
     """
     if n < 1 or order < 1:
         raise ValueError("need n >= 1 and order >= 1")
@@ -325,15 +298,4 @@ def power_sum_series_check(spec: TwistSpec, n: int, order: int) -> PowerSumSerie
     rhs = tuple(
         power_sum(spec, k, n * d - 1) * Fraction(1, factorial(k)) for k in range(len(lhs))
     )
-    first = None
-    for k, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            first = k
-            break
-    return PowerSumSeriesReport(
-        holds=first is None,
-        order=order - v,
-        first_mismatch=first,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    return lhs, rhs

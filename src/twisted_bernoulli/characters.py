@@ -194,19 +194,15 @@ def from_table(d: int, values) -> DirichletCharacter:
     return chi
 
 
-def enumerate_cyclic(d: int) -> list[DirichletCharacter]:
+@lru_cache(maxsize=None)
+def enumerate_cyclic(d: int) -> tuple[DirichletCharacter, ...]:
     """All phi(d) characters mod d, for moduli with cyclic unit group.
 
-    chi_j sends the least primitive root g to zeta_phi(d)^j; the list is
-    ordered by j with the principal character first.
+    chi_j sends the least primitive root g to zeta_phi(d)^j; the tuple is
+    ordered by j with the principal character first.  Cached: a sweep parses
+    and serializes the character of every instance, and an index spec goes
+    through this enumeration each time.
     """
-    return list(_cyclic_characters(d))
-
-
-@lru_cache(maxsize=None)
-def _cyclic_characters(d: int) -> tuple[DirichletCharacter, ...]:
-    # cached: a sweep parses and serializes the character of every instance,
-    # and an index spec goes through this enumeration each time
     if d == 1:
         return (principal(1),)
     if not has_cyclic_units(d):
@@ -335,7 +331,7 @@ def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
 @lru_cache(maxsize=None)
 def _cyclic_index(d: int) -> dict[DirichletCharacter, int]:
     """{chi_j: j} over the enumerated characters mod d."""
-    return {chi: j for j, chi in enumerate(_cyclic_characters(d))}
+    return {chi: j for j, chi in enumerate(enumerate_cyclic(d))}
 
 
 def character_to_json(chi: DirichletCharacter) -> dict:

@@ -104,8 +104,7 @@ def _cmd_compute_numbers(params: dict):
     spec = _spec_from_params(params)
     k = bn.family_order(_json_int(params["k"], "k", 0), "k")
     n_max = bn.series_index(_json_int(params["n_max"], "n_max", 0), "n_max")
-    fam = bn.numbers(spec, k, n_max)
-    return [cyclo_to_json(c) for c in fam.numbers], 0
+    return [cyclo_to_json(c) for c in bn.numbers(spec, k, n_max)], 0
 
 
 def _cmd_compute_polynomial(params: dict):
@@ -113,8 +112,7 @@ def _cmd_compute_polynomial(params: dict):
     spec = _spec_from_params(params)
     k = bn.family_order(_json_int(params["k"], "k", 0), "k")
     n = bn.series_index(_json_int(params["n"], "n", 0), "n")
-    poly = bn.polynomial(spec, k, n)
-    return [cyclo_to_json(c) for c in poly.coeffs], 0
+    return [cyclo_to_json(c) for c in bn.polynomial(spec, k, n)], 0
 
 
 def _cmd_power_sum(params: dict):
@@ -206,7 +204,7 @@ def _cmd_volkenborn(params: dict):
             check = {"moment": n, "target": cyclo_to_json(vk.bernoulli_target(spec))}
         else:
             levels = tuple(range(1, level_max + 1))
-            vals = tuple(vk.shift_identity_check(spec, p, n_shift, lev).valuation for lev in levels)
+            vals = tuple(vk.shift_identity_check(spec, p, n_shift, lev) for lev in levels)
             trace = vk.ConvergenceTrace(levels, vals)
             check = {"moment": n, "shift": n_shift}
         check["trace"] = [

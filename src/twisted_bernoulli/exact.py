@@ -406,7 +406,10 @@ def as_cyclo(r: RootOfUnity, m: int) -> CycloElem:
     """The root of unity r as an element of Q(zeta_m).
 
     Orders one and two are the rationals 1 and -1 and embed into any field;
-    otherwise the (normalized) order must divide m.
+    otherwise the (normalized) order must divide m, or, for odd m, be 2h
+    with h | m: then j is odd and zeta_2h^j = -zeta_h^(j (h+1)/2), since
+    zeta_2h = e^(pi i / h) = -e^(pi i (h+1) / h).  Either way it is one row
+    of the field's table of powers, so no element product is made.
     """
     o, j = r._key()
     field = cyclo_field(m)
@@ -414,9 +417,13 @@ def as_cyclo(r: RootOfUnity, m: int) -> CycloElem:
         return field.one
     if o == 2:
         return field.rational(-1)
-    if m % o:
+    if m % o == 0:
+        return CycloElem._raw(field, field.power(j * (m // o)), 1)
+    h = o // 2
+    if m % 2 == 0 or o % 2 or m % h:
         raise NonDivisibleConductor(f"root of order {o} does not lie in Q(zeta_{m})")
-    return CycloElem._raw(field, field.power(j * (m // o)), 1)
+    row = field.power(j * (h + 1) // 2 * (m // h) % m)
+    return CycloElem._raw(field, tuple(-v for v in row), 1)
 
 
 def _substitute(e: CycloElem, target: CycloField, k: int) -> CycloElem:

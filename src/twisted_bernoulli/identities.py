@@ -251,7 +251,7 @@ def _affine_poly(
     spec: bn.TwistSpec, k: int, degree: int, scale: Fraction, shift: Fraction
 ) -> tuple[CycloElem, ...]:
     """Coefficients (ascending) of B^(k)_degree(scale*u + shift) in u."""
-    base = bn.polynomial(spec, k, degree).coeffs
+    base = bn.polynomial(spec, k, degree)
     if shift == 0:
         return tuple(c * scale**t for t, c in enumerate(base))
     out = [spec.ambient.zero] * (degree + 1)
@@ -633,7 +633,7 @@ def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
     shifted = as_cyclo(spec.xi ** (n * d), fld.conductor) * bn.evaluate(
         bn.polynomial(spec, 1, k), n * d
     )
-    lhs = (shifted - bn.numbers(spec, 1, k).numbers[k]) * Fraction(1, k)
+    lhs = (shifted - bn.numbers(spec, 1, k)[k]) * Fraction(1, k)
     rhs = bn.power_sum(spec, k - 1, n * d - 1)
     return IdentityReport("eq_1_13", _params(block, n=n, k=k), lhs == rhs, lhs, rhs)
 
@@ -693,9 +693,10 @@ def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
 def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
     """Wrap the power-sum generating-function comparison of two constructions."""
     block = _block(chi, xi)
-    rep = bn.power_sum_series_check(block.spec(1), n, series_order)
+    lhs, rhs = bn.power_sum_series_check(block.spec(1), n, series_order)
+    first = next((k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
     params = _params(block, n=n, series_order=series_order)
-    return IdentityReport("power_sum_series_check", params, rep.holds, rep.lhs, rep.rhs, rep.first_mismatch)
+    return IdentityReport("power_sum_series_check", params, first is None, lhs, rhs, first)
 
 
 # ---------------------------------------------------------------------------
@@ -792,14 +793,14 @@ def _key_values(tag, key: _Key, listed: dict, n_max):
     return range(key.minimum, n_max + 1)
 
 
-def _resolve_characters(grid, d: int) -> list[DirichletCharacter]:
+def _resolve_characters(grid, d: int) -> tuple[DirichletCharacter, ...]:
     if grid.get("character", "all") == "all":
         try:
             return enumerate_cyclic(d)
         except NonCyclicUnitGroup as exc:
             raise ConfigError(f"character \"all\" needs a cyclic unit group: {exc}")
     specs = _grid_list(grid, "character", dict, '"all", an object')
-    return [character_from_json(s, modulus=d) for s in specs]
+    return tuple(character_from_json(s, modulus=d) for s in specs)
 
 
 def _grid_axes(grid: dict) -> list:

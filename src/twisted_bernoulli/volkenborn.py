@@ -5,11 +5,13 @@ residue rings of modulus d p^N is
 
     S_N = (1 / (d p^N)) * sum_{x=0}^{d p^N - 1} chi(x) xi^x x^n,
 
-computed in exact cyclotomic arithmetic.  As N grows, S_N converges
-p-adically to the generalized twisted Bernoulli number attached to
-(chi, xi, n); this module measures that convergence through valuation
-traces and checks the finite-level counterpart of the shift identity,
-whose exact (level-free) form lives in the identities module as eq_1_13.
+computed in exact cyclotomic arithmetic, each weight chi(x) xi^x read as
+one root of unity.  As N grows, S_N converges p-adically to the generalized
+twisted Bernoulli number attached to (chi, xi, n); this module measures that
+convergence through valuation traces and checks the finite-level
+counterpart of the shift identity, whose exact (level-free) form lives in
+the identities module as eq_1_13: ``shift_identity_check`` returns the
+valuation of its level-N residual.
 
 Integrands are restricted so that every sum stays in a field where the
 valuation is single-valued: the character must take rational values
@@ -18,10 +20,10 @@ valuation is single-valued: the character must take rational values
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
+from . import _kernel as K
 from . import bernoulli as bn
 from .characters import DirichletCharacter
 from .errors import UnsupportedField
@@ -89,8 +91,8 @@ def _level_sum(spec: IntegrandSpec, p: int, level: int, offset: int) -> CycloEle
     """(1/(d p^N)) sum_{offset <= x < offset + d p^N} chi(x) xi^x x^n.
 
     Terms are bucketed by x mod lcm(d, order(xi)) so the inner loop is pure
-    integer arithmetic; only one short cyclotomic combination happens at the
-    end.
+    integer arithmetic; each bucket then weights the integer coordinates of
+    the one root of unity chi(r) xi^r, and the vector is reduced once.
     """
     field = _ambient(spec)
     d, n = spec.d, spec.moment
@@ -104,16 +106,13 @@ def _level_sum(spec: IntegrandSpec, p: int, level: int, offset: int) -> CycloEle
     else:
         for x in range(offset, offset + count):
             buckets[x % period] += x**n
-    acc = field.zero
-    xi_pows = [as_cyclo(spec.xi**j, field.conductor) for j in range(spec.xi.order)]
+    acc = [0] * field.degree
     for r, total in enumerate(buckets):
-        if total == 0:
-            continue
-        cv = spec.chi.value_at(r, field)
-        if cv.is_zero():
-            continue
-        acc = acc + cv * xi_pows[r % spec.xi.order] * total
-    return acc * Fraction(1, count)
+        c = spec.chi.value(r)
+        if total and c is not None:
+            w = as_cyclo(c * spec.xi**r, field.conductor).nums
+            acc = [a + v * total for a, v in zip(acc, w)]
+    return CycloElem._raw(field, *K.normalize(acc, count))
 
 
 def riemann_sum(spec: IntegrandSpec, p: int, level: int) -> CycloElem:
@@ -160,7 +159,7 @@ class ConvergenceTrace(NamedTuple):
 def bernoulli_target(spec: IntegrandSpec) -> CycloElem:
     """The generalized twisted Bernoulli number the sums converge to."""
     tw = bn.twist_spec(spec.chi, spec.xi, conductor=_ambient(spec).conductor)
-    return bn.numbers(tw, 1, spec.moment).numbers[spec.moment]
+    return bn.numbers(tw, 1, spec.moment)[spec.moment]
 
 
 def convergence_check(spec: IntegrandSpec, p: int, level_max: int) -> ConvergenceTrace:
@@ -176,16 +175,8 @@ def convergence_check(spec: IntegrandSpec, p: int, level_max: int) -> Convergenc
     return ConvergenceTrace(levels=levels, valuations=tuple(vals))
 
 
-class ShiftDiscrepancy(NamedTuple):
-    """Level-N residual of the finite shift identity and its valuation."""
-
-    level: int
-    discrepancy: CycloElem
-    valuation: object
-
-
-def shift_identity_check(spec: IntegrandSpec, p: int, n_shift: int, level: int) -> ShiftDiscrepancy:
-    """Residual of the shift identity at one finite level.
+def shift_identity_check(spec: IntegrandSpec, p: int, n_shift: int, level: int):
+    """nu_p of the residual of the shift identity at one finite level.
 
     With f(x) = chi(x) xi^x x^k and shift by n_shift*d the exact relation
     has derivative term k * T_(k-1)(n_shift*d - 1) (the twist contributes no
@@ -203,5 +194,4 @@ def shift_identity_check(spec: IntegrandSpec, p: int, n_shift: int, level: int) 
     plain = _level_sum(spec, p, level, 0)
     tw = bn.twist_spec(spec.chi, spec.xi, conductor=_ambient(spec).conductor)
     derivative = bn.power_sum(tw, k - 1, shift - 1) * k
-    disc = shifted - plain - derivative
-    return ShiftDiscrepancy(level=level, discrepancy=disc, valuation=padic_valuation(disc, p))
+    return padic_valuation(shifted - plain - derivative, p)

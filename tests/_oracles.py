@@ -280,7 +280,7 @@ def _theorem1_ypoly(chi, xi, cond, m, wa, wb, last_w, j):
 def _corollary2_inner(chi, xi, cond, m, wa, wb, j):
     """sum_k C(j, k) T_k(wa d - 1) B^(m-1)_(j-k), both of the twist xi^wb."""
     spec_b = _spec(chi, xi, wb, cond)
-    nums_b = bn.numbers(spec_b, m - 1, j).numbers
+    nums_b = bn.numbers(spec_b, m - 1, j)
     inner = cyclo_field(cond).zero
     for k in range(j + 1):
         inner = inner + bn.power_sum(spec_b, k, wa * chi.modulus - 1) * nums_b[j - k] * comb(j, k)
@@ -333,7 +333,7 @@ def remark_m1_side(n, chi, xi, wa, wb, cond):
 
 
 def corollary2_side(n, m, chi, xi, wa, wb, cond):
-    nums_a = bn.numbers(_spec(chi, xi, wa, cond), m, n).numbers
+    nums_a = bn.numbers(_spec(chi, xi, wa, cond), m, n)
     acc = cyclo_field(cond).zero
     for j in range(n + 1):
         inner = _corollary2_inner(chi, xi, cond, m, wa, wb, j)
@@ -344,7 +344,7 @@ def corollary2_side(n, m, chi, xi, wa, wb, cond):
 def m1_numbers_side(n, chi, xi, wa, wb, cond):
     spec_a = _spec(chi, xi, wa, cond)
     spec_b = _spec(chi, xi, wb, cond)
-    nums_a = bn.numbers(spec_a, 1, n).numbers
+    nums_a = bn.numbers(spec_a, 1, n)
     acc = cyclo_field(cond).zero
     for j in range(n + 1):
         t = bn.power_sum(spec_b, j, wa * chi.modulus - 1)
@@ -375,7 +375,7 @@ def remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights):
 
 
 def corollary4_side(n, m, chi, xi, wa, wb, cond):
-    nums_b = bn.numbers(_spec(chi, xi, wb, cond), m - 1, n).numbers
+    nums_b = bn.numbers(_spec(chi, xi, wb, cond), m - 1, n)
     acc = cyclo_field(cond).zero
     for k in range(n + 1):
         inner = _corollary4_inner(chi, xi, cond, m, wa, wb, k)

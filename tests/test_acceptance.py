@@ -211,8 +211,8 @@ def test_criterion_5_galois_equivariance():
                 for k in (1, 2):
                     spec = bn.twist_spec(chi, xi, conductor=L)
                     spec_s = bn.twist_spec(chi**s, xi**s, conductor=L)
-                    nums = bn.numbers(spec, k, 6).numbers
-                    nums_s = bn.numbers(spec_s, k, 6).numbers
+                    nums = bn.numbers(spec, k, 6)
+                    nums_s = bn.numbers(spec_s, k, 6)
                     for n in range(7):
                         if galois_apply(nums[n], s) != nums_s[n]:
                             ok = False

@@ -81,7 +81,7 @@ def test_compute_numbers_cyclotomic_round_trip(tmp_path):
     from twisted_bernoulli.characters import principal
     from twisted_bernoulli.exact import RootOfUnity
 
-    expected = bn.numbers(bn.twist_spec(principal(1), RootOfUnity(3, 1)), 1, 3).numbers
+    expected = bn.numbers(bn.twist_spec(principal(1), RootOfUnity(3, 1)), 1, 3)
     assert tuple(values) == expected
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -210,6 +211,29 @@ def test_as_cyclo_power_reduction():
 def test_as_cyclo_requires_divisibility():
     with pytest.raises(NonDivisibleConductor):
         as_cyclo(RootOfUnity(3, 1), 4)
+    # -1 times a root of order 3 or 5, but no such product is a root of order 4
+    with pytest.raises(NonDivisibleConductor):
+        as_cyclo(RootOfUnity(4, 1), 15)
+    with pytest.raises(NonDivisibleConductor):
+        as_cyclo(RootOfUnity(6, 1), 5)
+
+
+@pytest.mark.parametrize("m", (3, 5, 15))
+def test_as_cyclo_takes_minus_an_odd_root_as_one_root(m):
+    # in a field of odd conductor m, zeta_2h^(h + 2b) = -zeta_h^b for odd
+    # h | m: each root of order 2h (b prime to h) equals that element product
+    minus = as_cyclo(RootOfUnity(2, 1), m)
+    cases = 0
+    for h in (3, 5, 15):
+        if m % h:
+            continue
+        for b in range(h):
+            if gcd(b, h) == 1:
+                root = RootOfUnity(2, 1) * RootOfUnity(h, b)
+                assert root.normalized().order == 2 * h
+                assert as_cyclo(root, m) == minus * as_cyclo(RootOfUnity(h, b), m)
+                cases += 1
+    assert cases == {3: 2, 5: 4, 15: 2 + 4 + 8}[m]
 
 
 def test_root_of_unity_normalization():

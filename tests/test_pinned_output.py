@@ -1,4 +1,5 @@
-"""Output bytes of every example config, pinned by sha256.
+"""Output bytes of every example config and of one wide-field power sum,
+pinned by sha256.
 
 The output is deterministic, so these digests change only when what a user
 gets changes.  Such a change must be deliberate and recorded in CHANGES.md,
@@ -40,3 +41,13 @@ def test_example_output_bytes(stem, command, fmt):
     code, out = cli.run(cli.RunConfig(command=command, params=params, format=fmt))
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == PINNED[stem, command, fmt]
+
+
+def test_power_sum_in_a_wide_field():
+    # Q(zeta_2310), phi = 480: each of the 2 310 weights chi(r) xi^r is read
+    # as one root of unity, so one power sum costs no field product
+    params = {"modulus": 211, "character": {"kind": "index", "j": 1},
+              "xi": {"order": 11, "exponent": 1}, "k": 1, "n": 3}
+    code, out = cli.run(cli.RunConfig(command="power-sum", params=params, format="json"))
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == "dba2529d01cad1ba0dd67cc3831a7d9973ea4b9c5c80072bdb0cb720edbcafbb"

@@ -45,3 +45,11 @@ def test_tracer_wraps_existing_names_and_restores_every_original():
     assert calls["powerseries.series_mul"] == 3
     assert calls["powerseries.egf_coefficient"] == 7
     assert calls["bernoulli.generating_series"] == 3
+
+
+def test_single_calls_clear_the_caches_of_numbers_polynomials_and_characters():
+    # the benchmark's single calls start cold by clearing every cache listed
+    # here; one missing would let them time a warm cache
+    caches = load_tracer().package_caches()
+    for name in ("bernoulli.numbers", "bernoulli.polynomial", "characters.enumerate_cyclic"):
+        assert "twisted_bernoulli." + name in caches, name

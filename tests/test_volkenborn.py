@@ -90,16 +90,16 @@ def test_convergence_target_consistent_with_numbers():
     for xi, p in ((ONE, 3), (RootOfUnity(3, 1), 3), (MINUS, 2)):
         spec = vk.integrand_spec(P1, xi, 3)
         tw = bn.twist_spec(P1, xi, conductor=spec.xi.order if spec.xi.order > 2 else 1)
-        assert vk.bernoulli_target(spec) == bn.numbers(tw, 1, 3).numbers[3]
+        assert vk.bernoulli_target(spec) == bn.numbers(tw, 1, 3)[3]
 
 
 def test_shift_identity_valuation_grows():
     spec = vk.integrand_spec(P1, ONE, 2)
-    vals = [vk.shift_identity_check(spec, 3, 2, N).valuation for N in range(1, 6)]
+    vals = [vk.shift_identity_check(spec, 3, 2, N) for N in range(1, 6)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
     spec3 = vk.integrand_spec(P1, RootOfUnity(3, 1), 2)
-    vals3 = [vk.shift_identity_check(spec3, 3, 1, N).valuation for N in range(1, 6)]
+    vals3 = [vk.shift_identity_check(spec3, 3, 1, N) for N in range(1, 6)]
     assert all(b >= a for a, b in zip(vals3, vals3[1:]))
     assert vals3[-1] > vals3[0]
 
@@ -114,9 +114,8 @@ def test_shift_identity_reports_without_asserting_exactness():
     # the level-free exact counterpart lives in the identities module; here
     # the checker only reports the finite-level residual valuation
     spec = vk.integrand_spec(P1, ONE, 1)
-    res = vk.shift_identity_check(spec, 3, 1, 3)
-    assert res.level == 3
-    assert res.valuation == INFINITY or res.valuation >= 0
+    val = vk.shift_identity_check(spec, 3, 1, 3)
+    assert val == INFINITY or val >= 0
 
 
 def test_exactness_no_floats():
