@@ -36,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from . import _kernel as K
 from . import powerseries as ps
@@ -99,44 +100,20 @@ def power_sum_multiple(s: int, d: int, key: str) -> int:
     return s
 
 
-class TwistSpec:
-    """Twist xi, character chi, and the ambient field holding both.
+class TwistSpec(NamedTuple):
+    """Character chi, twist xi, and the ambient field holding both.
 
     The ambient conductor is the lcm of the twist's (normalized) order and
     the orders of the character values, where orders one and two count as
     rational and need no extension; an extra multiple can be requested so
-    that several related computations share one field.
+    that several related computations share one field.  Two specs are equal
+    when chi, xi and the field are: chi compares by its value table, xi by
+    its normalized order and exponent, and the field by its conductor.
     """
 
-    __slots__ = ("xi", "chi", "ambient", "_keyval", "_hashval")
-
-    def __init__(self, chi: DirichletCharacter, xi: RootOfUnity, ambient: CycloField):
-        key = (chi._key(), xi._key(), ambient.conductor)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "_keyval", key)
-        object.__setattr__(self, "_hashval", hash(key))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistSpec is immutable")
-
-    def _key(self):
-        return self._keyval
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistSpec):
-            return NotImplemented
-        return self._keyval == other._keyval
-
-    def __hash__(self):
-        return self._hashval
-
-    def __repr__(self):
-        return (
-            f"TwistSpec(chi={self.chi.label()}, xi={self.xi!r}, "
-            f"ambient=Q(zeta_{self.ambient.conductor}))"
-        )
+    chi: DirichletCharacter
+    xi: RootOfUnity
+    ambient: CycloField
 
 
 def ambient_conductor(chi: DirichletCharacter, xi: RootOfUnity) -> int:

@@ -145,9 +145,6 @@ class RootOfUnity:
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity(self.order, (self.exponent * k) % self.order)
 
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exponent)
-
     def __eq__(self, other):
         if not isinstance(other, RootOfUnity):
             return NotImplemented
@@ -158,10 +155,6 @@ class RootOfUnity:
 
     def __repr__(self):
         return f"RootOfUnity({self.order}, {self.exponent})"
-
-
-ONE_ROOT = RootOfUnity(1, 0)
-MINUS_ONE_ROOT = RootOfUnity(2, 1)
 
 
 # ---------------------------------------------------------------------------

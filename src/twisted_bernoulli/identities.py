@@ -2,12 +2,12 @@
 the generalized twisted Bernoulli numbers and polynomials of higher order.
 
 Every checker expands both sides of one identity as an exact object, either
-a bivariate polynomial in x and y (coefficients in the ambient cyclotomic
-field) or a single field element, and compares them exactly: field elements
-directly, polynomials by their coefficient matrices, which for the sides
-below comes down to comparing coefficients of one series (see the end of
-this docstring).  No sampling is involved in the verdict; random-point
-evaluation exists only as a sanity cross-check in the test suite.
+a bivariate polynomial in x and y, as its coefficient matrix (a tuple of row
+tuples over the ambient cyclotomic field), or a single field element, and
+compares them exactly, which for the sides below comes down to comparing
+coefficients of one series (see the end of this docstring).  No sampling is
+involved in the verdict; random-point evaluation exists only as a sanity
+cross-check in the test suite.
 
 One table, ``_IDENTITIES``, describes each identity by its tag: instance
 parameters with their minima, side builder, readings and verdict rule.  One
@@ -64,9 +64,7 @@ everything besides (chi, xi, conductor) that the value depends on:
   over the shared values when m > 1;
 * ("agree", key, key'): for two H keys (the five components above) in
   sorted order, a list whose entry r is whether the two series agree at
-  index r;
-* ("tables", tag, m, w1, w2): a (key, key', "agree" list) triple for each
-  reading of one swap instance, shared by its every n.
+  index r.
 
 Every series grows coefficient by coefficient (``powerseries.Series``): a
 request for h_0..h_n computes only the coefficients of H and of its factors
@@ -77,21 +75,21 @@ Sides are not kept: each is one slice or one scalar product of H.  A swap
 reading compares the side of (w1, w2) with that of (w2, w1), so it compares
 two H series, and its verdict is read off the block's "agree" list of that
 unordered pair (``_agrees``): an x, y side or a y = 0 column holds iff
-h_r = h'_r for every r <= n, and a scalar side n! h_n iff h_n = h'_n.  Each pair of H series is
-compared once per block, up to the largest n asked for, and serves both
-orders (w1, w2) and (w2, w1), every n and every identity reading that pair.
-When w1 = w2 both sides read one H, so the verdict holds by construction
-and that H is not built unless a side is read.
+h_r = h'_r for every r <= n, and a scalar side n! h_n iff h_n = h'_n.  Each
+pair of H series is compared once per block, up to the largest n asked for,
+and serves both orders (w1, w2) and (w2, w1), every n and every identity
+reading that pair.  When w1 = w2 both sides read one H, so the verdict holds
+by construction and that H is not built unless a side is read.
 One function, ``_swap_report``, makes every swap report, for a sweep and a
 ``check_*`` call alike.  It reads the verdict of each reading off these
-lists and builds the first reading's two sides only when they are printed
-or that reading fails, for its first mismatch.  A sweep reads its blocks
-off the grids' axes (``_plan``), parses each block's chi and xi once,
-finds its ``_Block`` by those objects (``_block``), and makes each
-record's JSON text where its verdict is read (``_records_for_chunk``): a
-held swap instance without sides fills its run's template with the text of
-its values and verdicts, and makes no report or dict; any other record is
-its report's, made by ``report_to_record`` and encoded by
+lists, reads a failed first reading's first mismatch off its two slices of
+H, and builds that reading's two sides only when they are printed or it
+fails.  A sweep reads its blocks off the grids' axes (``_plan``), parses
+each block's chi and xi once, finds its ``_Block`` (``_block``), and makes
+each record's JSON text where its verdict is read (``_records_for_chunk``):
+a held swap instance without sides fills its run's template with the text
+of its values and verdicts, and makes no report or dict; any other record
+is its report's, made by ``report_to_record`` and encoded by
 ``jsontext.text``.  ``sweep`` parses the texts back into records.
 
 Two identities are checked under two readings each (see the checker
@@ -101,13 +99,14 @@ instead of xi^wb; remark_2_11 "as_printed" drops the weights xi^(wb i) from
 S, which the m = 1 specialization of the general form carries.  Reports
 carry the verdict of every reading.
 
-A bivariate side is its filled matrix (``BivariatePoly.from_series``), yet
-the verdict needs none: both sides of a swap share n and c = w1 w2, so entry
-(a, b) of either is the same nonzero integer n!/(a! b!) c^(a+b) times its own
-h_r, r = n - a - b, and every r <= n occurs, at (n - r, 0).  So the matrices
-are equal iff the slices are, and only a failed reading's are scanned, for
-the first mismatch in row-major order: (0, n - r*) with y, (n - r*, 0)
-without, r* the largest index where the slices differ.
+A bivariate side is a tuple of row tuples, row a holding the coefficients
+of x^a y^b (``_xy_matrix``), yet neither the verdict nor the first mismatch
+reads it: both sides of a swap share n and c = w1 w2, so entry (a, b) of
+either is the same nonzero integer n!/(a! b!) c^(a+b) times its own h_r,
+r = n - a - b, and every r <= n occurs in row 0 and in column 0.  So the
+matrices are equal iff the slices are, and the first entry where they
+differ in row-major order is (0, n - r*) with y and (n - r*, 0) without,
+r* the largest index where the slices differ.
 """
 
 from __future__ import annotations
@@ -137,7 +136,7 @@ from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_to_json
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials over one field
+# bivariate sides: coefficient matrices over one field
 
 def _trimmed(field: CycloField, rows) -> tuple:
     """rows as a tuple matrix without trailing zero columns and rows; [[0]] if zero."""
@@ -157,88 +156,19 @@ def _trimmed(field: CycloField, rows) -> tuple:
     return tuple(tuple(r + [field.zero] * (width - len(r))) for r in rows)
 
 
-class BivariatePoly:
-    """Coefficient matrix rows[i][j] = coefficient of x^i y^j, trimmed.
+def _xy_matrix(coeffs, c: int, with_y: bool = True) -> tuple:
+    """n! [t^n] H(t) e^(c (x + y) t), trimmed, from coeffs = ([t^r] H for r <= n).
 
-    ``from_series`` fills it from a slice of a series H (module docstring).
+    Row a holds the coefficients of x^a y^b: entry (a, b) is
+    n!/(a! b!) coeffs[r] c^(a+b) with r = n - a - b; with_y=False keeps only
+    the column b = 0.
     """
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field: CycloField, rows):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", _trimmed(field, rows))
-
-    @classmethod
-    def from_series(cls, field: CycloField, coeffs, c: int, with_y: bool = True) -> "BivariatePoly":
-        """n! [t^n] H(t) e^(c (x + y) t) from coeffs = ([t^r] H for r <= n), c != 0.
-
-        The coefficient of x^a y^b is n!/(a! b!) coeffs[r] c^(a+b) with
-        r = n - a - b; with_y=False keeps only the y = 0 column.
-        """
-        if not c:
-            raise ValueError("c must be nonzero")
-        n = len(coeffs) - 1
-        return cls(field, [
-            [coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
-             for b in range(n - a + 1 if with_y else 1)]
-            for a in range(n + 1)
-        ])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariatePoly is immutable")
-
-    @property
-    def deg_x(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def deg_y(self) -> int:
-        return len(self.rows[0]) - 1
-
-    def coeff(self, i: int, j: int) -> CycloElem:
-        if i <= self.deg_x and j <= self.deg_y:
-            return self.rows[i][j]
-        return self.field.zero
-
-    def first_mismatch(self, other: "BivariatePoly"):
-        """Lexicographically first (i, j) where the matrices differ, or None."""
-        dx = max(self.deg_x, other.deg_x)
-        dy = max(self.deg_y, other.deg_y)
-        for i in range(dx + 1):
-            for j in range(dy + 1):
-                if self.coeff(i, j) != other.coeff(i, j):
-                    return (i, j)
-        return None
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.field.conductor == other.field.conductor and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.field.conductor, self.rows))
-
-    def evaluate(self, x, y) -> CycloElem:
-        fld = self.field
-        if isinstance(x, (int, Fraction)):
-            x = fld.rational(x)
-        if isinstance(y, (int, Fraction)):
-            y = fld.rational(y)
-        acc = fld.zero
-        for i in range(self.deg_x, -1, -1):
-            rowval = fld.zero
-            for j in range(self.deg_y, -1, -1):
-                rowval = rowval * y + self.rows[i][j]
-            acc = acc * x + rowval
-        return acc
-
-    def restrict_y0(self) -> "BivariatePoly":
-        """The polynomial in x obtained by setting y = 0."""
-        return BivariatePoly(self.field, [[r[0]] for r in self.rows])
-
-    def __repr__(self):
-        return f"BivariatePoly(m={self.field.conductor}, deg_x={self.deg_x}, deg_y={self.deg_y})"
+    n = len(coeffs) - 1
+    return _trimmed(coeffs[0].field, [
+        [coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
+         for b in range(n - a + 1 if with_y else 1)]
+        for a in range(n + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +210,7 @@ class _Block:
     naming every argument besides chi, xi and the conductor that changes the
     value: twist specs, growing series and verdict lists, which only grow
     and are never changed otherwise, because they are shared.  A block is
-    found by its objects only (``_block``).
+    found by its objects or by chi's printed JSON (``_block``).
     """
 
     __slots__ = ("chi", "xi", "chi_json", "xi_json", "order", "cond", "values")
@@ -317,13 +247,19 @@ _BLOCK: _Block | None = None
 def _block(chi, xi) -> _Block:
     """The block of chi and xi, kept while the pair repeats.
 
-    A pair repeats when chi is the same object and xi has the same order and
-    exponent.  Equality would not do: RootOfUnity(2, 1) == RootOfUnity(4, 2),
-    and equal characters given by tables may print different tables.
+    A pair repeats when xi has the same order and exponent and chi is the
+    same object or prints the same JSON, as a table character parsed afresh
+    for each call does.  Equality would not do: RootOfUnity(2, 1) ==
+    RootOfUnity(4, 2), and equal characters given by tables may print
+    different tables.  Equal JSON means equal values and equal reports.
     """
     global _BLOCK
     last = _BLOCK
-    if last is None or last.chi is not chi or (last.xi.order, last.xi.exponent) != (xi.order, xi.exponent):
+    if (
+        last is None
+        or (last.xi.order, last.xi.exponent) != (xi.order, xi.exponent)
+        or last.chi is not chi and last.chi_json != character_to_json(chi)
+    ):
         last = _BLOCK = _Block(chi, xi)
     return last
 
@@ -401,25 +337,32 @@ def _h_key(block, m, wa, wb, last_twist_wa=False, with_weights=True) -> tuple:
 
 
 def _side(tag, block, n, m, wa, wb, **reading):
-    """The (wa, wb) side of a swap identity: the projection of H that ``tag`` reads."""
+    """The (wa, wb) side of a swap identity: the projection of H that ``tag`` reads.
+
+    A scalar side ("h_n") is the field element n! h_n; an x, y side ("xy")
+    or its y = 0 column ("y0") is the matrix ``_xy_matrix`` fills from
+    h_0..h_n with c = wa wb.
+    """
     h = _series_h(block, n, *_h_key(block, m, wa, wb, **reading))
     reads = _IDENTITIES[tag].reads
     if reads == "h_n":
         return h[n] * factorial(n)
-    return BivariatePoly.from_series(h[0].field, h[: n + 1], wa * wb, with_y=reads == "xy")
+    return _xy_matrix(h, wa * wb, with_y=reads == "xy")
 
 
-def _agrees(block, left, right, equal, n, whole) -> bool:
+def _agrees(block, left, right, n, whole) -> bool:
     """Whether the H series of keys left and right agree at h_0..h_n (whole) or at n.
 
-    ``equal`` is the block's "agree" list of the pair: ``equal[r]`` is
-    h_r == h'_r, grown here to index n, with H read through the module
-    global ``_series_h``.  Sides that read h_0..h_n (the x, y sides and the
-    y = 0 columns) agree iff every index <= n does; a scalar side n! h_n
-    agrees iff index n does, since n! != 0.  Two equal keys (w1 = w2, where
-    every reading compares H with itself) name one series, which agrees
-    with itself without being read.
+    The block's "agree" list of the pair, its keys in sorted order, holds
+    h_r == h'_r at index r; it is grown here to index n, with H read through
+    the module global ``_series_h``.  Sides that read h_0..h_n (the x, y
+    sides and the y = 0 columns) agree iff every index <= n does; a scalar
+    side n! h_n agrees iff index n does, since n! != 0.  Two equal keys
+    (w1 = w2, where every reading compares H with itself) name one series,
+    which agrees with itself without being read.
     """
+    left, right = sorted((left, right))
+    equal = block.get(("agree", left, right), list)
     have = len(equal)
     if n >= have:
         if left == right:
@@ -436,33 +379,24 @@ def _verdicts(block, tag, n, m, w1, w2) -> list:
 
     A reading compares the side of (w1, w2) with that of (w2, w1), so the
     H series of its two keys, at every index <= n, or at n alone for a
-    scalar side n! h_n.  Each unordered pair of keys has one "agree" list
-    in the block, and the block keeps the (key, key', list) triples of an
-    instance's readings together, for every n of the instance.
+    scalar side n! h_n; each unordered pair of keys has one "agree" list in
+    the block (``_agrees``).
     """
     entry = _IDENTITIES[tag]
-
-    def tables():
-        out = []
-        for _, left_kw, right_kw in entry.readings:
-            pair = sorted((_h_key(block, m, w1, w2, **left_kw), _h_key(block, m, w2, w1, **right_kw)))
-            out.append((*pair, block.get(("agree", *pair), list)))
-        return out
-
     whole = entry.reads != "h_n"
-    return [_agrees(block, left, right, equal, n, whole)
-            for left, right, equal in block.get(("tables", tag, m, w1, w2), tables)]
+    return [_agrees(block, _h_key(block, m, w1, w2, **left), _h_key(block, m, w2, w1, **right), n, whole)
+            for _, left, right in entry.readings]
 
 
 # ---------------------------------------------------------------------------
 # side builders; (wa, wb) = (w1, w2) gives the left side, swapping gives the
 # right side, so swap symmetry is structural
 
-def _theorem1_side(n, m, chi, xi, wa, wb, last_twist_wa=False) -> BivariatePoly:
+def _theorem1_side(n, m, chi, xi, wa, wb, last_twist_wa=False) -> tuple:
     return _side("theorem1", _block(chi, xi), n, m, wa, wb, last_twist_wa=last_twist_wa)
 
 
-def _remark_m1_side(n, chi, xi, wa, wb) -> BivariatePoly:
+def _remark_m1_side(n, chi, xi, wa, wb) -> tuple:
     return _side("remark_m1", _block(chi, xi), n, 1, wa, wb)
 
 
@@ -474,11 +408,11 @@ def _m1_numbers_side(n, chi, xi, wa, wb) -> CycloElem:
     return _side("m1_numbers", _block(chi, xi), n, 1, wa, wb)
 
 
-def _theorem3_side(n, m, chi, xi, wa, wb) -> BivariatePoly:
+def _theorem3_side(n, m, chi, xi, wa, wb) -> tuple:
     return _side("theorem3", _block(chi, xi), n, m, wa, wb)
 
 
-def _remark_2_11_side(n, chi, xi, wa, wb, with_weights) -> BivariatePoly:
+def _remark_2_11_side(n, chi, xi, wa, wb, with_weights) -> tuple:
     return _side("remark_2_11", _block(chi, xi), n, 1, wa, wb, with_weights=with_weights)
 
 
@@ -562,7 +496,11 @@ class IdentityReport(NamedTuple):
     """Outcome of one identity instance, its fields set when it is built.
 
     ``holds`` is the verdict of the primary reading; when a checker evaluates
-    several readings their individual verdicts are in ``readings``.
+    several readings their individual verdicts are in ``readings``.  ``lhs``
+    and ``rhs`` are field elements, side matrices (tuples of row tuples, row
+    a holding the coefficients of x^a y^b), or series coefficient tuples
+    (power_sum_series_check); ``first_mismatch`` is an entry (a, b) of the
+    matrices or an index of the tuples.
     """
 
     identity: str
@@ -588,10 +526,12 @@ def _swap_report(tag, block, args, sides) -> IdentityReport:
     Each side is a projection of an H series the block holds, so a reading
     holds iff its block's "agree" list for the pair of H series it compares
     (``_verdicts``) agrees at the indices its sides read.  The first reading
-    decides ``holds``, unless any reading suffices.  The first reading's two
-    sides are built only when ``sides`` is true or that reading fails, for
-    its first mismatch; the builder is called through its module global, so
-    that a wrapper installed on that name sees every build.
+    decides ``holds``, unless any reading suffices.  When the first reading
+    fails on matrix sides, its first mismatch is read off the two slices of
+    H it compared, by the rule of the module docstring.  Its two sides are
+    built only when ``sides`` is true or it fails; the builder is called
+    through its module global, so that a wrapper installed on that name sees
+    every build.
     """
     entry = _IDENTITIES[tag]
     n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]
@@ -600,14 +540,17 @@ def _swap_report(tag, block, args, sides) -> IdentityReport:
     if len(verdicts) > 1:
         readings = {name: held for (name, _, _), held in zip(entry.readings, verdicts)}
     lhs = rhs = first = None
+    _, left, right = entry.readings[0]
+    if not verdicts[0] and entry.reads != "h_n":
+        h = _series_h(block, n, *_h_key(block, m, w1, w2, **left))
+        other = _series_h(block, n, *_h_key(block, m, w2, w1, **right))
+        r = max(r for r in range(n + 1) if h[r] != other[r])
+        first = (0, n - r) if entry.reads == "xy" else (n - r, 0)
     if sides or not verdicts[0]:
-        _, left, right = entry.readings[0]
         side = globals()[entry.side]
         head = (n, m) if "m" in args else (n,)
         lhs = side(*head, block.chi, block.xi, w1, w2, **left)
         rhs = side(*head, block.chi, block.xi, w2, w1, **right)
-        if not verdicts[0] and isinstance(lhs, BivariatePoly):
-            first = lhs.first_mismatch(rhs)
     holds = any(verdicts) if entry.any_reading else verdicts[0]
     return IdentityReport(tag, _params(block, **args), holds, lhs, rhs, first, readings)
 
@@ -703,15 +646,16 @@ def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
 # serialization of reports
 
 def _side_to_json(side):
-    if isinstance(side, BivariatePoly):
-        return {
-            "deg_x": side.deg_x,
-            "deg_y": side.deg_y,
-            "coeffs": [[cyclo_to_json(c) for c in row] for row in side.rows],
-        }
+    """A field element, a matrix of row tuples or a series coefficient tuple as JSON."""
     if isinstance(side, CycloElem):
         return cyclo_to_json(side)
-    return [cyclo_to_json(c) for c in side]  # series coefficient tuple
+    if isinstance(side[0], tuple):  # a matrix: its first item is a row
+        return {
+            "deg_x": len(side) - 1,
+            "deg_y": len(side[0]) - 1,
+            "coeffs": [[cyclo_to_json(c) for c in row] for row in side],
+        }
+    return [cyclo_to_json(c) for c in side]
 
 
 def report_to_record(rep: IdentityReport, include_sides: bool = False) -> dict:

@@ -214,6 +214,29 @@ def power_sum(spec, k, n):
     return acc
 
 
+# --- side matrices: rows[i][j] is the coefficient of x^i y^j -----------------
+
+def evaluate(rows, x, y):
+    """The polynomial of the matrix rows at (x, y), by Horner's rule."""
+    fld = rows[0][0].field
+    if isinstance(x, (int, Fraction)):
+        x = fld.rational(x)
+    if isinstance(y, (int, Fraction)):
+        y = fld.rational(y)
+    acc = fld.zero
+    for row in reversed(rows):
+        rowval = fld.zero
+        for c in reversed(row):
+            rowval = rowval * y + c
+        acc = acc * x + rowval
+    return acc
+
+
+def restrict_y0(rows):
+    """The matrix of the polynomial in x obtained by setting y = 0."""
+    return idn._trimmed(rows[0][0].field, [[r[0]] for r in rows])
+
+
 # --- literal per-n sums of the printed swap identities ----------------------
 #
 # Each function expands the (wa, wb) side of one identity term by term, as
@@ -317,7 +340,7 @@ def theorem1_side(n, m, chi, xi, wa, wb, cond, last_twist_wa=False):
         xpoly = _scaled(idn._affine_poly(spec_a, m, n - j, Fraction(wb), Fraction(0)), scal)
         ypoly = _theorem1_ypoly(chi, xi, cond, m, wa, wb, wa if last_twist_wa else wb, j)
         _add_outer(mat, xpoly, ypoly)
-    return idn.BivariatePoly(fld, mat)
+    return idn._trimmed(fld, mat)
 
 
 def remark_m1_side(n, chi, xi, wa, wb, cond):
@@ -329,7 +352,7 @@ def remark_m1_side(n, chi, xi, wa, wb, cond):
         t = bn.power_sum(spec_b, j, wa * chi.modulus - 1) * _binomial_weight(n, j, wa, wb)
         for a, c in enumerate(idn._affine_poly(spec_a, 1, n - j, Fraction(wb), Fraction(0))):
             acc[a] = acc[a] + t * c
-    return idn.BivariatePoly(fld, [[c] for c in acc])
+    return idn._trimmed(fld, [[c] for c in acc])
 
 
 def corollary2_side(n, m, chi, xi, wa, wb, cond):
@@ -360,7 +383,7 @@ def theorem3_side(n, m, chi, xi, wa, wb, cond):
         scal = _shifted_weight(n, k, wa, wb)
         ypoly = _scaled(idn._affine_poly(spec_b, m - 1, n - k, Fraction(wa), Fraction(0)), scal)
         _add_outer(mat, _theorem3_xpoly(chi, xi, cond, m, wa, wb, k), ypoly)
-    return idn.BivariatePoly(fld, mat)
+    return idn._trimmed(fld, mat)
 
 
 def remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights):
@@ -371,7 +394,7 @@ def remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights):
         for a, c in enumerate(idn._affine_poly(spec_a, 1, n, Fraction(wb), Fraction(wb * i, wa))):
             acc[a] = acc[a] + w * c
     lead = Fraction(wa) ** (n - 1)
-    return idn.BivariatePoly(fld, [[c * lead] for c in acc])
+    return idn._trimmed(fld, [[c * lead] for c in acc])
 
 
 def corollary4_side(n, m, chi, xi, wa, wb, cond):

@@ -24,7 +24,7 @@ from twisted_bernoulli import volkenborn as vk
 from twisted_bernoulli.characters import from_table, principal
 from twisted_bernoulli.exact import RootOfUnity, galois_apply
 
-from _oracles import bernoulli_recurrence, t_valuation
+from _oracles import bernoulli_recurrence, restrict_y0, t_valuation
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID_CONFIG = ROOT / "configs" / "acceptance_grid.json"
@@ -150,16 +150,16 @@ def test_criterion_3_cross_checker_coherence():
                         t1 = idn.check_theorem1(n, 1, chi, xi, w1, w2)
                         r1 = idn.check_remark_m1(n, chi, xi, w1, w2)
                         if (
-                            t1.lhs.restrict_y0() != r1.lhs
-                            or t1.rhs.restrict_y0() != r1.rhs
+                            restrict_y0(t1.lhs) != r1.lhs
+                            or restrict_y0(t1.rhs) != r1.rhs
                             or t1.holds != r1.holds
                         ):
                             ok = False
                         t3 = idn.check_theorem3(n, 1, chi, xi, w1, w2)
                         r3 = idn.check_remark_2_11(n, chi, xi, w1, w2)
                         if (
-                            t3.lhs.restrict_y0() != r3.lhs
-                            or t3.rhs.restrict_y0() != r3.rhs
+                            restrict_y0(t3.lhs) != r3.lhs
+                            or restrict_y0(t3.rhs) != r3.rhs
                             or t3.holds != r3.readings["weighted"]
                         ):
                             ok = False

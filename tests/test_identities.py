@@ -23,7 +23,7 @@ from twisted_bernoulli.errors import ConfigError, NotMultiplicative
 from twisted_bernoulli.exact import RootOfUnity, cyclo_field, cyclo_from_json
 
 import _oracles
-from _oracles import bernoulli_recurrence, classical_poly_at
+from _oracles import bernoulli_recurrence, classical_poly_at, evaluate, restrict_y0
 
 ONE = RootOfUnity(1, 0)
 MINUS = RootOfUnity(2, 1)
@@ -33,7 +33,7 @@ CHI4 = from_table(4, [0, 1, 0, -1])
 
 
 def rational_rows(poly):
-    return [[c.rational_value() for c in row] for row in poly.rows]
+    return [[c.rational_value() for c in row] for row in poly]
 
 
 # --- eq_1_13 -----------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_theorem1_generic_with_random_point_crosscheck():
     for _ in range(5):
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         y = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        assert rep.lhs.evaluate(x, y) == rep.rhs.evaluate(x, y)
+        assert evaluate(rep.lhs, x, y) == evaluate(rep.rhs, x, y)
 
 
 def test_theorem1_readings_reported():
@@ -130,7 +130,7 @@ def test_theorem1_m1_y0_agrees_with_remark_m1():
         for w1, w2 in ((1, 2), (2, 3), (3, 1)):
             for n in range(5):
                 whole = idn.check_theorem1(n, 1, chi, xi, w1, w2)
-                restricted = whole.lhs.restrict_y0(), whole.rhs.restrict_y0()
+                restricted = restrict_y0(whole.lhs), restrict_y0(whole.rhs)
                 remark = idn.check_remark_m1(n, chi, xi, w1, w2)
                 assert restricted[0] == remark.lhs
                 assert restricted[1] == remark.rhs
@@ -150,8 +150,8 @@ def test_corollary2_equals_theorem1_constant_term():
     for n in range(4):
         whole = idn.check_theorem1(n, 2, LEG3, MINUS, 1, 3)
         scalar = idn.check_corollary2(n, 2, LEG3, MINUS, 1, 3)
-        assert whole.lhs.coeff(0, 0) == scalar.lhs
-        assert whole.rhs.coeff(0, 0) == scalar.rhs
+        assert whole.lhs[0][0] == scalar.lhs
+        assert whole.rhs[0][0] == scalar.rhs
 
 
 def test_m1_numbers_cases():
@@ -173,7 +173,7 @@ def test_theorem3_generic_with_point_crosscheck():
     for _ in range(5):
         x = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         y = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        assert rep.lhs.evaluate(x, y) == rep.rhs.evaluate(x, y)
+        assert evaluate(rep.lhs, x, y) == evaluate(rep.rhs, x, y)
 
 
 def test_theorem3_m1_y0_agrees_with_remark_2_11_weighted():
@@ -182,8 +182,8 @@ def test_theorem3_m1_y0_agrees_with_remark_2_11_weighted():
             for n in range(4):
                 whole = idn.check_theorem3(n, 1, chi, xi, w1, w2)
                 remark = idn.check_remark_2_11(n, chi, xi, w1, w2)
-                assert whole.lhs.restrict_y0() == remark.lhs
-                assert whole.rhs.restrict_y0() == remark.rhs
+                assert restrict_y0(whole.lhs) == remark.lhs
+                assert restrict_y0(whole.rhs) == remark.rhs
 
 
 def test_remark_2_11_readings():
@@ -206,7 +206,7 @@ def test_remark_2_11_classical_multiplication_instance():
     # w1 = 1 side is just B_3(2x); frozen against the classical oracle
     lhs = rep.lhs
     two_x_poly = [comb(3, j) * bernoulli_recurrence(3)[3 - j] * Fraction(2) ** j for j in range(4)]
-    assert [row[0].rational_value() for row in lhs.rows] == two_x_poly
+    assert [row[0].rational_value() for row in lhs] == two_x_poly
 
 
 def test_corollary4_cases():
@@ -219,8 +219,8 @@ def test_corollary4_equals_theorem3_constant_term():
     for n in range(4):
         whole = idn.check_theorem3(n, 2, CHI4, RootOfUnity(4, 1), 2, 1)
         scalar = idn.check_corollary4(n, 2, CHI4, RootOfUnity(4, 1), 2, 1)
-        assert whole.lhs.coeff(0, 0) == scalar.lhs
-        assert whole.rhs.coeff(0, 0) == scalar.rhs
+        assert whole.lhs[0][0] == scalar.lhs
+        assert whole.rhs[0][0] == scalar.rhs
 
 
 def test_eq_2_12_cases():
@@ -260,7 +260,7 @@ def test_bivariate_equality_implies_pointwise_equality():
     for _ in range(10):
         x = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
         y = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-        assert rep.lhs.evaluate(x, y) == rep.rhs.evaluate(x, y)
+        assert evaluate(rep.lhs, x, y) == evaluate(rep.rhs, x, y)
 
 
 # --- verdicts on H's coefficients ------------------------------------------------------
@@ -272,7 +272,7 @@ def eager_xy_poly(coeffs, n, c, with_y=True):
     for a in range(n + 1):
         for b in range(n - a + 1 if with_y else 1):
             mat[a][b] = coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
-    return idn.BivariatePoly(fld, mat)
+    return idn._trimmed(fld, mat)
 
 
 def slice_mismatch(coeffs, other, with_y):
@@ -288,9 +288,9 @@ def slice_mismatch(coeffs, other, with_y):
 
 def test_slice_mismatch_equals_matrix_mismatch():
     # the first mismatch of two sides read off slices of H must follow from
-    # the slices alone, and each side must be the filled matrix, for every
-    # change of one or two coefficients of a slice; changes to zero move the
-    # trimmed shapes
+    # the slices alone, as a row-major scan of the two matrices finds it,
+    # and each side must be the filled matrix, for every change of one or
+    # two coefficients of a slice; changes to zero move the trimmed shapes
     rng = random.Random(8)
     fld = cyclo_field(3)
 
@@ -313,10 +313,11 @@ def test_slice_mismatch_equals_matrix_mismatch():
                 if r < q:
                     changed.append(tuple(h + 1 if i in (r, q) else h for i, h in enumerate(coeffs)))
             for other in changed:
-                lhs = idn.BivariatePoly.from_series(fld, coeffs, c, with_y)
-                rhs = idn.BivariatePoly.from_series(fld, other, c, with_y)
+                lhs = idn._xy_matrix(coeffs, c, with_y)
+                rhs = idn._xy_matrix(other, c, with_y)
                 expected = slice_mismatch(coeffs, other, with_y)
-                assert lhs.first_mismatch(rhs) == expected, (n, with_y, c, coeffs, other)
+                scanned = printed_first_mismatch(idn._side_to_json(lhs), idn._side_to_json(rhs))
+                assert scanned == expected, (n, with_y, c, coeffs, other)
                 assert (lhs == rhs) is (expected is None) is (coeffs == other)
                 assert (lhs, rhs) == (eager_xy_poly(coeffs, n, c, with_y), eager_xy_poly(other, n, c, with_y))
                 cases += 1
@@ -447,6 +448,25 @@ def test_consecutive_blocks_report_their_own_params():
     for xi in (RootOfUnity(2, 1), RootOfUnity(4, 2), RootOfUnity(2, 1)):
         rep = idn.check_remark_m1(2, LEG3, xi, 1, 2)
         assert rep.params["xi"] == {"order": xi.order, "exponent": xi.exponent}
+
+
+def test_a_table_character_parsed_afresh_keeps_its_block(monkeypatch):
+    # each parse of a table spec makes a new character object; one that
+    # prints the same JSON, with the same twist, must find the kept block
+    built = []
+
+    class Counted(idn._Block):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(idn, "_Block", Counted)
+    spec = {"modulus": 8, "kind": "table", "values": mod8(MINUS_JSON)}
+    for n in range(4):
+        chi = character_from_json(spec)
+        assert chi is not character_from_json(spec)
+        assert idn.check_theorem1(n, 2, chi, MINUS, 1, 2).holds
+    assert len(built) == 1
 
 
 # --- swap checkers ---------------------------------------------------------------
