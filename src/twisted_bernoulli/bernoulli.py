@@ -16,19 +16,21 @@ restricts to twists of p-power order where the valuation theory applies.
 the tuple of coefficients of B^(k)_n(x) in ascending order.  All results
 are cached: numbers, polynomials and power sums are immutable and reused
 across identity checks.  The series behind them are kept one per
-twist spec (the kernel quotient, which the power-sum series check shares,
-and its numerator's exponential sum) and one per (spec, k) (the k-th power,
-``generating_series``), and grow coefficient by coefficient to the largest n
-asked for so far, so that asking for n computes no coefficient past t^n and
-none twice.  No config may ask for an index above ``MAX_SERIES_INDEX``.
+twist spec (the kernel quotient, which the power-sum series check shares)
+and one per (spec, k) (the k-th power, ``generating_series``), and grow
+coefficient by coefficient to the largest n asked for so far, so that asking
+for n computes no coefficient past t^n and none twice.  No config may ask
+for an index above ``MAX_SERIES_INDEX``.
 
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
-exponential sum sum_{a<d} chi(a) xi^a e^(a t) is read off them.  They are
+exponential sum sum_{a<d} chi(a) xi^a e^(a t) in the kernel's numerator is
+read off the cached power sums T_i(d - 1).  They are
 accumulated in integers: each weight chi(a) xi^a is one root of unity,
 read off the field's table of powers as integer coordinates, and it depends
 on a only modulo lcm(d, order of xi).  The powers a^i are summed per residue,
 each residue's sum weights its integer coordinate vector, and the vector
-is reduced once by the kernel.
+is reduced once by the kernel.  The same weights (``_twist_weights``) serve
+the Volkenborn module's level sums.
 """
 
 from __future__ import annotations
@@ -157,16 +159,6 @@ def _twist_weights(spec: TwistSpec) -> tuple[int, tuple[tuple[int, tuple[int, ..
     return period, tuple(weights)
 
 
-@lru_cache(maxsize=None)
-def _twisted_exp_sum(spec: TwistSpec) -> ps.Series:
-    """sum_{a<d} chi(a) xi^a e^(a t): coefficient i is T_i(d - 1) / i!.
-
-    One growing series per spec, the numerator of the kernel series.
-    """
-    d = spec.chi.modulus
-    return ps.generated(spec.ambient, lambda i: power_sum(spec, i, d - 1) * Fraction(1, factorial(i)))
-
-
 def _twisted_exp_minus_one(spec: TwistSpec, c: int) -> ps.Series:
     """xi^c e^(c t) - 1."""
     field = spec.ambient
@@ -184,10 +176,13 @@ def _cancelled(spec: TwistSpec) -> int:
 
 @lru_cache(maxsize=None)
 def _kernel_series(spec: TwistSpec) -> ps.Series:
-    """t * sum_a chi(a) xi^a e^(a t) / (xi^d e^(d t) - 1), with the common t cancelled."""
-    field = spec.ambient
-    exp_sum = _twisted_exp_sum(spec)
-    numerator = ps.generated(field, lambda r: exp_sum.coeff(r - 1) if r else field.zero)
+    """t * sum_a chi(a) xi^a e^(a t) / (xi^d e^(d t) - 1), with the common t cancelled.
+
+    The numerator's coefficient of t^(i+1) is T_i(d - 1) / i!.
+    """
+    field, d = spec.ambient, spec.chi.modulus
+    numerator = ps.generated(
+        field, lambda r: power_sum(spec, r - 1, d - 1) * Fraction(1, factorial(r - 1)) if r else field.zero)
     return ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, spec.chi.modulus), _cancelled(spec))
 
 

@@ -6,6 +6,9 @@ roots of unity, not field elements, so one character can be combined with
 any ambient cyclotomic field later.  The modulus-1 character is identically
 one, including at 0; together with the 0^0 = 1 convention in power sums this
 makes the d = 1 objects collapse to their classical counterparts.
+
+One cached primitive root g per modulus (``_primitive_root``) decides whether
+the unit group is cyclic and indexes its characters: chi_j(g) = zeta_phi(d)^j.
 """
 
 from __future__ import annotations
@@ -33,43 +36,34 @@ def _multiplicative_order(a: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def unit_group_exponent(d: int) -> int:
-    """Exponent of (Z/dZ)*: lcm of the orders of all units."""
+def _primitive_root(d: int) -> int | None:
+    """The least generator g of (Z/dZ)*, or None when that group is not cyclic."""
     if d == 1:
         return 1
-    e = 1
-    for a in range(1, d):
-        if gcd(a, d) == 1:
-            e = lcm(e, _multiplicative_order(a, d))
-    return e
+    phi = totient(d)
+    for g in range(1, d):
+        if gcd(g, d) == 1 and _multiplicative_order(g, d) == phi:
+            return g
+    return None
 
 
 def has_cyclic_units(d: int) -> bool:
-    return unit_group_exponent(d) == totient(d)
-
-
-def _least_primitive_root(d: int) -> int:
-    phi = totient(d)
-    for g in range(1, d + 1):
-        if gcd(g, d) == 1 and _multiplicative_order(g, d) == phi:
-            return g
-    raise NonCyclicUnitGroup(f"no primitive root mod {d}")
+    return _primitive_root(d) is not None
 
 
 class DirichletCharacter:
     """Completely multiplicative d-periodic map into roots of unity."""
 
-    __slots__ = ("modulus", "values", "_keyval")
+    __slots__ = ("modulus", "values", "_keyval", "_hash")
 
     def __init__(self, modulus: int, values):
         values = tuple(values)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self,
-            "_keyval",
-            (modulus, tuple(None if v is None else v._key() for v in values)),
-        )
+        keyval = (modulus, tuple(None if v is None else v._key() for v in values))
+        object.__setattr__(self, "_keyval", keyval)
+        # every spec-keyed cache lookup hashes chi: hash its d values once
+        object.__setattr__(self, "_hash", hash(keyval))
 
     def __setattr__(self, name, value):
         raise AttributeError("DirichletCharacter is immutable")
@@ -114,16 +108,13 @@ class DirichletCharacter:
         vals = [None if v is None else v**s for v in self.values]
         return DirichletCharacter(self.modulus, vals)
 
-    def _key(self):
-        return self._keyval
-
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         return self._keyval == other._keyval
 
     def __hash__(self):
-        return hash(self._keyval)
+        return self._hash
 
     def label(self) -> str:
         """Stable human-readable id, e.g. 'mod4[0,1,0,z2^1]'."""
@@ -205,10 +196,10 @@ def enumerate_cyclic(d: int) -> tuple[DirichletCharacter, ...]:
     """
     if d == 1:
         return (principal(1),)
-    if not has_cyclic_units(d):
+    g = _primitive_root(d)
+    if g is None:
         raise NonCyclicUnitGroup(f"unit group mod {d} is not cyclic; supply a table")
     phi = totient(d)
-    g = _least_primitive_root(d)
     # discrete logs base g for every unit
     dlog = {}
     x = 1
@@ -328,20 +319,19 @@ def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
     raise ConfigError(f"key 'kind' in 'character' must be {kinds}, got {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def _cyclic_index(d: int) -> dict[DirichletCharacter, int]:
-    """{chi_j: j} over the enumerated characters mod d."""
-    return {chi: j for j, chi in enumerate(enumerate_cyclic(d))}
-
-
 def character_to_json(chi: DirichletCharacter) -> dict:
-    """Stable spec for a character: principal / index when possible, else table."""
+    """Stable spec for a character: principal / index when possible, else table.
+
+    j is read off chi(g) = zeta_phi(d)^j and printed only when chi_j is chi.
+    """
     d = chi.modulus
     if chi.is_principal():
         return {"modulus": d, "kind": "principal"}
-    if has_cyclic_units(d):
-        j = _cyclic_index(d).get(chi)
-        if j is not None:
+    g = _primitive_root(d)
+    v = None if g is None else chi.value(g)
+    if v is not None:
+        j = v.exponent * totient(d) // v.order
+        if enumerate_cyclic(d)[j] == chi:
             return {"modulus": d, "kind": "index", "j": j}
     return {
         "modulus": d,

@@ -8,7 +8,8 @@ Internally the vector is stored fraction-free (integer coordinates plus one
 positive common denominator); the per-coordinate Fractions are exposed
 through :attr:`CycloElem.coeffs`.
 
-Phi_m is a Moebius product of binomials x^d - 1 (:func:`cyclotomic_polynomial`).
+Phi_m is a Moebius product of binomials x^d - 1 (:func:`cyclotomic_polynomial`),
+built once per interned field.
 Each interned field keeps one growing table of the integer coordinates of
 zeta^phi, zeta^(phi+1), ... (:meth:`CycloField.power`); the kernel, and
 :func:`as_cyclo`, :func:`embed` and :func:`galois_apply`, all read it.
@@ -80,7 +81,6 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials (integer coefficients, ascending)
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, ascending, as a Moebius product.
 

@@ -132,43 +132,29 @@ from .characters import (
     root_to_json,
 )
 from .errors import ConfigError, NonCyclicUnitGroup, TwistedBernoulliError
-from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_to_json
+from .exact import CycloElem, RootOfUnity, as_cyclo, cyclo_to_json
 
 
 # ---------------------------------------------------------------------------
 # bivariate sides: coefficient matrices over one field
 
-def _trimmed(field: CycloField, rows) -> tuple:
-    """rows as a tuple matrix without trailing zero columns and rows; [[0]] if zero."""
-    rows = [list(r) for r in rows]
-    width = 0
-    for r in rows:
-        for j in range(len(r) - 1, -1, -1):
-            if not r[j].is_zero():
-                width = max(width, j + 1)
-                break
-    rows = [r[:width] for r in rows]
-    while rows and all(c.is_zero() for c in rows[-1]):
-        rows.pop()
-    if not rows:
-        rows = [[field.zero]]
-        width = 1
-    return tuple(tuple(r + [field.zero] * (width - len(r))) for r in rows)
-
-
 def _xy_matrix(coeffs, c: int, with_y: bool = True) -> tuple:
     """n! [t^n] H(t) e^(c (x + y) t), trimmed, from coeffs = ([t^r] H for r <= n).
 
     Row a holds the coefficients of x^a y^b: entry (a, b) is
-    n!/(a! b!) coeffs[r] c^(a+b) with r = n - a - b; with_y=False keeps only
-    the column b = 0.
+    n!/(a! b!) coeffs[r] c^(a+b) with r = n - a - b, zero when a + b > n;
+    with_y=False keeps only the column b = 0.  As c != 0, the last nonzero row
+    and column are both n - r0, r0 the least r with coeffs[r] != 0 (n if none).
     """
     n = len(coeffs) - 1
-    return _trimmed(coeffs[0].field, [
-        [coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
-         for b in range(n - a + 1 if with_y else 1)]
-        for a in range(n + 1)
-    ])
+    field = coeffs[0].field
+    top = n - next((r for r, h in enumerate(coeffs) if not h.is_zero()), n)
+    return tuple(
+        tuple(coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
+              if a + b <= n else field.zero
+              for b in range(top + 1 if with_y else 1))
+        for a in range(top + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

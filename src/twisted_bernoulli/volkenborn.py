@@ -5,13 +5,15 @@ residue rings of modulus d p^N is
 
     S_N = (1 / (d p^N)) * sum_{x=0}^{d p^N - 1} chi(x) xi^x x^n,
 
-computed in exact cyclotomic arithmetic, each weight chi(x) xi^x read as
-one root of unity.  As N grows, S_N converges p-adically to the generalized
-twisted Bernoulli number attached to (chi, xi, n); this module measures that
-convergence through valuation traces and checks the finite-level
-counterpart of the shift identity, whose exact (level-free) form lives in
-the identities module as eq_1_13: ``shift_identity_check`` returns the
-valuation of its level-N residual.
+computed in exact cyclotomic arithmetic in bernoulli's field of the twist
+spec (chi, xi), Q(xi) since chi takes rational values, with its weights
+chi(x) xi^x (``bernoulli._twist_weights``), each one root of unity.  As N
+grows, S_N converges p-adically to the generalized twisted Bernoulli number
+attached to (chi, xi, n); this module measures that convergence through
+valuation traces and checks the finite-level counterpart of the shift
+identity, whose exact (level-free) form lives in the identities module as
+eq_1_13: ``shift_identity_check`` returns the valuation of its level-N
+residual.
 
 Integrands are restricted so that every sum stays in a field where the
 valuation is single-valued: the character must take rational values
@@ -20,23 +22,13 @@ valuation is single-valued: the character must take rational values
 
 from __future__ import annotations
 
-from math import lcm
 from typing import NamedTuple
 
 from . import _kernel as K
 from . import bernoulli as bn
 from .characters import DirichletCharacter
 from .errors import UnsupportedField
-from .exact import (
-    INFINITY,
-    CycloElem,
-    RootOfUnity,
-    _is_p_power,
-    as_cyclo,
-    cyclo_field,
-    is_prime,
-    padic_valuation,
-)
+from .exact import INFINITY, CycloElem, RootOfUnity, _is_p_power, is_prime, padic_valuation
 
 #: Default level caps keeping d * p^N terms per sum manageable.
 DEFAULT_LEVEL_CAP = {2: 7, 3: 7, 5: 5}
@@ -82,22 +74,18 @@ def _validate_twist(spec: IntegrandSpec, p: int):
         )
 
 
-def _ambient(spec: IntegrandSpec):
-    o = spec.xi.order
-    return cyclo_field(o if o > 2 else 1)
-
-
 def _level_sum(spec: IntegrandSpec, p: int, level: int, offset: int) -> CycloElem:
     """(1/(d p^N)) sum_{offset <= x < offset + d p^N} chi(x) xi^x x^n.
 
-    Terms are bucketed by x mod lcm(d, order(xi)) so the inner loop is pure
-    integer arithmetic; each bucket then weights the integer coordinates of
-    the one root of unity chi(r) xi^r, and the vector is reduced once.
+    Terms are bucketed by x mod the period of bernoulli's weights, so the
+    inner loop is pure integer arithmetic; each bucket then weights the
+    integer coordinates of the one root of unity chi(r) xi^r, and the vector
+    is reduced once.
     """
-    field = _ambient(spec)
-    d, n = spec.d, spec.moment
-    count = d * p**level
-    period = lcm(d, spec.xi.order)
+    tw = bn.twist_spec(spec.chi, spec.xi)
+    period, weights = bn._twist_weights(tw)
+    n = spec.moment
+    count = spec.d * p**level
     buckets = [0] * period
     if n == 0:
         base, extra = divmod(count, period)
@@ -106,13 +94,12 @@ def _level_sum(spec: IntegrandSpec, p: int, level: int, offset: int) -> CycloEle
     else:
         for x in range(offset, offset + count):
             buckets[x % period] += x**n
-    acc = [0] * field.degree
-    for r, total in enumerate(buckets):
-        c = spec.chi.value(r)
-        if total and c is not None:
-            w = as_cyclo(c * spec.xi**r, field.conductor).nums
+    acc = [0] * tw.ambient.degree
+    for r, w in weights:
+        total = buckets[r]
+        if total:
             acc = [a + v * total for a, v in zip(acc, w)]
-    return CycloElem._raw(field, *K.normalize(acc, count))
+    return CycloElem._raw(tw.ambient, *K.normalize(acc, count))
 
 
 def riemann_sum(spec: IntegrandSpec, p: int, level: int) -> CycloElem:
@@ -158,8 +145,7 @@ class ConvergenceTrace(NamedTuple):
 
 def bernoulli_target(spec: IntegrandSpec) -> CycloElem:
     """The generalized twisted Bernoulli number the sums converge to."""
-    tw = bn.twist_spec(spec.chi, spec.xi, conductor=_ambient(spec).conductor)
-    return bn.numbers(tw, 1, spec.moment)[spec.moment]
+    return bn.numbers(bn.twist_spec(spec.chi, spec.xi), 1, spec.moment)[spec.moment]
 
 
 def convergence_check(spec: IntegrandSpec, p: int, level_max: int) -> ConvergenceTrace:
@@ -192,6 +178,5 @@ def shift_identity_check(spec: IntegrandSpec, p: int, n_shift: int, level: int):
     shift = n_shift * spec.d
     shifted = _level_sum(spec, p, level, shift)
     plain = _level_sum(spec, p, level, 0)
-    tw = bn.twist_spec(spec.chi, spec.xi, conductor=_ambient(spec).conductor)
-    derivative = bn.power_sum(tw, k - 1, shift - 1) * k
+    derivative = bn.power_sum(bn.twist_spec(spec.chi, spec.xi), k - 1, shift - 1) * k
     return padic_valuation(shifted - plain - derivative, p)

@@ -174,9 +174,9 @@ def t_valuation(coeffs):
 
 # --- twisted sums, one element operation per term ----------------------------
 #
-# The bodies that bernoulli._twisted_exp_sum and bernoulli.power_sum had
-# before they summed in integer coordinates: every term is a field product
-# chi(a) * xi^a followed by a field sum.
+# The exponential sum in the kernel series' numerator and bernoulli.power_sum
+# as they were before the package summed in integer coordinates: every term
+# is a field product chi(a) * xi^a followed by a field sum.
 
 def twisted_exp_sum(spec, count):
     """Coefficients of t^0..t^(count-1) in sum_{a<d} chi(a) xi^a e^(a t)."""
@@ -216,6 +216,27 @@ def power_sum(spec, k, n):
 
 # --- side matrices: rows[i][j] is the coefficient of x^i y^j -----------------
 
+def trimmed(field, rows):
+    """rows as a tuple matrix without trailing zero columns and rows; [[0]] if zero.
+
+    A generic trim, independent of the shape the package reads off H.
+    """
+    rows = [list(r) for r in rows]
+    width = 0
+    for r in rows:
+        for j in range(len(r) - 1, -1, -1):
+            if not r[j].is_zero():
+                width = max(width, j + 1)
+                break
+    rows = [r[:width] for r in rows]
+    while rows and all(c.is_zero() for c in rows[-1]):
+        rows.pop()
+    if not rows:
+        rows = [[field.zero]]
+        width = 1
+    return tuple(tuple(r + [field.zero] * (width - len(r))) for r in rows)
+
+
 def evaluate(rows, x, y):
     """The polynomial of the matrix rows at (x, y), by Horner's rule."""
     fld = rows[0][0].field
@@ -234,7 +255,7 @@ def evaluate(rows, x, y):
 
 def restrict_y0(rows):
     """The matrix of the polynomial in x obtained by setting y = 0."""
-    return idn._trimmed(rows[0][0].field, [[r[0]] for r in rows])
+    return trimmed(rows[0][0].field, [[r[0]] for r in rows])
 
 
 # --- literal per-n sums of the printed swap identities ----------------------
@@ -340,7 +361,7 @@ def theorem1_side(n, m, chi, xi, wa, wb, cond, last_twist_wa=False):
         xpoly = _scaled(idn._affine_poly(spec_a, m, n - j, Fraction(wb), Fraction(0)), scal)
         ypoly = _theorem1_ypoly(chi, xi, cond, m, wa, wb, wa if last_twist_wa else wb, j)
         _add_outer(mat, xpoly, ypoly)
-    return idn._trimmed(fld, mat)
+    return trimmed(fld, mat)
 
 
 def remark_m1_side(n, chi, xi, wa, wb, cond):
@@ -352,7 +373,7 @@ def remark_m1_side(n, chi, xi, wa, wb, cond):
         t = bn.power_sum(spec_b, j, wa * chi.modulus - 1) * _binomial_weight(n, j, wa, wb)
         for a, c in enumerate(idn._affine_poly(spec_a, 1, n - j, Fraction(wb), Fraction(0))):
             acc[a] = acc[a] + t * c
-    return idn._trimmed(fld, [[c] for c in acc])
+    return trimmed(fld, [[c] for c in acc])
 
 
 def corollary2_side(n, m, chi, xi, wa, wb, cond):
@@ -383,7 +404,7 @@ def theorem3_side(n, m, chi, xi, wa, wb, cond):
         scal = _shifted_weight(n, k, wa, wb)
         ypoly = _scaled(idn._affine_poly(spec_b, m - 1, n - k, Fraction(wa), Fraction(0)), scal)
         _add_outer(mat, _theorem3_xpoly(chi, xi, cond, m, wa, wb, k), ypoly)
-    return idn._trimmed(fld, mat)
+    return trimmed(fld, mat)
 
 
 def remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights):
@@ -394,7 +415,7 @@ def remark_2_11_side(n, chi, xi, wa, wb, cond, with_weights):
         for a, c in enumerate(idn._affine_poly(spec_a, 1, n, Fraction(wb), Fraction(wb * i, wa))):
             acc[a] = acc[a] + w * c
     lead = Fraction(wa) ** (n - 1)
-    return idn._trimmed(fld, [[c * lead] for c in acc])
+    return trimmed(fld, [[c * lead] for c in acc])
 
 
 def corollary4_side(n, m, chi, xi, wa, wb, cond):

@@ -12,7 +12,6 @@ from twisted_bernoulli.characters import (
     has_cyclic_units,
     principal,
     root_from_json,
-    unit_group_exponent,
 )
 from twisted_bernoulli.errors import (
     ConfigError,
@@ -143,7 +142,7 @@ def test_orthogonality():
     for d in range(1, 12):
         if not has_cyclic_units(d):
             continue
-        f = cyclo_field(unit_group_exponent(d))
+        f = cyclo_field(totient(d))
         for chi in enumerate_cyclic(d):
             total = f.zero
             for a in range(d):
@@ -169,8 +168,9 @@ def test_power_of_character():
 
 
 def test_value_orders_divide_group_exponent():
+    # each d here has cyclic units, so the group's exponent is phi(d)
     for d in (3, 4, 5, 9, 11):
-        lam = unit_group_exponent(d)
+        lam = totient(d)
         for chi in enumerate_cyclic(d):
             for v in chi.values:
                 if v is not None:
@@ -183,6 +183,49 @@ def test_character_json_round_trip():
     for d in (1, 3, 4, 5):
         for chi in enumerate_cyclic(d):
             assert character_from_json(character_to_json(chi)) == chi
+
+
+def classically_cyclic(d):
+    """d in {1, 2, 4, p^k, 2 p^k} for an odd prime p: Gauss's criterion."""
+    if d in (1, 2, 4):
+        return True
+    if d % 2 == 0:
+        d //= 2
+        if d % 2 == 0:
+            return False
+    p = next(q for q in range(3, d + 1) if d % q == 0)
+    while d % p == 0:
+        d //= p
+    return d == 1
+
+
+def test_cyclic_units_match_the_classical_criterion():
+    for d in range(1, 258):
+        assert has_cyclic_units(d) is classically_cyclic(d), d
+
+
+def test_characters_print_their_index_read_off_the_primitive_root():
+    for d in range(1, 61):
+        if not has_cyclic_units(d):
+            continue
+        for j, chi in enumerate(enumerate_cyclic(d)):
+            for c in (chi, from_table(d, list(chi.values))):
+                spec = character_to_json(c)
+                if j == 0:
+                    assert spec == {"modulus": d, "kind": "principal"}
+                else:
+                    assert spec == {"modulus": d, "kind": "index", "j": j}, (d, j)
+    # (Z/8)*, (Z/12)* and (Z/15)* are not cyclic: their characters print as tables
+    for d, values in (
+        (8, [0, 1, 0, -1, 0, 1, 0, -1]),
+        (12, [0, 1, 0, 0, 0, -1, 0, 1, 0, 0, 0, -1]),
+        (15, [0, 1, -1, 0, 1, 0, 0, 1, -1, 0, 0, -1, 0, 1, -1]),
+    ):
+        chi = from_table(d, values)
+        assert not chi.is_principal()
+        spec = character_to_json(chi)
+        assert spec["kind"] == "table"
+        assert character_from_json(spec) == chi
 
 
 def test_character_spec_forms():

@@ -272,7 +272,7 @@ def eager_xy_poly(coeffs, n, c, with_y=True):
     for a in range(n + 1):
         for b in range(n - a + 1 if with_y else 1):
             mat[a][b] = coeffs[n - a - b] * (factorial(n) // (factorial(a) * factorial(b)) * c ** (a + b))
-    return idn._trimmed(fld, mat)
+    return _oracles.trimmed(fld, mat)
 
 
 def slice_mismatch(coeffs, other, with_y):
@@ -290,7 +290,10 @@ def test_slice_mismatch_equals_matrix_mismatch():
     # the first mismatch of two sides read off slices of H must follow from
     # the slices alone, as a row-major scan of the two matrices finds it,
     # and each side must be the filled matrix, for every change of one or
-    # two coefficients of a slice; changes to zero move the trimmed shapes
+    # two coefficients of a slice; changes to zero move the trimmed shapes.
+    # Besides random slices, the bases include every slice whose h_0..h_(r-1)
+    # vanish while h_r does not, and the all-zero slice, whose sides are
+    # sized off r alone
     rng = random.Random(8)
     fld = cyclo_field(3)
 
@@ -299,11 +302,17 @@ def test_slice_mismatch_equals_matrix_mismatch():
             return fld.zero
         return fld.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(fld.degree)])
 
+    def nonzero():
+        h = elem()
+        return h if not h.is_zero() else fld.one
+
     cases = 0
     for n, with_y in product(range(7), (True, False)):
-        for _ in range(3):
+        bases = [tuple(elem() for _ in range(n + 1)) for _ in range(3)]
+        bases += [(fld.zero,) * r + (nonzero(),) + tuple(elem() for _ in range(n - r)) for r in range(1, n + 1)]
+        bases.append((fld.zero,) * (n + 1))
+        for coeffs in bases:
             c = rng.choice((1, 2, 3, 6))
-            coeffs = tuple(elem() for _ in range(n + 1))
             changed = [coeffs]
             for r in range(n + 1):
                 for new in (coeffs[r] + 1, fld.zero, elem()):
@@ -321,7 +330,7 @@ def test_slice_mismatch_equals_matrix_mismatch():
                 assert (lhs == rhs) is (expected is None) is (coeffs == other)
                 assert (lhs, rhs) == (eager_xy_poly(coeffs, n, c, with_y), eager_xy_poly(other, n, c, with_y))
                 cases += 1
-    assert cases == 3 * sum(1 + 3 * (n + 1) + comb(n + 1, 2) for n in range(7)) * 2
+    assert cases == sum((n + 4) * (1 + 3 * (n + 1) + comb(n + 1, 2)) for n in range(7)) * 2
 
 
 def printed_first_mismatch(lhs, rhs):
@@ -1026,8 +1035,7 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     def cauchy_calls(grids):
         # every growing series bernoulli keeps, so that both sweeps start cold
         # whichever tests ran before
-        for f in (bn.generating_series, bn._kernel_series, bn.numbers, bn.power_sum,
-                  bn._twisted_exp_sum):
+        for f in (bn.generating_series, bn._kernel_series, bn.numbers, bn.power_sum):
             f.cache_clear()
         computed, kept = {}, []
 

@@ -51,5 +51,6 @@ def test_single_calls_clear_the_caches_of_numbers_polynomials_and_characters():
     # the benchmark's single calls start cold by clearing every cache listed
     # here; one missing would let them time a warm cache
     caches = load_tracer().package_caches()
-    for name in ("bernoulli.numbers", "bernoulli.polynomial", "characters.enumerate_cyclic"):
+    for name in ("bernoulli.numbers", "bernoulli.polynomial", "characters.enumerate_cyclic",
+                 "characters._primitive_root"):
         assert "twisted_bernoulli." + name in caches, name

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -49,6 +50,30 @@ def test_riemann_sum_matches_direct_enumeration():
             direct = direct + cv * as_cyclo(RootOfUnity(3, x), 3) * x**2
         direct = direct * Fraction(1, count)
         assert vk.riemann_sum(spec, 3, N) == direct
+
+
+RATIONAL_CHARACTERS = {
+    1: (P1,),
+    3: (principal(3), from_table(3, [0, 1, -1])),
+    4: (principal(4), from_table(4, [0, 1, 0, -1])),
+    5: (principal(5), from_table(5, [0, 1, -1, -1, 1])),
+}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_level_sums_are_power_sums_over_the_window(p):
+    # the level-N sum is T_n(M - 1) / M with M = d p^N, and the window
+    # shifted by s d is (T_n(s d + M - 1) - T_n(s d - 1)) / M: the route a
+    # level sum through bernoulli.power_sum would take gives the same values
+    for d, chars in RATIONAL_CHARACTERS.items():
+        for chi, order, n, level in product(chars, (1, p, p * p), range(4), range(1, 4)):
+            spec = vk.integrand_spec(chi, RootOfUnity(order, 1), n)
+            tw = bn.twist_spec(chi, spec.xi)
+            count = d * p**level
+            assert vk.riemann_sum(spec, p, level) == bn.power_sum(tw, n, count - 1) * Fraction(1, count)
+            for s in (1, 2):
+                window = bn.power_sum(tw, n, s * d + count - 1) - bn.power_sum(tw, n, s * d - 1)
+                assert vk._level_sum(spec, p, level, s * d) == window * Fraction(1, count)
 
 
 def test_integrand_spec_validation():
