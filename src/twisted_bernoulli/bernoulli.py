@@ -15,11 +15,11 @@ restricts to twists of p-power order where the valuation theory applies.
 ``numbers`` returns the tuple (B^(k)_0, ..., B^(k)_n) and ``polynomial``
 the tuple of coefficients of B^(k)_n(x) in ascending order.  All results
 are cached: numbers, polynomials and power sums are immutable and reused
-across identity checks.  The series behind them are kept one per
-twist spec (the kernel quotient, which the power-sum series check shares)
-and one per (spec, k) (the k-th power, ``generating_series``), and grow
-coefficient by coefficient to the largest n asked for so far, so that asking
-for n computes no coefficient past t^n and none twice.  No config may ask
+across identity checks.  The series behind them are kept one per twist
+spec (the kernel quotient, one division recurrence, which the power-sum
+series check shares) and one per (spec, k) (F^(k), one product of two
+cached smaller powers), grown to the largest n asked for so far: asking for
+n computes no coefficient past t^n and none twice.  No config may ask
 for an index above ``MAX_SERIES_INDEX``.
 
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
@@ -188,13 +188,22 @@ def _kernel_series(spec: TwistSpec) -> ps.Series:
 
 @lru_cache(maxsize=None)
 def generating_series(spec: TwistSpec, k: int) -> ps.Series:
-    """The order-k generating series, grown as far as it is asked.
+    """The order-k generating series F^(k), grown as far as it is asked.
 
-    F^(k) is the k-th power of the kernel series by repeated squaring, and
-    each power reads the smaller powers of the same spec from this cache, so
-    F^(2) is one product shared by F^(3) and F^(4).  k = 0 gives 1.
+    F^(0) is 1 and F^(1) the kernel series; F^(k) is F^(k-1) F for odd k
+    and F^(k/2) F^(k/2) for even k, each smaller power read from this cache,
+    so F^(2) is one product shared by F^(3) and F^(4).
     """
-    return ps.power(_kernel_series(spec), k, lambda j: generating_series(spec, j))
+    if k < 0:
+        raise ValueError("order k must be >= 0")
+    if k == 0:
+        return ps.generated(spec.ambient, lambda r: spec.ambient.zero if r else spec.ambient.one)
+    if k == 1:
+        return _kernel_series(spec)
+    if k & 1:
+        return ps.series_mul(generating_series(spec, k - 1), _kernel_series(spec))
+    half = generating_series(spec, k // 2)
+    return ps.series_mul(half, half)
 
 
 @lru_cache(maxsize=None)
@@ -202,8 +211,6 @@ def numbers(spec: TwistSpec, k: int, max_n: int) -> tuple[CycloElem, ...]:
     """(B^(k)_0, ..., B^(k)_max_n): n! times the coefficients of F^(k)."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if k < 0:
-        raise ValueError("order k must be >= 0")
     series = generating_series(spec, k)
     return tuple(ps.egf_coefficient(series, n) for n in range(max_n + 1))
 

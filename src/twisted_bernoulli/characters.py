@@ -68,6 +68,9 @@ class DirichletCharacter:
     def __setattr__(self, name, value):
         raise AttributeError("DirichletCharacter is immutable")
 
+    def __reduce__(self):
+        return DirichletCharacter, (self.modulus, self.values)
+
     def value(self, n: int):
         """chi(n), extended d-periodically; None encodes zero."""
         return self.values[n % self.modulus]

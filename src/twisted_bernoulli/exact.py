@@ -127,6 +127,9 @@ class RootOfUnity:
     def __setattr__(self, name, value):
         raise AttributeError("RootOfUnity is immutable")
 
+    def __reduce__(self):
+        return RootOfUnity, (self.order, self.exponent)
+
     def _key(self):
         return self._keyval
 
@@ -221,6 +224,9 @@ class CycloField:
     def __hash__(self):
         return hash(("CycloField", self.conductor))
 
+    def __reduce__(self):
+        return cyclo_field, (self.conductor,)  # the interned field, tables and all
+
     def __repr__(self):
         return f"CycloField({self.conductor})"
 
@@ -260,6 +266,9 @@ class CycloElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloElem is immutable")
+
+    def __reduce__(self):
+        return CycloElem._raw, (self.field, self.nums, self.den)
 
     @classmethod
     def _raw(cls, field, nums, den) -> "CycloElem":

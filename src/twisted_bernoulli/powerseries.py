@@ -4,8 +4,10 @@ A :class:`Series` grows coefficient by coefficient as far as it is asked
 and computes each coefficient once (McIlroy, "Power series, power serious",
 JFP 1999).  Ordinary coefficients are stored (coefficient of t^n, not of
 t^n/n!), so a product is a plain Cauchy sum; the factorial is applied
-exactly at extraction time by :func:`egf_coefficient`.  Binary operations
-require equal fields.
+exactly at extraction time by :func:`egf_coefficient`.  A quotient is one
+recurrence, each coefficient one Cauchy sum over the quotient's own earlier
+coefficients (:func:`divide_cancel`); an inverse is the quotient of 1.
+Binary operations require equal fields.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ class Series:
 
     __slots__ = ("field", "_step", "_coeffs", "_nums", "_dens")
 
-    def __init__(self, field: CycloField, step, coeffs=()):
+    def __init__(self, field: CycloField, step):
         self.field = field
         self._step = step
-        self._coeffs = list(coeffs)
-        self._nums = [c.nums for c in self._coeffs]
-        self._dens = [c.den for c in self._coeffs]
+        self._coeffs, self._nums, self._dens = [], [], []
 
     def _grow(self, n: int):
         have = len(self._coeffs)
@@ -89,45 +89,8 @@ def series_mul(a: Series, b: Series) -> Series:
 
 
 def series_invert(s: Series) -> Series:
-    """1/s: inv_r = -(c_1 inv_(r-1) + ... + c_r inv_0) inv_0, with inv_0 = 1/c_0."""
-    field = s.field
-    red = field.reduction_rows
-    tail_nums, tail_dens = [], []  # c_1, c_2, ... as the Cauchy sum reads them
-
-    def step(inv, r):
-        if r == 0:
-            c0 = s.coeff(0)
-            if c0.is_zero():
-                raise NonUnitConstantTerm("constant term is zero")
-            return c0.inverse()
-        s._grow(r)
-        for i in range(len(tail_nums) + 1, r + 1):
-            tail_nums.append(s._nums[i])
-            tail_dens.append(s._dens[i])
-        acc = CycloElem._raw(field, *K.cauchy_coeff(tail_nums, tail_dens, inv._nums, inv._dens, r - 1, red))
-        return -(acc * inv._coeffs[0])
-
-    return Series(field, step)
-
-
-def power(s: Series, k: int, smaller=None) -> Series:
-    """s^k by repeated squaring: s^(2j) = s^j s^j and s^(2j+1) = s^(2j) s; s^0 = 1.
-
-    ``smaller(j)`` gives s^j for 1 < j < k (default: built anew), so a
-    caller that keeps the powers of s shares them between exponents.
-    """
-    if k < 0:
-        raise ValueError("nonnegative power required")
-    if k == 0:
-        one, zero = s.field.one, s.field.zero
-        return generated(s.field, lambda r: zero if r else one)
-    if k == 1:
-        return s
-    smaller = smaller or (lambda j: power(s, j))
-    if k & 1:
-        return series_mul(smaller(k - 1), s)
-    half = smaller(k // 2)
-    return series_mul(half, half)
+    """1/s: the series 1 divided by s, with no power of t cancelled."""
+    return divide_cancel(generated(s.field, lambda r: s.field.zero if r else s.field.one), s, 0)
 
 
 def shifted(s: Series, v: int) -> Series:
@@ -138,10 +101,27 @@ def shifted(s: Series, v: int) -> Series:
 def divide_cancel(num: Series, den: Series, v: int) -> Series:
     """(num / t^v) / (den / t^v), the common t^v cancelled.
 
-    den / t^v must have a nonzero constant term; the coefficients of num
-    below t^v are taken to be zero and are not read.
+    Coefficient r of the quotient q is (n_(r+v) - sum_{i=1..r} d_(i+v) q_(r-i)) / d_v:
+    one Cauchy sum over the stored coefficients of den and q, and 1/d_v is
+    computed once.  d_v must be nonzero, and num must lie in den's field; the
+    coefficients of num below t^v are taken to be zero and are not read.
     """
-    return series_mul(shifted(num, v), series_invert(shifted(den, v)))
+    red = den.field.reduction_rows
+    lead_inv = None
+
+    def step(q, r):
+        nonlocal lead_inv
+        if r == 0:
+            lead = den.coeff(v)
+            if lead.is_zero():
+                raise NonUnitConstantTerm("constant term is zero")
+            lead_inv = lead.inverse()
+            return num.coeff(v) * lead_inv
+        den._grow(r + v)
+        acc = K.cauchy_coeff(den._nums[v + 1 :], den._dens[v + 1 :], q._nums, q._dens, r - 1, red)
+        return (num.coeff(r + v) - CycloElem._raw(den.field, *acc)) * lead_inv
+
+    return Series(den.field, step)
 
 
 def egf_coefficient(s: Series, n: int) -> CycloElem:

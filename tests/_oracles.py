@@ -172,6 +172,28 @@ def t_valuation(coeffs):
     return next((i for i, c in enumerate(coeffs) if not c.is_zero()), None)
 
 
+def miller_power(coeffs, k):
+    """F^k to the length of coeffs, by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+    With F = t^v u and u_0 != 0, F^k = t^(kv) a, where a_0 = u_0^k and
+    a_n = sum_{i=1..n} ((k+1) i - n) u_i a_(n-i) / (n u_0): no product of
+    two series, and no power of F below k.  F^0 is 1.
+    """
+    field = coeffs[0].field
+    v = t_valuation(coeffs)
+    if k == 0 or v is None:
+        return [field.one if k == 0 else field.zero] + [field.zero] * (len(coeffs) - 1)
+    u = coeffs[v:]
+    u0inv = u[0].inverse()
+    a = [u[0] ** k]
+    for n in range(1, max(len(coeffs) - k * v, 0)):
+        acc = field.zero
+        for i in range(1, n + 1):
+            acc = acc + u[i] * a[n - i] * ((k + 1) * i - n)
+        a.append(acc * u0inv * Fraction(1, n))
+    return ([field.zero] * (k * v) + a)[: len(coeffs)]
+
+
 # --- twisted sums, one element operation per term ----------------------------
 #
 # The exponential sum in the kernel series' numerator and bernoulli.power_sum

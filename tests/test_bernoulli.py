@@ -173,6 +173,20 @@ def test_twist_weights_make_no_field_product(monkeypatch):
         assert w == (chi.value_at(r, field) * as_cyclo(spec.xi**r, field.conductor)).nums
 
 
+def test_numbers_make_one_cauchy_sum_per_coefficient(monkeypatch):
+    # the kernel quotient q = E / D is one recurrence: q_0 needs no sum and
+    # each q_r one Cauchy sum, with no inverse of D multiplied in after it
+    calls = []
+    real = _kernel.cauchy_coeff
+    monkeypatch.setattr(_kernel, "cauchy_coeff", lambda *a: calls.append(1) or real(*a))
+    for xi in (ONE, RootOfUnity(3, 1)):  # xi^d = 1 cancels a t, xi^d != 1 does not
+        for f in (bn.generating_series, bn._kernel_series, bn.numbers):
+            f.cache_clear()
+        del calls[:]
+        bn.numbers(bn.twist_spec(principal(1), xi), 1, 8)
+        assert len(calls) == 8, xi
+
+
 def test_power_sum_series_check_examples():
     lhs, rhs = bn.power_sum_series_check(CLASSICAL, 2, 8)
     assert lhs == rhs
@@ -249,13 +263,23 @@ def _specs_for_properties():
 
 
 def test_order_composition():
-    for spec in _specs_for_properties():
+    # every order up to MAX_ORDER equals the eager k-fold product of F and
+    # Miller's recurrence, which builds F^k from F alone, on kernel series
+    # F = t^v u with v = 0 (u_0 rational and not) and v = 1, 2
+    specs = _specs_for_properties()
+    specs += [bn.twist_spec(enumerate_cyclic(5)[1], RootOfUnity(5, 2)), bn.twist_spec(principal(3), MINUS)]
+    valuations = []
+    for spec in specs:
         base = bn.generating_series(spec, 1).coeffs(10)
+        valuations.append(_oracles.t_valuation(base))
         field = spec.ambient
         power = [field.one] + [field.zero] * 10
-        for k in range(1, 5):
+        for k in range(bn.MAX_ORDER + 1):
+            got = bn.generating_series(spec, k).coeffs(10)
+            assert got == tuple(power), (spec, k)
+            assert got == tuple(_oracles.miller_power(list(base), k)), (spec, k)
             power = _oracles.eager_series_mul(power, base)
-            assert bn.generating_series(spec, k).coeffs(10) == tuple(power)
+    assert valuations == [0, 1, 1, 1, 0, 2]
 
 
 def test_vanishing_head_valuation():

@@ -1,3 +1,5 @@
+import pickle
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -21,7 +23,7 @@ from twisted_bernoulli.errors import (
     NotNormalized,
     WrongSupport,
 )
-from twisted_bernoulli.exact import RootOfUnity, cyclo_field, totient
+from twisted_bernoulli.exact import RootOfUnity, as_cyclo, cyclo_field, totient
 
 
 def table_of(chi):
@@ -175,6 +177,23 @@ def test_value_orders_divide_group_exponent():
             for v in chi.values:
                 if v is not None:
                     assert lam % v.normalized().order == 0
+
+
+def test_characters_roots_and_elements_survive_pickling():
+    field = cyclo_field(9)
+    zeta = as_cyclo(RootOfUnity(9, 1), 9)
+    objects = [chi for d in range(1, 31) if has_cyclic_units(d) for chi in enumerate_cyclic(d)]
+    objects += [from_table(4, [0, 1, 0, -1]), from_table(3, [0, 1, -1]), principal(12)]
+    objects += [RootOfUnity(9, 4), RootOfUnity(4, 2), RootOfUnity(1, 0)]
+    objects += [field.zero, field.one, zeta, zeta**5 - Fraction(2, 3) * zeta, field.rational(Fraction(-7, 4))]
+    assert len(objects) > 150
+    for obj in objects:
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj), obj
+        with pytest.raises(AttributeError, match="immutable"):
+            back.modulus = 0  # still immutable after the round trip
+        if hasattr(obj, "field"):
+            assert back.field is field  # the interned field, not a copy
 
 
 # --- JSON specs -----------------------------------------------------------------
