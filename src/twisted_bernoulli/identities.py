@@ -47,10 +47,10 @@ construction; the test suite checks each family's sides against its own
 printed sum.  S is built one way, from ``bernoulli.power_sum``:
 [t^k] S = T_k(wa d - 1) wb^k / k!.  One H per
 (wa, wb, m, reading) serves every n of a block and both families.  H is
-(lead S / wa) F^(m-1) with lead = F^(m)_wa(wa t).  One block object
-(``_Block``) holds the last (chi, xi) pair with its report JSON and
-conductor, and holds H and each value it is built from, under a key naming
-everything besides (chi, xi, conductor) that the value depends on:
+(lead S / wa) F^(m-1) with lead = F^(m)_wa(wa t).  A block object
+(``_Block``) holds one (chi, xi) pair with its report JSON and conductor,
+and holds H and each value it is built from, under a key naming everything
+besides (chi, xi, conductor) that the value depends on:
 
 * ("spec", w): the twist spec of chi and xi^w in the block's field;
 * ("S", wa, wb, with_weights): S / wa, shared by every m;
@@ -84,12 +84,14 @@ One function, ``_swap_report``, makes every swap report, for a sweep and a
 ``check_*`` call alike.  It reads the verdict of each reading off these
 lists, reads a failed first reading's first mismatch off its two slices of
 H, and builds that reading's two sides only when they are printed or it
-fails.  A sweep reads its blocks off the grids' axes (``_plan``), parses
-each block's chi and xi once, finds its ``_Block`` (``_block``), and makes
-each record's JSON text where its verdict is read (``_records_for_chunk``):
-a held swap instance without sides fills its run's template with the text
-of its values and verdicts, and makes no report or dict; any other record
-is its report's, made by ``report_to_record`` and encoded by
+fails.  Every function that reads a block takes it as an argument, and
+nothing keeps one at module level: a ``check_*`` call makes its own, and a
+sweep reads its blocks off the grids' axes (``_plan``) and runs each in one
+task (``_block_records``), which parses the block's chi and xi once, makes
+its ``_Block``, and makes each record's JSON text where its verdict is
+read: a held swap instance without sides fills its run's template with the
+text of its values and verdicts, and makes no report or dict; any other
+record is its report's, made by ``report_to_record`` and encoded by
 ``jsontext.text``.  ``sweep`` parses the texts back into records.
 
 Two identities are checked under two readings each (see the checker
@@ -191,12 +193,12 @@ class _Block:
     """One (chi, xi) pair with its report JSON, ambient conductor and values.
 
     A sweep runs the instances of each block together, across its grids and
-    tags (``sweep``), so instances (w1, w2) and (w2, w1), every n and every
-    tag of a block share its values.  ``values`` holds them under keys
-    naming every argument besides chi, xi and the conductor that changes the
-    value: twist specs, growing series and verdict lists, which only grow
-    and are never changed otherwise, because they are shared.  A block is
-    found by its objects or by chi's printed JSON (``_block``).
+    tags, in one task (``_block_records``), so instances (w1, w2) and
+    (w2, w1), every n and every tag of a block share its values.  ``values``
+    holds them under keys naming every argument besides chi, xi and the
+    conductor that changes the value: twist specs, growing series and
+    verdict lists, which only grow and are never changed otherwise, because
+    they are shared.  A block lives as long as the call that made it.
     """
 
     __slots__ = ("chi", "xi", "chi_json", "xi_json", "order", "cond", "values")
@@ -222,32 +224,6 @@ class _Block:
         """chi with the twist xi^w, in the block's ambient field."""
         w %= self.order
         return self.get(("spec", w), lambda: bn.twist_spec(self.chi, self.xi**w, conductor=self.cond))
-
-
-# The last block only: a sweep runs the instances of each (chi, xi) block
-# one after another, so memory stays bounded by one block.  Reports of
-# one block share its JSON dicts.
-_BLOCK: _Block | None = None
-
-
-def _block(chi, xi) -> _Block:
-    """The block of chi and xi, kept while the pair repeats.
-
-    A pair repeats when xi has the same order and exponent and chi is the
-    same object or prints the same JSON, as a table character parsed afresh
-    for each call does.  Equality would not do: RootOfUnity(2, 1) ==
-    RootOfUnity(4, 2), and equal characters given by tables may print
-    different tables.  Equal JSON means equal values and equal reports.
-    """
-    global _BLOCK
-    last = _BLOCK
-    if (
-        last is None
-        or (last.xi.order, last.xi.exponent) != (xi.order, xi.exponent)
-        or last.chi is not chi and last.chi_json != character_to_json(chi)
-    ):
-        last = _BLOCK = _Block(chi, xi)
-    return last
 
 
 def _source(chi_json, xi_json) -> str:
@@ -378,36 +354,36 @@ def _verdicts(block, tag, n, m, w1, w2) -> list:
 # side builders; (wa, wb) = (w1, w2) gives the left side, swapping gives the
 # right side, so swap symmetry is structural
 
-def _theorem1_side(n, m, chi, xi, wa, wb, last_twist_wa=False) -> tuple:
-    return _side("theorem1", _block(chi, xi), n, m, wa, wb, last_twist_wa=last_twist_wa)
+def _theorem1_side(block, n, m, wa, wb, last_twist_wa=False) -> tuple:
+    return _side("theorem1", block, n, m, wa, wb, last_twist_wa=last_twist_wa)
 
 
-def _remark_m1_side(n, chi, xi, wa, wb) -> tuple:
-    return _side("remark_m1", _block(chi, xi), n, 1, wa, wb)
+def _remark_m1_side(block, n, wa, wb) -> tuple:
+    return _side("remark_m1", block, n, 1, wa, wb)
 
 
-def _corollary2_side(n, m, chi, xi, wa, wb) -> CycloElem:
-    return _side("corollary2", _block(chi, xi), n, m, wa, wb)
+def _corollary2_side(block, n, m, wa, wb) -> CycloElem:
+    return _side("corollary2", block, n, m, wa, wb)
 
 
-def _m1_numbers_side(n, chi, xi, wa, wb) -> CycloElem:
-    return _side("m1_numbers", _block(chi, xi), n, 1, wa, wb)
+def _m1_numbers_side(block, n, wa, wb) -> CycloElem:
+    return _side("m1_numbers", block, n, 1, wa, wb)
 
 
-def _theorem3_side(n, m, chi, xi, wa, wb) -> tuple:
-    return _side("theorem3", _block(chi, xi), n, m, wa, wb)
+def _theorem3_side(block, n, m, wa, wb) -> tuple:
+    return _side("theorem3", block, n, m, wa, wb)
 
 
-def _remark_2_11_side(n, chi, xi, wa, wb, with_weights) -> tuple:
-    return _side("remark_2_11", _block(chi, xi), n, 1, wa, wb, with_weights=with_weights)
+def _remark_2_11_side(block, n, wa, wb, with_weights) -> tuple:
+    return _side("remark_2_11", block, n, 1, wa, wb, with_weights=with_weights)
 
 
-def _corollary4_side(n, m, chi, xi, wa, wb) -> CycloElem:
-    return _side("corollary4", _block(chi, xi), n, m, wa, wb)
+def _corollary4_side(block, n, m, wa, wb) -> CycloElem:
+    return _side("corollary4", block, n, m, wa, wb)
 
 
-def _eq_2_12_side(n, chi, xi, wa, wb) -> CycloElem:
-    return _side("eq_2_12", _block(chi, xi), n, 1, wa, wb)
+def _eq_2_12_side(block, n, wa, wb) -> CycloElem:
+    return _side("eq_2_12", block, n, 1, wa, wb)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +511,8 @@ def _swap_report(tag, block, args, sides) -> IdentityReport:
     if sides or not verdicts[0]:
         side = globals()[entry.side]
         head = (n, m) if "m" in args else (n,)
-        lhs = side(*head, block.chi, block.xi, w1, w2, **left)
-        rhs = side(*head, block.chi, block.xi, w2, w1, **right)
+        lhs = side(block, *head, w1, w2, **left)
+        rhs = side(block, *head, w2, w1, **right)
     holds = any(verdicts) if entry.any_reading else verdicts[0]
     return IdentityReport(tag, _params(block, **args), holds, lhs, rhs, first, readings)
 
@@ -547,7 +523,7 @@ def _check_swap(tag, chi, xi, **args) -> IdentityReport:
     for key in entry.keys:
         if args[key.name] < key.minimum:
             raise ValueError("need " + ", ".join(f"{k.name} >= {k.minimum}" for k in entry.keys))
-    return _swap_report(tag, _block(chi, xi), args, sides=True)
+    return _swap_report(tag, _Block(chi, xi), args, sides=True)
 
 
 def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
@@ -555,7 +531,7 @@ def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
     against the power sum: (xi^(nd) B_k(nd) - B_k) / k = T_(k-1)(nd - 1)."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    block = _block(chi, xi)
+    block = _Block(chi, xi)
     spec = block.spec(1)
     d = chi.modulus
     fld = spec.ambient
@@ -621,7 +597,7 @@ def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
 
 def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
     """Wrap the power-sum generating-function comparison of two constructions."""
-    block = _block(chi, xi)
+    block = _Block(chi, xi)
     lhs, rhs = bn.power_sum_series_check(block.spec(1), n, series_order)
     first = next((k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
     params = _params(block, n=n, series_order=series_order)
@@ -808,7 +784,7 @@ def _plan(grids) -> tuple:
 def run_instance(desc: dict) -> IdentityReport:
     """Run one instance descriptor through its identity's checker.
 
-    A sweep does not call this (``_records_for_chunk`` reads its blocks):
+    A sweep does not call this (``_block_records`` reads its blocks):
     it is the tests' per-instance reference and a hook perfbench's tracer
     counts instances at.
     """
@@ -847,74 +823,60 @@ def _held_template(tag, names, block, chi_text, xi_text) -> str:
     return text.replace("%", "%%").replace(jsontext.scalar(_OPEN), "%s")
 
 
-def _records_for_chunk(chunk, include_sides) -> tuple:
-    """(texts, holds, errors) of a chunk of ``_plan`` blocks, block by block, run by run.
+def _block_records(plan_block, include_sides) -> tuple:
+    """(texts, holds, errors) of one ``_plan`` block, run by run.
 
     Each text is one record's JSON at ``RECORD_PAD``; holds and errors count
-    the records that hold and those that carry an error.  Each block's chi
-    and xi are parsed once, and each run's axes are expanded in place.  A held swap
-    instance without sides is its run's template (``_held_template``) filled
-    with the text of its values and verdicts, with no report or dict of its
-    own.  Any other record is its report's (``_swap_report`` for a swap
-    instance, its checker, called through its module global, for any other)
-    made by ``report_to_record`` and encoded by ``jsontext.text``; a package
-    error raised inside one instance fails that instance only.  Axes from
+    the records that hold and those that carry an error.  The block's chi and
+    xi are parsed once into its ``_Block``, which lives as long as this call,
+    and each run's axes are expanded in place.  A held swap instance without
+    sides is its run's template (``_held_template``) filled with the text of
+    its values and verdicts, with no report or dict of its own.  Any other
+    record is its report's (``_swap_report`` for a swap instance, its
+    checker, called through its module global, for any other) made by
+    ``report_to_record`` and encoded by ``jsontext.text``; a package error
+    raised inside one instance fails that instance only.  Axes from
     ``_grid_axes`` meet every minimum, so no instance is checked here.
     """
+    _, chi_json, xi_json, runs = plan_block
+    block = _Block(character_from_json(chi_json), root_from_json(xi_json))
     texts, holds, errors = [], 0, 0
     scalar = jsontext.scalar
     pad = RECORD_PAD + "    "  # a "params" item's
-    for _, chi_json, xi_json, runs in chunk:
-        block = _block(character_from_json(chi_json), root_from_json(xi_json))
-        chi_text, xi_text = jsontext.text(block.chi_json, pad), jsontext.text(block.xi_json, pad)
-        for _, _, tag, axes in runs:
-            entry = _IDENTITIES[tag]
-            names = [key.name for key in entry.keys]
-            held = None
-            if entry.side is not None and not include_sides:
-                held = _held_template(tag, names, block, chi_text, xi_text)
-            for values in product(*axes):
-                try:
-                    if held is not None:  # swap keys: w1, w2, m if a key, n
-                        w1, w2, n = values[0], values[1], values[-1]
-                        m = values[2] if len(values) == 4 else 1
-                        verdicts = _verdicts(block, tag, n, m, w1, w2)
-                        if verdicts[0]:
-                            head = (n, m, w1, w2) if len(values) == 4 else (n, w1, w2)
-                            if len(verdicts) > 1:  # a record prints several readings' verdicts
-                                head += tuple(verdicts)
-                            texts.append(held % tuple(map(scalar, head)))
-                            holds += 1
-                            continue
-                    args = dict(zip(names, values))
-                    if entry.side is None:
-                        rep = globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
-                    else:
-                        rep = _swap_report(tag, block, args, include_sides)
-                except TwistedBernoulliError as exc:
-                    args = dict(zip(names, values))
-                    rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
-                texts.append(jsontext.text(report_to_record(rep, include_sides), RECORD_PAD))
-                if rep.error is not None:
-                    errors += 1
-                elif rep.holds:
-                    holds += 1
+    chi_text, xi_text = jsontext.text(block.chi_json, pad), jsontext.text(block.xi_json, pad)
+    for _, _, tag, axes in runs:
+        entry = _IDENTITIES[tag]
+        names = [key.name for key in entry.keys]
+        held = None
+        if entry.side is not None and not include_sides:
+            held = _held_template(tag, names, block, chi_text, xi_text)
+        for values in product(*axes):
+            try:
+                if held is not None:  # swap keys: w1, w2, m if a key, n
+                    w1, w2, n = values[0], values[1], values[-1]
+                    m = values[2] if len(values) == 4 else 1
+                    verdicts = _verdicts(block, tag, n, m, w1, w2)
+                    if verdicts[0]:
+                        head = (n, m, w1, w2) if len(values) == 4 else (n, w1, w2)
+                        if len(verdicts) > 1:  # a record prints several readings' verdicts
+                            head += tuple(verdicts)
+                        texts.append(held % tuple(map(scalar, head)))
+                        holds += 1
+                        continue
+                args = dict(zip(names, values))
+                if entry.side is None:
+                    rep = globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
+                else:
+                    rep = _swap_report(tag, block, args, include_sides)
+            except TwistedBernoulliError as exc:
+                args = dict(zip(names, values))
+                rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
+            texts.append(jsontext.text(report_to_record(rep, include_sides), RECORD_PAD))
+            if rep.error is not None:
+                errors += 1
+            elif rep.holds:
+                holds += 1
     return texts, holds, errors
-
-
-def _chunks(blocks, size: int) -> list:
-    """``_plan`` blocks packed in order into chunks of at least ``size``
-    instances (the last may hold fewer), so no block is split."""
-    chunks, chunk, count = [], [], 0
-    for block in blocks:
-        if count >= size:
-            chunks.append(chunk)
-            chunk, count = [], 0
-        chunk.append(block)
-        count += sum(run[1] for run in block[3])
-    if chunk:
-        chunks.append(chunk)
-    return chunks
 
 
 def sweep_text(grids, include_sides: bool = False, jobs: int = 1):
@@ -923,33 +885,34 @@ def sweep_text(grids, include_sides: bool = False, jobs: int = 1):
     ``texts`` holds each record's JSON text at ``RECORD_PAD``, in the
     deterministic expansion order.  Instances run grouped by the (chi, xi)
     blocks ``_plan`` reads off the grids' axes, across grids and tags, in the
-    order in which blocks first appear, so each block is built once per
-    sweep; each run's texts go back to its place in the expansion order at
-    any number of worker processes.  Each worker is handed whole blocks,
-    about eight chunks per worker, so no two workers build the series of one
-    block, and sends back texts and counts; no more workers start than there
-    are chunks.  More than ``MAX_INSTANCES`` instances is a configuration
-    error naming 'grids', raised before any instance runs.
+    order in which blocks first appear, one ``_block_records`` task a block,
+    so each block is built once per sweep; each run's texts go back to its
+    place in the expansion order at any number of worker processes.  With
+    several jobs and blocks the pool hands each worker about eight batches of
+    whole blocks (its ``chunksize``), so no two workers build the series of
+    one block, and no more workers start than there are blocks.  More than
+    ``MAX_INSTANCES`` instances is a configuration error naming 'grids',
+    raised before any instance runs.
     """
     if isinstance(grids, dict):
         grids = [grids]
     total, blocks = _plan(grids)
     if total > MAX_INSTANCES:
         raise ConfigError(f"key 'grids' expands to {total} instances, more than {MAX_INSTANCES}")
-    chunks = _chunks(blocks, max(1, total // (jobs * 8))) if jobs > 1 else [blocks]
-    if len(chunks) > 1:
+    if jobs > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # a forking pool starts all its workers at once: none beyond the chunks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            parts = list(pool.map(_records_for_chunk, chunks, repeat(include_sides)))
+        # a forking pool starts all its workers at once: none beyond the blocks
+        chunksize = max(1, len(blocks) // (jobs * 8))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+            parts = list(pool.map(_block_records, blocks, repeat(include_sides), chunksize=chunksize))
     else:
-        parts = [_records_for_chunk(blocks, include_sides)]
-    results = [text for chunk_texts, _, _ in parts for text in chunk_texts]
-    texts, done = [None] * total, 0
-    for *_, runs in blocks:
+        parts = [_block_records(block, include_sides) for block in blocks]
+    texts = [None] * total
+    for (*_, runs), (block_texts, _, _) in zip(blocks, parts):
+        done = 0
         for start, size, *_ in runs:
-            texts[start : start + size] = results[done : done + size]
+            texts[start : start + size] = block_texts[done : done + size]
             done += size
     holds = sum(part[1] for part in parts)
     errors = sum(part[2] for part in parts)

@@ -26,8 +26,7 @@ class Series:
     not stored yet, by ``step(series, r)`` once c_0..c_(r-1) are stored.  A
     step that raises leaves the series as it was, so the next request raises
     again.  Coordinates and denominators are kept in lists beside the
-    coefficients, in the form the kernel's Cauchy sum reads.  Two series are
-    equal when their fields and the coefficients computed so far are.
+    coefficients, in the form the kernel's Cauchy sum reads.
     """
 
     __slots__ = ("field", "_step", "_coeffs", "_nums", "_dens")
@@ -58,11 +57,6 @@ class Series:
     def coeffs(self, n: int) -> tuple[CycloElem, ...]:
         self._grow(n)
         return tuple(self._coeffs[: n + 1])
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.field.conductor == other.field.conductor and self._coeffs == other._coeffs
 
     def __repr__(self):
         return f"Series(m={self.field.conductor}, computed={len(self._coeffs)})"

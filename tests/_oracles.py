@@ -236,6 +236,47 @@ def power_sum(spec, k, n):
     return acc
 
 
+# --- order-1 numbers, by two routes that divide no series -------------------
+#
+# Both read the numbers or build them without the kernel quotient: the first
+# multiplies them back by the denominator, the second sums the classical
+# polynomials.  Their power sums are the term-by-term ones above, not
+# bernoulli.power_sum, which the kernel's numerator reads.
+
+def order1_multiplied_back(spec, numbers):
+    """Both sides of (xi^d e^(d t) - 1) F(t) = t sum_{a<d} chi(a) xi^a e^(a t) at t^n/n!.
+
+    For each n = 1..len(numbers) - 1 the pair
+    (xi^d sum_j C(n, j) d^(n-j) B_j - B_n, n T_(n-1)(d - 1)), with
+    B_j = numbers[j]: multiplication only.
+    """
+    field, d = spec.ambient, spec.chi.modulus
+    xid = as_cyclo(spec.xi**d, field.conductor)
+    pairs = []
+    for n in range(1, len(numbers)):
+        acc = field.zero
+        for j in range(n + 1):
+            acc = acc + numbers[j] * (comb(n, j) * d ** (n - j))
+        pairs.append((xid * acc - numbers[n], power_sum(spec, n - 1, d - 1) * n))
+    return pairs
+
+
+def order1_from_classical(spec, n_max):
+    """B_(n,chi,xi) for n <= n_max when xi^d = 1: d^(n-1) sum_{a<d} chi(a) xi^a B_n(a/d).
+
+    Washington, Introduction to Cyclotomic Fields, Prop. 4.1, with a counted
+    from 0; B_n(x) is the classical polynomial of ``classical_poly_at``.
+    """
+    field, d = spec.ambient, spec.chi.modulus
+    assert (spec.xi**d).is_one()
+    weights = [spec.chi.value_at(a, field) * as_cyclo(spec.xi**a, field.conductor) for a in range(d)]
+    return [
+        sum((w * classical_poly_at(n, Fraction(a, d)) for a, w in enumerate(weights)), field.zero)
+        * Fraction(d) ** (n - 1)
+        for n in range(n_max + 1)
+    ]
+
+
 # --- side matrices: rows[i][j] is the coefficient of x^i y^j -----------------
 
 def trimmed(field, rows):

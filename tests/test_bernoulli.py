@@ -52,6 +52,40 @@ def test_twist_order_three_first_number():
     assert b1.coeffs == (Fraction(-2, 3), Fraction(-1, 3))
 
 
+#: Every character mod d <= 9 but 8 (whose unit group is not cyclic), with
+#: every primitive root of unity of these orders as its twist.
+ORDER1_SPECS = [
+    bn.twist_spec(chi, RootOfUnity(order, e))
+    for d in (1, 2, 3, 4, 5, 6, 7, 9)
+    for chi in enumerate_cyclic(d)
+    for order in (1, 2, 3, 4, 6, 9)
+    for e in range(order)
+    if gcd(e, order) == 1
+]
+
+
+def test_order1_numbers_multiplied_back_by_the_denominator():
+    # (xi^d e^(d t) - 1) F(t) is t times the exponential sum, so the numbers
+    # times the denominator, by field products alone, give n T_(n-1)(d - 1)
+    # of the term-by-term power sums
+    cases = 0
+    for spec in ORDER1_SPECS:
+        for lhs, rhs in _oracles.order1_multiplied_back(spec, bn.numbers(spec, 1, 6)):
+            assert lhs == rhs, spec
+            cases += 1
+    assert cases == 2016
+
+
+def test_order1_numbers_from_classical_polynomials():
+    # when xi^d = 1 the numbers are sums of the classical B_n(a/d)
+    cases = 0
+    for spec in ORDER1_SPECS:
+        if (spec.xi**spec.chi.modulus).is_one():
+            assert list(bn.numbers(spec, 1, 6)) == _oracles.order1_from_classical(spec, 6), spec
+            cases += 7
+    assert cases == 651
+
+
 def test_order_zero_is_constant_one():
     for spec in (CLASSICAL, bn.twist_spec(from_table(4, [0, 1, 0, -1]), RootOfUnity(4, 1))):
         coeffs = bn.generating_series(spec, 0).coeffs(6)

@@ -488,7 +488,7 @@ def test_sweep_starts_no_more_workers_than_chunks(tmp_path, capsys, monkeypatch)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
@@ -673,7 +673,6 @@ def test_record_texts_print_what_json_dumps_would(include_sides, altered, monkey
     assert any("lhs" in r for r in records) is (altered or include_sides)
     expected = (json.dumps({"summary": summary, "reports": records}, indent=2) + "\n").encode()
     for jobs in (1, 2, 3):
-        monkeypatch.setattr(idn, "_BLOCK", None)
         code, out = cli.run(cli.RunConfig(command="verify", params=config, jobs=jobs))
         assert out == expected, jobs
         assert code == (1 if altered else 0)
@@ -700,7 +699,6 @@ def test_record_texts_refuse_floats(monkeypatch):
     for name, fake, grid in (("_verdicts", half_verdict, theorem1), ("check_eq_1_13", float_param, eq_1_13)):
         monkeypatch.setattr(idn, name, fake)
         for jobs in (1, 2):
-            monkeypatch.setattr(idn, "_BLOCK", None)
             with pytest.raises(TypeError, match="float"):
                 cli.run(cli.RunConfig(command="verify", params=grid, jobs=jobs))
         monkeypatch.setattr(idn, "_verdicts", verdicts)

@@ -94,7 +94,8 @@ def test_theorem1_readings_reported():
     assert rep.readings == {"symmetric": True, "expansion_literal": False}
     assert rep.holds is rep.readings["symmetric"]
     # a checker's report carries the sides of its first reading
-    assert (rep.lhs, rep.rhs) == (idn._theorem1_side(3, 2, LEG3, xi, 1, 2), idn._theorem1_side(3, 2, LEG3, xi, 2, 1))
+    block = idn._Block(LEG3, xi)
+    assert (rep.lhs, rep.rhs) == (idn._theorem1_side(block, 3, 2, 1, 2), idn._theorem1_side(block, 3, 2, 2, 1))
     assert rep.first_mismatch is None
 
 
@@ -459,25 +460,6 @@ def test_consecutive_blocks_report_their_own_params():
         assert rep.params["xi"] == {"order": xi.order, "exponent": xi.exponent}
 
 
-def test_a_table_character_parsed_afresh_keeps_its_block(monkeypatch):
-    # each parse of a table spec makes a new character object; one that
-    # prints the same JSON, with the same twist, must find the kept block
-    built = []
-
-    class Counted(idn._Block):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(idn, "_Block", Counted)
-    spec = {"modulus": 8, "kind": "table", "values": mod8(MINUS_JSON)}
-    for n in range(4):
-        chi = character_from_json(spec)
-        assert chi is not character_from_json(spec)
-        assert idn.check_theorem1(n, 2, chi, MINUS, 1, 2).holds
-    assert len(built) == 1
-
-
 # --- swap checkers ---------------------------------------------------------------
 
 SWAP_TAGS = (
@@ -545,12 +527,15 @@ def test_sides_equal_the_literal_printed_sums(chi):
     # the swap checks cannot see an error that is symmetric in w1 and w2
     # (a side scaled by w1 + w2, a twist xi^(w1 w2)); the literal sums can
     count = 0
+    block = None
     for n, _, xi, wa, wb in side_cases([chi], 4):
+        if block is None or block.xi is not xi:
+            block = idn._Block(chi, xi)
         cond = bn.ambient_conductor(chi, xi.normalized())
         for tag, kw, ms in BUILDER_READINGS:
             for m in ms:
                 head = (n,) if m is None else (n, m)
-                side = getattr(idn, f"_{tag}_side")(*head, chi, xi, wa, wb, **kw)
+                side = getattr(idn, f"_{tag}_side")(block, *head, wa, wb, **kw)
                 literal = getattr(_oracles, f"{tag}_side")(*head, chi, xi, wa, wb, cond, **kw)
                 assert side == literal, (tag, kw, head, xi, wa, wb)
                 count += 1
@@ -771,6 +756,32 @@ def test_parallel_sweep_matches_serial():
     assert s1 == s2
 
 
+def test_many_blocks_reach_the_workers_in_batches(monkeypatch):
+    # 100 blocks: the pool gets several whole blocks a batch (its chunksize
+    # len(blocks) // (8 jobs) is 6 at --jobs 2 and 4 at --jobs 3), and the
+    # records and summary are those of one process
+    import concurrent.futures
+
+    grid = {"identity": "remark_m1", "d": [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13], "character": "all",
+            "xi": [{"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}],
+            "w1": [1, 2], "w2": [1, 2], "n_max": 1}
+    total, blocks = idn._plan([grid])
+    assert (total, len(blocks)) == (800, 100)
+    serial = idn.sweep(grid)
+    assert serial[1] == {"total": 800, "holds": 800, "failures": 0, "errors": 0}
+    chunksizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1):
+            chunksizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    for jobs in (2, 3):
+        assert idn.sweep(grid, jobs=jobs) == serial, jobs
+    assert chunksizes == [6, 4]
+
+
 def test_chunks_never_split_a_block(monkeypatch):
     grids = [
         {"identity": ["theorem1", "m1_numbers"], "d": [1, 3, 4], "character": "all",
@@ -814,13 +825,6 @@ def test_chunks_never_split_a_block(monkeypatch):
                 assert got == [(source, tag, list(values)) for values in product(*axes)]
         # the mod 3 blocks with xi = 1 hold runs of two grids unless retyped
         assert max(len(block_runs) for *_, block_runs in blocks) == (2 if retype else 3)
-        for size in (1, 2, 7, 40, total - 1, total, total + 1):
-            chunks = idn._chunks(blocks, size)
-            assert [block for chunk in chunks for block in chunk] == blocks
-            sizes = [sum(run[1] for *_, block_runs in chunk for run in block_runs) for chunk in chunks]
-            assert all(count >= size for count in sizes[:-1])
-            if size == 1:
-                assert all(len(chunk) == 1 for chunk in chunks)  # one block a chunk
 
 
 def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(monkeypatch):
@@ -831,7 +835,7 @@ def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(mon
     # counter keeps every list alive, so no id is reused.
     chi, xi = CHI4, RootOfUnity(3, 1)
 
-    def sides(n):
+    def sides(block, n):
         out = []
         for tag in SWAP_TAGS:
             entry = idn._IDENTITIES[tag]
@@ -839,13 +843,13 @@ def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(mon
             for wa, wb, m in product((1, 2, 3), (1, 2, 3), (1, 2, 3) if tag in ORDER_M_TAGS else (1,)):
                 head = (n, m) if tag in ORDER_M_TAGS else (n,)
                 for _, left, right in entry.readings:
-                    out += [side(*head, chi, xi, wa, wb, **kw) for kw in (left, right)]
+                    out += [side(block, *head, wa, wb, **kw) for kw in (left, right)]
         return out
 
     def fresh():
         for f in (bn.generating_series, bn._kernel_series, bn.numbers, bn.power_sum):
             f.cache_clear()
-        monkeypatch.setattr(idn, "_BLOCK", None)
+        return idn._Block(chi, xi)
 
     cauchy = _kernel.cauchy_coeff
     computed, kept = {}, []
@@ -856,18 +860,17 @@ def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(mon
         kept.append((anums, bnums))
         return cauchy(anums, adens, bnums, bdens, n, red)
 
-    fresh()
+    block = fresh()
     monkeypatch.setattr(_kernel, "cauchy_coeff", counting)
     grown = {}
     for n in (2, 7, 3):
         before = len(kept)
-        grown[n] = sides(n)
+        grown[n] = sides(block, n)
         assert (len(kept) > before) is (n != 3)  # n = 3 reads what n = 7 computed
     monkeypatch.setattr(_kernel, "cauchy_coeff", cauchy)
     assert computed and set(computed.values()) == {1}
     for n, got in grown.items():
-        fresh()
-        assert got == sides(n), n
+        assert got == sides(fresh(), n), n
 
 
 # --- the block ------------------------------------------------------------------
@@ -899,27 +902,6 @@ def test_memoized_sweep_matches_fresh_checks(monkeypatch):
     # a reading handed the first one's values shows
     for tag, reading in (("theorem1", "expansion_literal"), ("remark_2_11", "as_printed")):
         assert not all(r["readings"][reading] for r in records if r["identity"] == tag)
-
-
-def test_memo_holds_only_the_last_block(monkeypatch):
-    grid = {
-        "identity": "theorem1",
-        "d": [3],
-        "character": {"kind": "index", "j": 1},
-        "xi": [{"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}],
-        "w1": [1, 2],
-        "w2": [1, 2],
-        "m": [2],
-        "n_max": 2,
-    }
-    idn.sweep(grid)
-    both = idn._BLOCK
-    monkeypatch.setattr(idn, "_BLOCK", None)
-    idn.sweep({**grid, "xi": {"order": 2, "exponent": 1}})
-    last = idn._BLOCK
-    assert both is not last
-    assert (both.chi, both.xi, both.cond) == (LEG3, MINUS, 1) == (last.chi, last.xi, last.cond)
-    assert both.values == last.values
 
 
 # --- one visit per block, one verdict table per pair of H series -------------------
@@ -1005,19 +987,18 @@ def test_grouped_sweep_equals_the_per_grid_sweeps(perturb, monkeypatch):
     grids = shared_block_grids()
     expected, totals = [], {}
     for grid in grids:
-        monkeypatch.setattr(idn, "_BLOCK", None)
         records, summary = idn.sweep(grid, include_sides=True)
         expected += records
         totals = {key: totals.get(key, 0) + value for key, value in summary.items()}
     assert (totals["failures"] > 0) is perturb
     for jobs in (1, 2):
-        monkeypatch.setattr(idn, "_BLOCK", None)
         assert idn.sweep(grids, include_sides=True, jobs=jobs) == (expected, totals), jobs
 
 
 def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     # blocks repeat across grids and tags, interleaved with others: each block
-    # is built once a sweep, no (series, index) pair reaches the kernel's
+    # is built once a sweep, and once more by each check of a non-swap
+    # instance, which makes its own; no (series, index) pair reaches the kernel's
     # Cauchy sum twice (named as in the grown-block test above), and a grid
     # swept again in the same sweep adds no Cauchy sum at all.  Weights 1..3
     # give the twist xi^3 = xi for xi of order 2: an H key names its last
@@ -1046,7 +1027,6 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
             return cauchy(anums, adens, bnums, bdens, n, red)
 
         monkeypatch.setattr(_kernel, "cauchy_coeff", counting)
-        monkeypatch.setattr(idn, "_BLOCK", None)
         built.clear()
         records, summary = idn.sweep(grids)
         monkeypatch.setattr(_kernel, "cauchy_coeff", cauchy)
@@ -1058,8 +1038,11 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     once = cauchy_calls(grids[:-1])
     assert once > 500
     assert cauchy_calls(grids) == once
-    sources = [idn._source(desc["chi"], desc["xi"]) for grid in grids for desc in idn.expand_grid(grid)]
-    assert sorted(built) == sorted(set(sources)) and len(built) >= 6
+    descs = [desc for grid in grids for desc in idn.expand_grid(grid)]
+    sources = {idn._source(desc["chi"], desc["xi"]) for desc in descs}
+    checks = sum(1 for desc in descs if idn._IDENTITIES[desc["identity"]].side is None)
+    assert set(built) == sources and len(sources) >= 6
+    assert len(built) == len(sources) + checks
 
 
 @pytest.mark.parametrize("perturb", (False, True), ids=("as_is", "perturbed_h"))
@@ -1114,14 +1097,13 @@ def test_block_records_equal_the_report_records(include_sides, monkeypatch):
             return idn.report_to_record(idn.run_instance(desc), include_sides)
         except NotMultiplicative as exc:
             args = {key.name: desc[key.name] for key in idn._IDENTITIES[desc["identity"]].keys}
-            params = idn._params(idn._block(character_from_json(desc["chi"]), root_from_json(desc["xi"])), **args)
+            params = idn._params(idn._Block(character_from_json(desc["chi"]), root_from_json(desc["xi"])), **args)
             return {"identity": desc["identity"], "params": params, "holds": False, "error": str(exc)}
 
     expected = [reference(desc) for grid in grids for desc in idn.expand_grid(grid)]
     kinds = {("error" in r, r["holds"], all(r.get("readings", {}).values())) for r in expected}
     assert kinds == {(True, False, True), (False, True, True), (False, True, False)}
     for jobs in (1, 2):
-        monkeypatch.setattr(idn, "_BLOCK", None)
         records, summary = idn.sweep(grids, include_sides=include_sides, jobs=jobs)
         assert records == expected, jobs
         assert all(json.dumps(a) == json.dumps(b) for a, b in zip(records, expected))  # key order
@@ -1167,7 +1149,6 @@ def test_mixed_verdict_records_are_pinned(monkeypatch):
         return (h[0] + 1,) + h[1:] if with_weights and wa < wb else h
 
     monkeypatch.setattr(idn, "_series_h", perturbed)
-    monkeypatch.setattr(idn, "_BLOCK", None)
     weighted = {"identity": "remark_2_11", "d": [1], "character": principal, "xi": one,
                 "w1": [1], "w2": [2], "n_max": 1}
     first = {"identity": "theorem1", "d": [1], "character": principal, "xi": one,
@@ -1203,10 +1184,10 @@ def test_sweep_counts_instances_before_expanding(monkeypatch):
     assert idn.sweep(grids)[1]["total"] == total
     monkeypatch.setattr(idn, "MAX_INSTANCES", total - 1)
 
-    def run(chunk, include_sides):
+    def run(plan_block, include_sides):
         raise AssertionError("ran")
 
-    monkeypatch.setattr(idn, "_records_for_chunk", run)
+    monkeypatch.setattr(idn, "_block_records", run)
     with pytest.raises(ConfigError, match=f"key 'grids' expands to {total} instances, more than {total - 1}"):
         idn.sweep(grids)
 
@@ -1235,7 +1216,6 @@ def test_sweep_reads_each_grid_once_and_builds_no_descriptor(jobs, monkeypatch):
 
     monkeypatch.setattr(idn, "_grid_axes", counted)
     monkeypatch.setattr(idn, "expand_grid", expand)
-    monkeypatch.setattr(idn, "_BLOCK", None)
     records, summary = idn.sweep(grids, jobs=jobs)
     assert [id(grid) for grid in read] == [id(grid) for grid in grids]
     assert records == expected
