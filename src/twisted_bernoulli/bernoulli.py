@@ -15,11 +15,11 @@ restricts to twists of p-power order where the valuation theory applies.
 ``numbers`` returns the tuple (B^(k)_0, ..., B^(k)_n) and ``polynomial``
 the tuple of coefficients of B^(k)_n(x) in ascending order.  All results
 are cached: numbers, polynomials and power sums are immutable and reused
-across identity checks.  The series behind them are kept one per twist
-spec (the kernel quotient, one division recurrence, which the power-sum
-series check shares) and one per (spec, k) (F^(k), one product of two
-cached smaller powers), grown to the largest n asked for so far: asking for
-n computes no coefficient past t^n and none twice.  No config may ask
+across identity checks.  The series behind them are kept one per (spec, k):
+F^(1) is the kernel quotient, one division recurrence, which the power-sum
+series check shares, and each higher F^(k) one product of two cached
+smaller powers.  Each is grown to the largest n asked for so far: asking
+for n computes no coefficient past t^n and none twice.  No config may ask
 for an index above ``MAX_SERIES_INDEX``.
 
 The twisted sums sum_a chi(a) xi^a a^i are the power sums, and the
@@ -175,33 +175,28 @@ def _cancelled(spec: TwistSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def _kernel_series(spec: TwistSpec) -> ps.Series:
-    """t * sum_a chi(a) xi^a e^(a t) / (xi^d e^(d t) - 1), with the common t cancelled.
-
-    The numerator's coefficient of t^(i+1) is T_i(d - 1) / i!.
-    """
-    field, d = spec.ambient, spec.chi.modulus
-    numerator = ps.generated(
-        field, lambda r: power_sum(spec, r - 1, d - 1) * Fraction(1, factorial(r - 1)) if r else field.zero)
-    return ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, spec.chi.modulus), _cancelled(spec))
-
-
-@lru_cache(maxsize=None)
 def generating_series(spec: TwistSpec, k: int) -> ps.Series:
     """The order-k generating series F^(k), grown as far as it is asked.
 
-    F^(0) is 1 and F^(1) the kernel series; F^(k) is F^(k-1) F for odd k
-    and F^(k/2) F^(k/2) for even k, each smaller power read from this cache,
-    so F^(2) is one product shared by F^(3) and F^(4).
+    F^(0) is 1, and F^(1) the kernel quotient
+    t * sum_a chi(a) xi^a e^(a t) / (xi^d e^(d t) - 1) with the common t
+    cancelled, whose numerator's coefficient of t^(i+1) is T_i(d - 1) / i!.
+    F^(k) is F^(k-1) F^(1) for odd k and F^(k/2) F^(k/2) for even k, each
+    smaller power read from this cache, so F^(2) is one product shared by
+    F^(3) and F^(4).
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
+    field = spec.ambient
     if k == 0:
-        return ps.generated(spec.ambient, lambda r: spec.ambient.zero if r else spec.ambient.one)
+        return ps.generated(field, lambda r: field.zero if r else field.one)
     if k == 1:
-        return _kernel_series(spec)
+        d = spec.chi.modulus
+        numerator = ps.generated(
+            field, lambda r: power_sum(spec, r - 1, d - 1) * Fraction(1, factorial(r - 1)) if r else field.zero)
+        return ps.divide_cancel(numerator, _twisted_exp_minus_one(spec, d), _cancelled(spec))
     if k & 1:
-        return ps.series_mul(generating_series(spec, k - 1), _kernel_series(spec))
+        return ps.series_mul(generating_series(spec, k - 1), generating_series(spec, 1))
     half = generating_series(spec, k // 2)
     return ps.series_mul(half, half)
 
@@ -270,10 +265,10 @@ def power_sum_series_check(
         raise ValueError("need n >= 1 and order >= 1")
     d = spec.chi.modulus
     v = _cancelled(spec)
-    # (xi^(nd) e^(nd t) - 1) times the kernel series t E / (xi^d e^(d t) - 1)
+    # (xi^(nd) e^(nd t) - 1) times F^(1) = t E / (xi^d e^(d t) - 1)
     # has no constant term, and dropping its t leaves the quotient
     head = _twisted_exp_minus_one(spec, n * d)
-    lhs = ps.shifted(ps.series_mul(head, _kernel_series(spec)), 1).coeffs(order - v)
+    lhs = ps.shifted(ps.series_mul(head, generating_series(spec, 1)), 1).coeffs(order - v)
     rhs = tuple(
         power_sum(spec, k, n * d - 1) * Fraction(1, factorial(k)) for k in range(len(lhs))
     )

@@ -50,16 +50,6 @@ from .exact import INFINITY, _is_p_power, cyclo_to_json, frac_to_str, is_prime
 MAX_JOBS = 64
 
 
-#: Each subcommand with its help line.
-_COMMANDS = {
-    "compute-numbers": "compute a family of generalized twisted Bernoulli numbers",
-    "compute-polynomial": "compute one generalized twisted Bernoulli polynomial",
-    "power-sum": "compute a twisted character power sum",
-    "verify": "verify identities over a parameter grid",
-    "volkenborn": "finite-level p-adic convergence and shift traces",
-}
-
-
 class RunConfig(NamedTuple):
     """One CLI invocation: command, parameter block, output destination."""
 
@@ -216,6 +206,17 @@ def _cmd_volkenborn(params: dict):
     return {"p": p, "check": kind, "checks": checks}, 0 if all_pass else 1
 
 
+#: Each subcommand with its help line and handler.  ``run`` calls verify's
+#: itself, since it alone takes ``--jobs`` and returns record texts.
+_COMMANDS = {
+    "compute-numbers": ("compute a family of generalized twisted Bernoulli numbers", _cmd_compute_numbers),
+    "compute-polynomial": ("compute one generalized twisted Bernoulli polynomial", _cmd_compute_polynomial),
+    "power-sum": ("compute a twisted character power sum", _cmd_power_sum),
+    "verify": ("verify identities over a parameter grid", _cmd_verify),
+    "volkenborn": ("finite-level p-adic convergence and shift traces", _cmd_volkenborn),
+}
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -297,20 +298,14 @@ def run(config: RunConfig) -> tuple[int, bytes]:
         raise ConfigError(f"unknown format '{config.format}'")
     if config.format == "csv" and config.command not in ("verify", "volkenborn"):
         raise ConfigError("csv output is limited to the verify and volkenborn commands")
-    if config.command == "compute-numbers":
-        payload, code = _cmd_compute_numbers(config.params)
-    elif config.command == "compute-polynomial":
-        payload, code = _cmd_compute_polynomial(config.params)
-    elif config.command == "power-sum":
-        payload, code = _cmd_power_sum(config.params)
-    elif config.command == "verify":
+    if config.command == "verify":
         (summary, texts), code = _cmd_verify(config.params, config.jobs)
         if config.format == "json":
             return code, _verify_json_bytes(summary, texts)
         # a CSV row reads its record parsed back from its text, one at a time
         payload = {"summary": summary, "reports": map(json.loads, texts)}
     else:
-        payload, code = _cmd_volkenborn(config.params)
+        payload, code = _COMMANDS[config.command][1](config.params)
     if config.format == "json":
         return code, _to_json_bytes(payload)
     return code, _to_csv_bytes(config.command, payload)
@@ -322,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact twisted Bernoulli computations, identity sweeps, and p-adic traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMANDS.items():
+    for name, (text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to the JSON parameter file")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -61,10 +61,7 @@ besides (chi, xi, conductor) that the value depends on:
 * ("LS", m, wa, wb, with_weights): lead S / wa, shared by both readings of
   theorem1, which differ only in the last factor;
 * ("H", m, wa, wb, last twist, with_weights): H itself, one series product
-  over the shared values when m > 1;
-* ("agree", key, key'): for two H keys (the five components above) in
-  sorted order, a list whose entry r is whether the two series agree at
-  index r.
+  over the shared values when m > 1.
 
 Every series grows coefficient by coefficient (``powerseries.Series``): a
 request for h_0..h_n computes only the coefficients of H and of its factors
@@ -72,26 +69,23 @@ that no earlier, smaller n has computed, so each block computes each
 coefficient once, up to the largest n its instances ask for.
 
 Sides are not kept: each is one slice or one scalar product of H.  A swap
-reading compares the side of (w1, w2) with that of (w2, w1), so it compares
-two H series, and its verdict is read off the block's "agree" list of that
-unordered pair (``_agrees``): an x, y side or a y = 0 column holds iff
-h_r = h'_r for every r <= n, and a scalar side n! h_n iff h_n = h'_n.  Each
-pair of H series is compared once per block, up to the largest n asked for,
-and serves both orders (w1, w2) and (w2, w1), every n and every identity
-reading that pair.  When w1 = w2 both sides read one H, so the verdict holds
-by construction and that H is not built unless a side is read.
+reading compares the side of (w1, w2) with that of (w2, w1), so its verdict
+compares two slices of H (``_verdicts``): an x, y side or a y = 0 column
+holds iff h_r = h'_r for every r <= n, and a scalar side n! h_n iff
+h_n = h'_n.  When w1 = w2 both sides read one H, so the verdict holds by
+construction and that H is not built unless a side is read.
 One function, ``_swap_report``, makes every swap report, for a sweep and a
-``check_*`` call alike.  It reads the verdict of each reading off these
-lists, reads a failed first reading's first mismatch off its two slices of
-H, and builds that reading's two sides only when they are printed or it
-fails.  Every function that reads a block takes it as an argument, and
-nothing keeps one at module level: a ``check_*`` call makes its own, and a
-sweep reads its blocks off the grids' axes (``_plan``) and runs each in one
-task (``_block_records``), which parses the block's chi and xi once, makes
-its ``_Block``, and makes each record's JSON text where its verdict is
-read: a held swap instance without sides fills its run's template with the
-text of its values and verdicts, and makes no report or dict; any other
-record is its report's, made by ``report_to_record`` and encoded by
+``check_*`` call alike.  It reads the verdict of each reading off H, reads
+a failed first reading's first mismatch off the same two slices, and builds
+that reading's two sides only when they are printed or it fails.  Every
+function that reads a block takes it as an argument, and nothing keeps one
+at module level: a ``check_*`` call makes its own, and a sweep reads its
+blocks off the grids' axes (``_plan``) and runs each in one task
+(``_block_records``), which parses the block's chi and xi once, makes its
+``_Block``, and makes each record's JSON text where its verdict is read: a
+held swap instance without sides fills its run's template with the text of
+its values and verdicts, and makes no report or dict; any other record is
+its report's, made by ``report_to_record`` and encoded by
 ``jsontext.text``.  ``sweep`` parses the texts back into records.
 
 Two identities are checked under two readings each (see the checker
@@ -196,9 +190,9 @@ class _Block:
     tags, in one task (``_block_records``), so instances (w1, w2) and
     (w2, w1), every n and every tag of a block share its values.  ``values``
     holds them under keys naming every argument besides chi, xi and the
-    conductor that changes the value: twist specs, growing series and
-    verdict lists, which only grow and are never changed otherwise, because
-    they are shared.  A block lives as long as the call that made it.
+    conductor that changes the value: twist specs and growing series, which
+    only grow and are never changed otherwise, because they are shared.  A
+    block lives as long as the call that made it.
     """
 
     __slots__ = ("chi", "xi", "chi_json", "xi_json", "order", "cond", "values")
@@ -312,42 +306,26 @@ def _side(tag, block, n, m, wa, wb, **reading):
     return _xy_matrix(h, wa * wb, with_y=reads == "xy")
 
 
-def _agrees(block, left, right, n, whole) -> bool:
-    """Whether the H series of keys left and right agree at h_0..h_n (whole) or at n.
-
-    The block's "agree" list of the pair, its keys in sorted order, holds
-    h_r == h'_r at index r; it is grown here to index n, with H read through
-    the module global ``_series_h``.  Sides that read h_0..h_n (the x, y
-    sides and the y = 0 columns) agree iff every index <= n does; a scalar
-    side n! h_n agrees iff index n does, since n! != 0.  Two equal keys
-    (w1 = w2, where every reading compares H with itself) name one series,
-    which agrees with itself without being read.
-    """
-    left, right = sorted((left, right))
-    equal = block.get(("agree", left, right), list)
-    have = len(equal)
-    if n >= have:
-        if left == right:
-            equal += [True] * (n + 1 - have)
-        else:
-            a = _series_h(block, n, *left)
-            b = _series_h(block, n, *right)
-            equal += [x == y for x, y in zip(a[have:], b[have:])]
-    return all(equal[: n + 1]) if whole else equal[n]
-
-
 def _verdicts(block, tag, n, m, w1, w2) -> list:
-    """Whether each reading of a swap instance holds, read off its block's lists.
+    """Whether each reading of a swap instance holds, read off the block's H series.
 
     A reading compares the side of (w1, w2) with that of (w2, w1), so the
-    H series of its two keys, at every index <= n, or at n alone for a
-    scalar side n! h_n; each unordered pair of keys has one "agree" list in
-    the block (``_agrees``).
+    H series of its two keys: an x, y side or a y = 0 column holds iff
+    h_r = h'_r for every r <= n, and a scalar side n! h_n iff h_n = h'_n,
+    since n! != 0.  H is read through the module global ``_series_h``.  Two
+    equal keys (w1 = w2) name one series, which agrees with itself without
+    being read.
     """
     entry = _IDENTITIES[tag]
-    whole = entry.reads != "h_n"
-    return [_agrees(block, _h_key(block, m, w1, w2, **left), _h_key(block, m, w2, w1, **right), n, whole)
-            for _, left, right in entry.readings]
+    out = []
+    for _, left, right in entry.readings:
+        left, right = _h_key(block, m, w1, w2, **left), _h_key(block, m, w2, w1, **right)
+        if left == right:
+            out.append(True)
+            continue
+        h, other = _series_h(block, n, *left), _series_h(block, n, *right)
+        out.append(h[n] == other[n] if entry.reads == "h_n" else h == other)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +461,16 @@ def _params(block, n, m=None, **args) -> dict:
 
 
 def _swap_report(tag, block, args, sides) -> IdentityReport:
-    """The report of one swap instance of block, read off its verdict lists.
+    """The report of one swap instance of block, its verdicts read off H.
 
     Each side is a projection of an H series the block holds, so a reading
-    holds iff its block's "agree" list for the pair of H series it compares
-    (``_verdicts``) agrees at the indices its sides read.  The first reading
-    decides ``holds``, unless any reading suffices.  When the first reading
-    fails on matrix sides, its first mismatch is read off the two slices of
-    H it compared, by the rule of the module docstring.  Its two sides are
-    built only when ``sides`` is true or it fails; the builder is called
-    through its module global, so that a wrapper installed on that name sees
-    every build.
+    holds iff the two H series it compares agree at the indices its sides
+    read (``_verdicts``).  The first reading decides ``holds``, unless any
+    reading suffices.  When the first reading fails on matrix sides, its
+    first mismatch is read off the two slices of H it compared, by the rule
+    of the module docstring.  Its two sides are built only when ``sides`` is
+    true or it fails; the builder is called through its module global, so
+    that a wrapper installed on that name sees every build.
     """
     entry = _IDENTITIES[tag]
     n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]

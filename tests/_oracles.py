@@ -277,6 +277,56 @@ def order1_from_classical(spec, n_max):
     ]
 
 
+# --- order-k numbers from the level sums of the p-adic integral -------------
+#
+# At level N, M = d p^N, the k-fold Riemann sum of the invariant integral of
+# prod chi(x_i) xi^(x_i) e^((x_1 + ... + x_k) t) is, as a finite geometric
+# sum, F^(k)(t) ((xi^M e^(M t) - 1) / (M t))^k.  The sum side enumerates the
+# tuples and divides no series; the series side multiplies F^(k) by the
+# eager loops above.
+
+def level_sums(spec, M, k_max, n_max):
+    """sums[k][n] = (1/M^k) sum_{x in [0, M)^k} prod chi(x_i) xi^(x_i) (x_1 + ... + x_k)^n.
+
+    For 1 <= k <= k_max and n <= n_max (sums[0] is unused).  The tuples are
+    grouped by their sum s: the weight of s at k + 1 variables sums, over
+    the last variable x, chi(x) xi^x times the weight of s - x at k.
+    """
+    field = spec.ambient
+    one = [(x, spec.chi.value_at(x, field) * as_cyclo(spec.xi**x, field.conductor)) for x in range(M)]
+    one = [(x, w) for x, w in one if not w.is_zero()]
+    by_sum, sums = [field.one], [None]
+    for k in range(1, k_max + 1):
+        grown = [field.zero] * (len(by_sum) + M - 1)
+        for s, w in enumerate(by_sum):
+            if not w.is_zero():
+                for x, v in one:
+                    grown[s + x] = grown[s + x] + w * v
+        by_sum = grown
+        scale = Fraction(1, M**k)
+        sums.append([sum((w * s**n for s, w in enumerate(by_sum)), field.zero) * scale
+                     for n in range(n_max + 1)])
+    return sums
+
+
+def level_sums_from_series(spec, M, k, n_max):
+    """(head, tail) of G = F^(k)(t) (xi^M e^(M t) - 1)^k / M^k, F^(k) the package's.
+
+    head is [t^0..t^(k-1)] G, which must vanish, and tail[n] is
+    n! [t^(n+k)] G for n <= n_max: the level sum of ``level_sums``.
+    """
+    field = spec.ambient
+    length = n_max + k + 1
+    xim = as_cyclo(spec.xi**M, field.conductor)
+    factor = [xim * Fraction(M**r, factorial(r)) for r in range(length)]
+    factor[0] = factor[0] - 1
+    g = list(bn.generating_series(spec, k).coeffs(length - 1))
+    for _ in range(k):
+        g = eager_series_mul(g, factor)
+    scale = Fraction(1, M**k)
+    return g[:k], [g[n + k] * (factorial(n) * scale) for n in range(n_max + 1)]
+
+
 # --- side matrices: rows[i][j] is the coefficient of x^i y^j -----------------
 
 def trimmed(field, rows):

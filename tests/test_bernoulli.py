@@ -86,6 +86,28 @@ def test_order1_numbers_from_classical_polynomials():
     assert cases == 651
 
 
+#: Every (d, M) with d <= 6 and M = d p^N in {16, 18, 24, 25, 27, 30}, N >= 1.
+LEVELS = [(1, 16), (2, 16), (4, 16), (2, 18), (6, 18), (3, 24), (6, 24), (1, 25), (5, 25),
+          (1, 27), (3, 27), (6, 30)]
+
+
+def test_order_k_numbers_from_the_level_sums_of_the_integral():
+    # the k-fold Riemann sum at level N is F^(k)(t) ((xi^M e^(M t) - 1) / (M t))^k:
+    # enumerated sums against the package's F^(k), for k <= 3 and n <= 4
+    cases = 0
+    for d, M in LEVELS:
+        for chi in enumerate_cyclic(d):
+            for order in (1, 2, 3, 4, 9):
+                spec = bn.twist_spec(chi, RootOfUnity(order, 1))
+                sums = _oracles.level_sums(spec, M, 3, 4)
+                for k in (1, 2, 3):
+                    head, tail = _oracles.level_sums_from_series(spec, M, k, 4)
+                    assert all(c.is_zero() for c in head), (spec, M, k)
+                    assert tail == sums[k], (spec, M, k)
+                    cases += len(tail)
+    assert cases == 1575
+
+
 def test_order_zero_is_constant_one():
     for spec in (CLASSICAL, bn.twist_spec(from_table(4, [0, 1, 0, -1]), RootOfUnity(4, 1))):
         coeffs = bn.generating_series(spec, 0).coeffs(6)
@@ -168,7 +190,7 @@ def test_integer_sums_match_term_by_term_oracle(order):
     for chi in SUM_CHARACTERS:
         spec = bn.twist_spec(chi, xi)
         denominator = bn._twisted_exp_minus_one(spec, chi.modulus)
-        got = ps.shifted(ps.series_mul(bn._kernel_series(spec), denominator), 1).coeffs(8)
+        got = ps.shifted(ps.series_mul(bn.generating_series(spec, 1), denominator), 1).coeffs(8)
         assert _raw(got) == _raw(_oracles.twisted_exp_sum(spec, 9)), chi
         got = [bn.power_sum(spec, k, n) for k in range(9) for n in range(21)]
         want = [_oracles.power_sum(spec, k, n) for k in range(9) for n in range(21)]
@@ -185,7 +207,7 @@ def test_integer_sums_match_term_by_term_oracle(order):
     if order == 1:
         # 0^0 = 1: the modulus-one character is 1 at a = 0, so the kernel
         # series t / (e^t - 1) starts at 1
-        assert bn._kernel_series(CLASSICAL).coeff(0) == 1
+        assert bn.generating_series(CLASSICAL, 1).coeff(0) == 1
         assert bn.power_sum(CLASSICAL, 0, 0) == 1
 
 
@@ -214,7 +236,7 @@ def test_numbers_make_one_cauchy_sum_per_coefficient(monkeypatch):
     real = _kernel.cauchy_coeff
     monkeypatch.setattr(_kernel, "cauchy_coeff", lambda *a: calls.append(1) or real(*a))
     for xi in (ONE, RootOfUnity(3, 1)):  # xi^d = 1 cancels a t, xi^d != 1 does not
-        for f in (bn.generating_series, bn._kernel_series, bn.numbers):
+        for f in (bn.generating_series, bn.numbers):
             f.cache_clear()
         del calls[:]
         bn.numbers(bn.twist_spec(principal(1), xi), 1, 8)

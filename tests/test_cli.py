@@ -414,6 +414,8 @@ def test_csv_rejected_for_scalar_commands(tmp_path, monkeypatch):
     handlers = ("_cmd_compute_numbers", "_cmd_compute_polynomial", "_cmd_power_sum", "_cmd_verify", "_cmd_volkenborn")
     for name in handlers:
         monkeypatch.setattr(cli, name, ran)
+    for command, (text, _) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, command, (text, ran))
     for command in ("compute-numbers", "compute-polynomial", "power-sum"):
         with pytest.raises(ConfigError, match="csv output is limited to the verify and volkenborn commands"):
             cli.run(cli.RunConfig(command, NUMS_PARAMS, format="csv"))

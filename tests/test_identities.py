@@ -847,7 +847,7 @@ def test_a_grown_block_equals_fresh_builds_and_computes_no_coefficient_twice(mon
         return out
 
     def fresh():
-        for f in (bn.generating_series, bn._kernel_series, bn.numbers, bn.power_sum):
+        for f in (bn.generating_series, bn.numbers, bn.power_sum):
             f.cache_clear()
         return idn._Block(chi, xi)
 
@@ -1016,7 +1016,7 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     def cauchy_calls(grids):
         # every growing series bernoulli keeps, so that both sweeps start cold
         # whichever tests ran before
-        for f in (bn.generating_series, bn._kernel_series, bn.numbers, bn.power_sum):
+        for f in (bn.generating_series, bn.numbers, bn.power_sum):
             f.cache_clear()
         computed, kept = {}, []
 

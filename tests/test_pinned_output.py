@@ -1,5 +1,5 @@
-"""Output bytes of every example config and of one wide-field power sum,
-pinned by sha256.
+"""Output bytes of every example config, of the benchmark's dense sweeps and
+of one wide-field power sum, pinned by sha256.
 
 The output is deterministic, so these digests change only when what a user
 gets changes.  Such a change must be deliberate and recorded in CHANGES.md,
@@ -7,6 +7,7 @@ with the digests updated in the same change.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 from twisted_bernoulli import cli
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "configs" / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "configs" / "examples"
 
 # (config stem, command, format) -> sha256 of the output bytes
 PINNED = {
@@ -51,3 +53,29 @@ def test_power_sum_in_a_wide_field():
     code, out = cli.run(cli.RunConfig(command="power-sum", params=params, format="json"))
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == "dba2529d01cad1ba0dd67cc3831a7d9973ea4b9c5c80072bdb0cb720edbcafbb"
+
+
+def load_inputs():
+    """perfbench/inputs.py, the benchmark's seeded configs, loaded without importing perfbench."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (seed, jobs) -> sha256 of verify on inputs.sweep_config(seed), 2 240 275 bytes each
+DENSE_SWEEPS = {
+    (1, 1): "1faf0a20f0605d0c8cd755141a0a7a21e0b2e6ccd3617170b20362bf99d9cd1c",
+    (2, 1): "1316d86649fdacd6a9d83adf538c9e87ca1c151fcb4802bf7c7feb1db4dc3015",
+    (3, 1): "530c80d28ea3266aa89d1c9ffeff7a41b75c9138d9e364a6fc6be5caef86739c",
+    (1, 2): "1faf0a20f0605d0c8cd755141a0a7a21e0b2e6ccd3617170b20362bf99d9cd1c",
+}
+
+
+@pytest.mark.parametrize("seed, jobs", sorted(DENSE_SWEEPS))
+def test_dense_sweep_output_bytes(seed, jobs):
+    config = load_inputs().sweep_config(seed)
+    code, out = cli.run(cli.RunConfig(command="verify", params=config, format="json", jobs=jobs))
+    assert code == 0
+    assert len(out) == 2_240_275
+    assert hashlib.sha256(out).hexdigest() == DENSE_SWEEPS[seed, jobs]

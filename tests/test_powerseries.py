@@ -210,7 +210,7 @@ def eager_family(spec, k, order):
 
 
 def test_grown_generating_series_equal_the_eager_loops():
-    for f in (bn.generating_series, bn._kernel_series, bn.numbers):
+    for f in (bn.generating_series, bn.numbers):
         f.cache_clear()
     for d in range(1, 6):
         for chi in enumerate_cyclic(d):
