@@ -44,7 +44,7 @@ from . import _kernel as K
 from . import powerseries as ps
 from .characters import DirichletCharacter
 from .errors import ConfigError, NonDivisibleConductor
-from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_field, embed
+from .exact import CycloElem, CycloField, RootOfUnity, as_cyclo, cyclo_field
 
 
 #: The largest series index n a config may ask for: compute-numbers ``n_max``,
@@ -218,13 +218,10 @@ def polynomial(spec: TwistSpec, k: int, n: int) -> tuple[CycloElem, ...]:
 
 
 def evaluate(coeffs: tuple[CycloElem, ...], arg) -> CycloElem:
-    """Horner evaluation of ascending coefficients; rational args and
-    embeddable elements accepted."""
+    """Horner evaluation of ascending coefficients at a rational or an element of their field."""
     field = coeffs[0].field
     if isinstance(arg, (int, Fraction)):
         arg = field.rational(arg)
-    elif isinstance(arg, CycloElem) and arg.field.conductor != field.conductor:
-        arg = embed(arg, field.conductor)  # NonDivisibleConductor if impossible
     acc = field.zero
     for c in reversed(coeffs):
         acc = acc * arg + c

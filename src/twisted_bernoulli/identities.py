@@ -10,11 +10,10 @@ involved in the verdict; random-point evaluation exists only as a sanity
 cross-check in the test suite.
 
 One table, ``_IDENTITIES``, describes each identity by its tag: instance
-parameters with their minima, side builder, readings and verdict rule.  One
-checker, ``_check_swap``, compares side(w1, w2) with side(w2, w1) for the
-eight swap identities; grid expansion and instance dispatch read the same
-table.  It names functions rather than holding them, so each call goes
-through the module global.
+parameters with their minima, report function, side builder, readings and
+verdict rule.  Each ``check_*`` is one call of ``_check``; grid expansion
+and instance dispatch read the same table.  It names functions rather than
+holding them, so each call goes through the module global.
 
 Every swap side is read off one series.  Write F^(k)_w(t) for the order-k
 generating series of chi and the twist xi^w, sum_n B^(k)_{n,chi,xi^w} t^n/n!,
@@ -74,18 +73,18 @@ compares two slices of H (``_verdicts``): an x, y side or a y = 0 column
 holds iff h_r = h'_r for every r <= n, and a scalar side n! h_n iff
 h_n = h'_n.  When w1 = w2 both sides read one H, so the verdict holds by
 construction and that H is not built unless a side is read.
-One function, ``_swap_report``, makes every swap report, for a sweep and a
-``check_*`` call alike.  It reads the verdict of each reading off H, reads
-a failed first reading's first mismatch off the same two slices, and builds
-that reading's two sides only when they are printed or it fails.  Every
-function that reads a block takes it as an argument, and nothing keeps one
-at module level: a ``check_*`` call makes its own, and a sweep reads its
+Each identity's reports come from one function of (tag, block, args, sides),
+for a sweep and a ``check_*`` call alike; ``_swap_report`` serves the eight
+swap identities.  It reads the verdict of each reading off H, reads a failed
+first reading's first mismatch off the same two slices, and builds that
+reading's two sides only when they are printed or it fails.  Nothing keeps a
+block at module level: a ``check_*`` call makes its own, and a sweep reads its
 blocks off the grids' axes (``_plan``) and runs each in one task
 (``_block_records``), which parses the block's chi and xi once, makes its
-``_Block``, and makes each record's JSON text where its verdict is read: a
-held swap instance without sides fills its run's template with the text of
-its values and verdicts, and makes no report or dict; any other record is
-its report's, made by ``report_to_record`` and encoded by
+one ``_Block``, and makes each record's JSON text where its verdict is
+read: a held swap instance without sides fills its run's template with the
+text of its values and verdicts, and makes no report or dict; any other
+record is its report's, made by ``report_to_record`` and encoded by
 ``jsontext.text``.  ``sweep`` parses the texts back into records.
 
 Two identities are checked under two readings each (see the checker
@@ -379,7 +378,9 @@ class _Key(NamedTuple):
 class _Identity(NamedTuple):
     """How one identity is checked and how a grid expands into its instances.
 
-    ``keys`` are in expansion order.  A reading is (name, left-side keywords,
+    ``keys`` are in expansion order.  ``report`` names the function of (tag,
+    block, args, sides) that makes a report; one with no swap keeps its
+    sides whatever ``sides`` says.  A reading is (name, left-side keywords,
     right-side keywords) of the side builder; the report keeps the sides of
     the first reading, whose verdict decides unless any reading suffices.
     ``reads`` is the projection of H a side is: "xy" the x, y polynomial,
@@ -392,6 +393,7 @@ class _Identity(NamedTuple):
     reads: str | None = None
     readings: tuple = ((None, {}, {}),)
     any_reading: bool = False
+    report: str = "_swap_report"
 
 
 _W1 = _Key("w1", 1, "w1", (1,))
@@ -401,7 +403,8 @@ _N = _Key("n", 0, None, None)
 
 _IDENTITIES = {
     # eq_1_13 reports its shift as n, the name of its checker's argument
-    "eq_1_13": _Identity("check_eq_1_13", (_Key("k", 1, "k", None), _Key("n", 1, "shift", (1,)))),
+    "eq_1_13": _Identity("check_eq_1_13", (_Key("k", 1, "k", None), _Key("n", 1, "shift", (1,))),
+                         report="_eq_1_13_report"),
     "theorem1": _Identity(
         "check_theorem1", (_W1, _W2, _M, _N), "_theorem1_side", "xy",
         (("symmetric", {}, {}), ("expansion_literal", {}, {"last_twist_wa": True})),
@@ -423,6 +426,7 @@ _IDENTITIES = {
     "power_sum_series_check": _Identity(
         "check_power_sum_series",
         (_Key("n", 1, "n", (1,)), _Key("series_order", 1, "series_order", (12,))),
+        report="_power_sum_series_report",
     ),
 }
 
@@ -494,30 +498,36 @@ def _swap_report(tag, block, args, sides) -> IdentityReport:
     return IdentityReport(tag, _params(block, **args), holds, lhs, rhs, first, readings)
 
 
-def _check_swap(tag, chi, xi, **args) -> IdentityReport:
-    """Compare side(w1, w2) with side(w2, w1) under each reading of ``tag``."""
+def _eq_1_13_report(tag, block, args, sides) -> IdentityReport:
+    """(xi^(nd) B_k(nd) - B_k) / k against the power sum T_(k-1)(nd - 1)."""
+    k, nd = args["k"], args["n"] * block.chi.modulus
+    spec = block.spec(1)
+    shifted = as_cyclo(spec.xi**nd, spec.ambient.conductor) * bn.evaluate(bn.polynomial(spec, 1, k), nd)
+    lhs = (shifted - bn.numbers(spec, 1, k)[k]) * Fraction(1, k)
+    rhs = bn.power_sum(spec, k - 1, nd - 1)
+    return IdentityReport(tag, _params(block, **args), lhs == rhs, lhs, rhs)
+
+
+def _power_sum_series_report(tag, block, args, sides) -> IdentityReport:
+    """The power-sum generating function built two ways, compared coefficient by coefficient."""
+    lhs, rhs = bn.power_sum_series_check(block.spec(1), args["n"], args["series_order"])
+    first = next((k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    return IdentityReport(tag, _params(block, **args), first is None, lhs, rhs, first)
+
+
+def _check(tag, chi, xi, **args) -> IdentityReport:
+    """The report, with sides, of one instance of ``tag`` on its own block, once args meet the minima."""
     entry = _IDENTITIES[tag]
     for key in entry.keys:
         if args[key.name] < key.minimum:
             raise ValueError("need " + ", ".join(f"{k.name} >= {k.minimum}" for k in entry.keys))
-    return _swap_report(tag, _Block(chi, xi), args, sides=True)
+    return globals()[entry.report](tag, _Block(chi, xi), args, True)
 
 
 def check_eq_1_13(chi, xi, k, n) -> IdentityReport:
     """Difference quotient of the degree-k polynomial at the shifted argument
     against the power sum: (xi^(nd) B_k(nd) - B_k) / k = T_(k-1)(nd - 1)."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
-    block = _Block(chi, xi)
-    spec = block.spec(1)
-    d = chi.modulus
-    fld = spec.ambient
-    shifted = as_cyclo(spec.xi ** (n * d), fld.conductor) * bn.evaluate(
-        bn.polynomial(spec, 1, k), n * d
-    )
-    lhs = (shifted - bn.numbers(spec, 1, k)[k]) * Fraction(1, k)
-    rhs = bn.power_sum(spec, k - 1, n * d - 1)
-    return IdentityReport("eq_1_13", _params(block, n=n, k=k), lhs == rhs, lhs, rhs)
+    return _check("eq_1_13", chi, xi, k=k, n=n)
 
 
 def check_theorem1(n, m, chi, xi, w1, w2) -> IdentityReport:
@@ -528,27 +538,27 @@ def check_theorem1(n, m, chi, xi, w1, w2) -> IdentityReport:
     expansion, whose final factor keeps the twist of the unswapped side; it
     is reported but does not drive ``holds``.
     """
-    return _check_swap("theorem1", chi, xi, n=n, m=m, w1=w1, w2=w2)
+    return _check("theorem1", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_remark_m1(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1, y = 0 form of the product formula, expanded independently."""
-    return _check_swap("remark_m1", chi, xi, n=n, w1=w1, w2=w2)
+    return _check("remark_m1", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_corollary2(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Numbers-only product formula (x = y = 0)."""
-    return _check_swap("corollary2", chi, xi, n=n, m=m, w1=w1, w2=w2)
+    return _check("corollary2", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_m1_numbers(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1 numbers identity: binomial pairing of numbers with power sums."""
-    return _check_swap("m1_numbers", chi, xi, n=n, w1=w1, w2=w2)
+    return _check("m1_numbers", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_theorem3(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Power-sum/polynomial relation with twist-weighted shifted arguments."""
-    return _check_swap("theorem3", chi, xi, n=n, m=m, w1=w1, w2=w2)
+    return _check("theorem3", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_remark_2_11(n, chi, xi, w1, w2) -> IdentityReport:
@@ -559,26 +569,22 @@ def check_remark_2_11(n, chi, xi, w1, w2) -> IdentityReport:
     ``holds`` is true when at least one reading holds; the stored sides are
     the weighted ones.
     """
-    return _check_swap("remark_2_11", chi, xi, n=n, w1=w1, w2=w2)
+    return _check("remark_2_11", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_corollary4(n, m, chi, xi, w1, w2) -> IdentityReport:
     """Numbers-level shifted-argument relation (x = y = 0)."""
-    return _check_swap("corollary4", chi, xi, n=n, m=m, w1=w1, w2=w2)
+    return _check("corollary4", chi, xi, n=n, m=m, w1=w1, w2=w2)
 
 
 def check_eq_2_12(n, chi, xi, w1, w2) -> IdentityReport:
     """m = 1 numbers form of the shifted-argument relation (weights kept)."""
-    return _check_swap("eq_2_12", chi, xi, n=n, w1=w1, w2=w2)
+    return _check("eq_2_12", chi, xi, n=n, w1=w1, w2=w2)
 
 
 def check_power_sum_series(chi, xi, n, series_order) -> IdentityReport:
     """Wrap the power-sum generating-function comparison of two constructions."""
-    block = _Block(chi, xi)
-    lhs, rhs = bn.power_sum_series_check(block.spec(1), n, series_order)
-    first = next((k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
-    params = _params(block, n=n, series_order=series_order)
-    return IdentityReport("power_sum_series_check", params, first is None, lhs, rhs, first)
+    return _check("power_sum_series_check", chi, xi, n=n, series_order=series_order)
 
 
 # ---------------------------------------------------------------------------
@@ -809,11 +815,11 @@ def _block_records(plan_block, include_sides) -> tuple:
     and each run's axes are expanded in place.  A held swap instance without
     sides is its run's template (``_held_template``) filled with the text of
     its values and verdicts, with no report or dict of its own.  Any other
-    record is its report's (``_swap_report`` for a swap instance, its
-    checker, called through its module global, for any other) made by
-    ``report_to_record`` and encoded by ``jsontext.text``; a package error
-    raised inside one instance fails that instance only.  Axes from
-    ``_grid_axes`` meet every minimum, so no instance is checked here.
+    record is its report's (its tag's report function on this block, called
+    through its module global) made by ``report_to_record`` and encoded by
+    ``jsontext.text``; a package error raised inside one instance fails
+    that instance only.  Axes from ``_grid_axes`` meet every minimum, so no
+    instance is checked here.
     """
     _, chi_json, xi_json, runs = plan_block
     block = _Block(character_from_json(chi_json), root_from_json(xi_json))
@@ -841,10 +847,7 @@ def _block_records(plan_block, include_sides) -> tuple:
                         holds += 1
                         continue
                 args = dict(zip(names, values))
-                if entry.side is None:
-                    rep = globals()[entry.checker](chi=block.chi, xi=block.xi, **args)
-                else:
-                    rep = _swap_report(tag, block, args, include_sides)
+                rep = globals()[entry.report](tag, block, args, include_sides)
             except TwistedBernoulliError as exc:
                 args = dict(zip(names, values))
                 rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))

@@ -8,7 +8,7 @@ from twisted_bernoulli import _kernel
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import powerseries as ps
 from twisted_bernoulli.characters import enumerate_cyclic, from_table, principal
-from twisted_bernoulli.errors import NonCyclicUnitGroup, NonDivisibleConductor
+from twisted_bernoulli.errors import FieldMismatch, NonCyclicUnitGroup, NonDivisibleConductor
 from twisted_bernoulli.exact import RootOfUnity, as_cyclo, galois_apply
 
 import _oracles
@@ -155,7 +155,7 @@ def test_polynomial_leading_coefficient_is_head_number():
 def test_evaluate_embeds_or_rejects():
     poly = bn.polynomial(CLASSICAL, 1, 2)
     arg = as_cyclo(RootOfUnity(3, 1), 3)
-    with pytest.raises(NonDivisibleConductor):
+    with pytest.raises(FieldMismatch):
         bn.evaluate(bn.polynomial(bn.twist_spec(principal(1), RootOfUnity(4, 1)), 1, 2), arg)
     val = bn.evaluate(poly, 0)
     assert val.rational_value() == Fraction(1, 6)

@@ -159,10 +159,10 @@ def test_verify_failure_exit_code(tmp_path):
 
 def test_verify_instance_error_exit_code(monkeypatch):
     # a package error inside one instance is recorded, and the run exits 1
-    def failing(chi, xi, k, n):
+    def failing(tag, block, args, sides):
         raise NotMultiplicative("injected")
 
-    monkeypatch.setattr(idn, "check_eq_1_13", failing)
+    monkeypatch.setattr(idn, "_eq_1_13_report", failing)
     grid = {
         "identity": "eq_1_13",
         "d": [1],
@@ -689,22 +689,22 @@ def test_record_texts_refuse_floats(monkeypatch):
     eq_1_13 = {"identity": "eq_1_13", "d": [1], "character": "all", "xi": {"order": 1, "exponent": 0},
                "k": [1], "shift": [1]}
     verdicts = idn._verdicts
-    check = idn.check_eq_1_13
+    report = idn._eq_1_13_report
 
     def half_verdict(block, tag, n, m, w1, w2):
         return [True, 0.5]
 
-    def float_param(chi, xi, k, n):
-        rep = check(chi, xi, k, n)
+    def float_param(tag, block, args, sides):
+        rep = report(tag, block, args, sides)
         return rep._replace(params={**rep.params, "k": 1.0})
 
-    for name, fake, grid in (("_verdicts", half_verdict, theorem1), ("check_eq_1_13", float_param, eq_1_13)):
+    for name, fake, grid in (("_verdicts", half_verdict, theorem1), ("_eq_1_13_report", float_param, eq_1_13)):
         monkeypatch.setattr(idn, name, fake)
         for jobs in (1, 2):
             with pytest.raises(TypeError, match="float"):
                 cli.run(cli.RunConfig(command="verify", params=grid, jobs=jobs))
         monkeypatch.setattr(idn, "_verdicts", verdicts)
-        monkeypatch.setattr(idn, "check_eq_1_13", check)
+        monkeypatch.setattr(idn, "_eq_1_13_report", report)
 
 
 # --- every single-node mutation of the example configs ------------------------

@@ -57,11 +57,6 @@ def test_eq_1_13_twisted():
     assert rep.holds
 
 
-def test_eq_1_13_requires_positive_k():
-    with pytest.raises(ValueError):
-        idn.check_eq_1_13(P1, ONE, 0, 1)
-
-
 # --- theorem1 ----------------------------------------------------------------
 
 def test_theorem1_swap_trivial():
@@ -469,22 +464,24 @@ SWAP_TAGS = (
 ORDER_M_TAGS = ("theorem1", "corollary2", "theorem3", "corollary4")
 
 
-def swap_check(tag, n, m, w1, w2):
-    check = getattr(idn, f"check_{tag}")
-    if tag in ORDER_M_TAGS:
-        return check(n, m, P1, ONE, w1, w2)
-    return check(n, P1, ONE, w1, w2)
-
-
-@pytest.mark.parametrize("tag", SWAP_TAGS)
+@pytest.mark.parametrize("tag", idn.IDENTITY_TAGS)
 def test_swap_checkers_reject_bad_arguments(tag):
-    assert swap_check(tag, 2, 1, 1, 2).holds
-    bad = [(-1, 1, 1, 2), (2, 1, 0, 2), (2, 1, 1, 0)]
-    if tag in ORDER_M_TAGS:
-        bad.append((2, 0, 1, 2))
-    for args in bad:
+    # every checker holds a valid instance and rejects each argument below
+    # its minimum: eq_1_13's k and shift n, the series check's n and order,
+    # and every swap checker's n, w1, w2 and m
+    check = getattr(idn, idn._IDENTITIES[tag].checker)
+    if tag == "eq_1_13":
+        good, low = {"k": 2, "n": 1}, {"k": 0, "n": 0}
+    elif tag == "power_sum_series_check":
+        good, low = {"n": 1, "series_order": 4}, {"n": 0, "series_order": 0}
+    else:
+        good, low = {"n": 2, "w1": 1, "w2": 2}, {"n": -1, "w1": 0, "w2": 0}
+        if tag in ORDER_M_TAGS:
+            good["m"], low["m"] = 1, 0
+    assert check(chi=P1, xi=ONE, **good).holds
+    for name, value in low.items():
         with pytest.raises(ValueError, match="need"):
-            swap_check(tag, *args)
+            check(chi=P1, xi=ONE, **{**good, name: value})
 
 
 # --- every side against the literal sums ----------------------------------------
@@ -702,14 +699,14 @@ def test_sweep_refuses_int_subclasses():
 
 def test_sweep_collects_instance_errors(monkeypatch):
     # a package error fails its instance only: the sweep records it and goes on
-    check = idn.check_eq_1_13
+    report = idn._eq_1_13_report
 
-    def failing(chi, xi, k, n):
-        if k == 2:
+    def failing(tag, block, args, sides):
+        if args["k"] == 2:
             raise NotMultiplicative("injected")
-        return check(chi, xi, k, n)
+        return report(tag, block, args, sides)
 
-    monkeypatch.setattr(idn, "check_eq_1_13", failing)
+    monkeypatch.setattr(idn, "_eq_1_13_report", failing)
     grid = {
         "identity": "eq_1_13",
         "d": [1],
@@ -725,7 +722,7 @@ def test_sweep_collects_instance_errors(monkeypatch):
     assert records[0]["params"] == {**records[1]["params"], "k": 1}
     assert list(records[1]["params"]) == ["n", "d", "chi", "xi", "k"]
     # any other exception is a programming error and ends the sweep
-    monkeypatch.setattr(idn, "check_eq_1_13", lambda chi, xi, k, n: 1 // 0)
+    monkeypatch.setattr(idn, "_eq_1_13_report", lambda tag, block, args, sides: 1 // 0)
     with pytest.raises(ZeroDivisionError):
         idn.sweep(grid)
 
@@ -997,8 +994,8 @@ def test_grouped_sweep_equals_the_per_grid_sweeps(perturb, monkeypatch):
 
 def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     # blocks repeat across grids and tags, interleaved with others: each block
-    # is built once a sweep, and once more by each check of a non-swap
-    # instance, which makes its own; no (series, index) pair reaches the kernel's
+    # is built once a sweep, for its instances of every tag; no (series, index)
+    # pair reaches the kernel's
     # Cauchy sum twice (named as in the grown-block test above), and a grid
     # swept again in the same sweep adds no Cauchy sum at all.  Weights 1..3
     # give the twist xi^3 = xi for xi of order 2: an H key names its last
@@ -1040,9 +1037,8 @@ def test_each_cauchy_sum_reaches_the_kernel_once_per_sweep(monkeypatch):
     assert cauchy_calls(grids) == once
     descs = [desc for grid in grids for desc in idn.expand_grid(grid)]
     sources = {idn._source(desc["chi"], desc["xi"]) for desc in descs}
-    checks = sum(1 for desc in descs if idn._IDENTITIES[desc["identity"]].side is None)
     assert set(built) == sources and len(sources) >= 6
-    assert len(built) == len(sources) + checks
+    assert len(built) == len(sources)
 
 
 @pytest.mark.parametrize("perturb", (False, True), ids=("as_is", "perturbed_h"))
