@@ -105,12 +105,12 @@ def power_sum_multiple(s: int, d: int, key: str) -> int:
 class TwistSpec(NamedTuple):
     """Character chi, twist xi, and the ambient field holding both.
 
-    The ambient conductor is the lcm of the twist's (normalized) order and
+    The ambient conductor is the lcm of the twist's order and
     the orders of the character values, where orders one and two count as
     rational and need no extension; an extra multiple can be requested so
     that several related computations share one field.  Two specs are equal
     when chi, xi and the field are: chi compares by its value table, xi by
-    its normalized order and exponent, and the field by its conductor.
+    its order and exponent (in lowest terms), and the field by its conductor.
     """
 
     chi: DirichletCharacter
@@ -120,17 +120,15 @@ class TwistSpec(NamedTuple):
 
 def ambient_conductor(chi: DirichletCharacter, xi: RootOfUnity) -> int:
     """Smallest conductor whose field holds all chi values and the twist."""
-    o = xi.normalized().order
-    return lcm(o if o > 2 else 1, chi.value_conductor())
+    return lcm(xi.order if xi.order > 2 else 1, chi.value_conductor())
 
 
 def twist_spec(chi: DirichletCharacter, xi: RootOfUnity, conductor: int | None = None) -> TwistSpec:
-    """Build a TwistSpec, normalizing the twist.
+    """Build a TwistSpec.
 
     ``conductor`` forces a larger ambient field (must be a multiple of the
     natural one).
     """
-    xi = xi.normalized()
     natural = ambient_conductor(chi, xi)
     m = natural if conductor is None else lcm(natural, conductor)
     if conductor is not None and m != conductor:

@@ -47,10 +47,6 @@ def _primitive_root(d: int) -> int | None:
     return None
 
 
-def has_cyclic_units(d: int) -> bool:
-    return _primitive_root(d) is not None
-
-
 class DirichletCharacter:
     """Completely multiplicative d-periodic map into roots of unity."""
 
@@ -60,7 +56,7 @@ class DirichletCharacter:
         values = tuple(values)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", values)
-        keyval = (modulus, tuple(None if v is None else v._key() for v in values))
+        keyval = (modulus, tuple(None if v is None else (v.order, v.exponent) for v in values))
         object.__setattr__(self, "_keyval", keyval)
         # every spec-keyed cache lookup hashes chi: hash its d values once
         object.__setattr__(self, "_hash", hash(keyval))
@@ -92,10 +88,8 @@ class DirichletCharacter:
         """
         out = 1
         for v in self.values:
-            if v is not None:
-                o = v.normalized().order
-                if o > 2:
-                    out = lcm(out, o)
+            if v is not None and v.order > 2:
+                out = lcm(out, v.order)
         return out
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
@@ -126,8 +120,7 @@ class DirichletCharacter:
             if v is None:
                 parts.append("0")
             else:
-                o, e = v._key()
-                parts.append("1" if o == 1 else f"z{o}^{e}")
+                parts.append("1" if v.order == 1 else f"z{v.order}^{v.exponent}")
         return f"mod{self.modulus}[" + ",".join(parts) + "]"
 
     def __repr__(self):
@@ -279,7 +272,7 @@ def root_to_json(r: RootOfUnity) -> dict:
 def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
     """Parse a character spec given under key 'character'.
 
-    Exponents are reduced mod order on load; a table that is not a
+    Roots are stored and printed in lowest terms; a table that is not a
     character is a configuration error naming 'values'.
     """
     if not isinstance(spec, dict):

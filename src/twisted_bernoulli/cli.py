@@ -164,7 +164,7 @@ def _cmd_volkenborn(params: dict):
     if chi.value_conductor() != 1:
         raise ConfigError("key 'character' must take rational values (orders one and two)")
     xi = root_from_json(params["xi"])
-    if not _is_p_power(xi.normalized().order, p):
+    if not _is_p_power(xi.order, p):
         raise ConfigError(f"key 'xi' must have order 1 or a power of key 'p' = {p}")
     moments = params["moments"]
     moments = moments if isinstance(moments, list) else [moments]

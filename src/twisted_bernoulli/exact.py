@@ -106,23 +106,21 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 # roots of unity
 
 class RootOfUnity:
-    """zeta_order^exponent, with the exponent stored reduced mod order.
+    """zeta_order^exponent, stored in lowest terms: gcd(exponent, order) = 1.
 
-    Canonicalization of the order itself (dividing out gcd(exponent, order))
-    happens only through :meth:`normalized`; equality and hashing compare the
-    normalized forms, so zeta_4^2 == zeta_2.
+    The exponent is reduced mod order and the gcd divided out of both when a
+    root is made, so zeta_4^2 is stored, compared and printed as zeta_2.
     """
 
-    __slots__ = ("order", "exponent", "_keyval")
+    __slots__ = ("order", "exponent")
 
     def __init__(self, order: int, exponent: int = 1):
         if order < 1:
             raise ValueError("order must be >= 1")
         exponent %= order
         g = gcd(exponent, order)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "_keyval", (order // g, exponent // g))
+        object.__setattr__(self, "order", order // g)
+        object.__setattr__(self, "exponent", exponent // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootOfUnity is immutable")
@@ -130,31 +128,24 @@ class RootOfUnity:
     def __reduce__(self):
         return RootOfUnity, (self.order, self.exponent)
 
-    def _key(self):
-        return self._keyval
-
-    def normalized(self) -> "RootOfUnity":
-        o, e = self._key()
-        return RootOfUnity(o, e)
-
     def is_one(self) -> bool:
         return self.exponent == 0
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         m = lcm(self.order, other.order)
         e = self.exponent * (m // self.order) + other.exponent * (m // other.order)
-        return RootOfUnity(m, e % m)
+        return RootOfUnity(m, e)
 
     def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.order, (self.exponent * k) % self.order)
+        return RootOfUnity(self.order, self.exponent * k)
 
     def __eq__(self, other):
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        return self._key() == other._key()
+        return self.order == other.order and self.exponent == other.exponent
 
     def __hash__(self):
-        return hash(("RootOfUnity", self._key()))
+        return hash((self.order, self.exponent))
 
     def __repr__(self):
         return f"RootOfUnity({self.order}, {self.exponent})"
@@ -408,12 +399,12 @@ def as_cyclo(r: RootOfUnity, m: int) -> CycloElem:
     """The root of unity r as an element of Q(zeta_m).
 
     Orders one and two are the rationals 1 and -1 and embed into any field;
-    otherwise the (normalized) order must divide m, or, for odd m, be 2h
+    otherwise its order must divide m, or, for odd m, be 2h
     with h | m: then j is odd and zeta_2h^j = -zeta_h^(j (h+1)/2), since
     zeta_2h = e^(pi i / h) = -e^(pi i (h+1) / h).  Either way it is one row
     of the field's table of powers, so no element product is made.
     """
-    o, j = r._key()
+    o, j = r.order, r.exponent
     field = cyclo_field(m)
     if o == 1:
         return field.one
@@ -532,11 +523,6 @@ def frac_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def frac_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 def cyclo_to_json(e: CycloElem):
     """JSON value for an element: bare "num/den" when rational over Q."""
     if e.field.conductor == 1:
@@ -545,10 +531,3 @@ def cyclo_to_json(e: CycloElem):
         "conductor": e.field.conductor,
         "coeffs": [frac_to_str(c) for c in e.coeffs],
     }
-
-
-def cyclo_from_json(obj) -> CycloElem:
-    if isinstance(obj, str):
-        return cyclo_field(1).rational(frac_from_str(obj))
-    field = cyclo_field(int(obj["conductor"]))
-    return field.element([frac_from_str(s) for s in obj["coeffs"]])

@@ -194,15 +194,14 @@ class _Block:
     block lives as long as the call that made it.
     """
 
-    __slots__ = ("chi", "xi", "chi_json", "xi_json", "order", "cond", "values")
+    __slots__ = ("chi", "xi", "chi_json", "xi_json", "cond", "values")
 
     def __init__(self, chi: DirichletCharacter, xi: RootOfUnity):
         self.chi = chi
         self.xi = xi
         self.chi_json = character_to_json(chi)
         self.xi_json = root_to_json(xi)
-        self.order = xi.normalized().order  # xi^w depends on w modulo this only
-        self.cond = bn.ambient_conductor(chi, xi.normalized())
+        self.cond = bn.ambient_conductor(chi, xi)
         self.values = {}
 
     def get(self, key, build):
@@ -215,7 +214,7 @@ class _Block:
 
     def spec(self, w: int) -> bn.TwistSpec:
         """chi with the twist xi^w, in the block's ambient field."""
-        w %= self.order
+        w %= self.xi.order  # xi^w depends on w modulo the order only
         return self.get(("spec", w), lambda: bn.twist_spec(self.chi, self.xi**w, conductor=self.cond))
 
 
@@ -232,7 +231,7 @@ def _scaled_numbers(block, tw, k, w) -> ps.Series:
 
     The twist is named by tw modulo the order of xi, as in ``_h_key``.
     """
-    tw %= block.order
+    tw %= block.xi.order
 
     def build():
         fam = bn.generating_series(block.spec(tw), k)
@@ -288,7 +287,7 @@ def _h_key(block, m, wa, wb, last_twist_wa=False, with_weights=True) -> tuple:
     twist is named by its weight modulo the order of xi, so two keys never
     name one series.
     """
-    return m, wa, wb, (wa if last_twist_wa and m > 1 else wb) % block.order, with_weights
+    return m, wa, wb, (wa if last_twist_wa and m > 1 else wb) % block.xi.order, with_weights
 
 
 def _side(tag, block, n, m, wa, wb, **reading):
@@ -429,9 +428,6 @@ _IDENTITIES = {
         report="_power_sum_series_report",
     ),
 }
-
-IDENTITY_TAGS = tuple(_IDENTITIES)
-
 
 # ---------------------------------------------------------------------------
 # reports and checkers
@@ -689,7 +685,11 @@ def _resolve_characters(grid, d: int) -> tuple[DirichletCharacter, ...]:
         except NonCyclicUnitGroup as exc:
             raise ConfigError(f"character \"all\" needs a cyclic unit group: {exc}")
     specs = _grid_list(grid, "character", dict, '"all", an object')
-    return tuple(character_from_json(s, modulus=d) for s in specs)
+    chars = tuple(character_from_json(s, modulus=d) for s in specs)
+    for chi in chars:
+        if chi.modulus != d:
+            raise ConfigError(f"key 'character' gives modulus {chi.modulus}, but key 'd' lists {d}")
+    return chars
 
 
 def _grid_axes(grid: dict) -> list:
@@ -720,10 +720,9 @@ def _grid_axes(grid: dict) -> list:
     if "m" in listed:
         bn.family_order(listed["m"][-1], "m")
     chars = [character_to_json(chi) for d in ds for chi in _resolve_characters(grid, d)]
-    d_max = max(chi["modulus"] for chi in chars)  # a character spec may give its own modulus
     for key in _POWER_SUM_KEYS:
         if key in listed:
-            bn.power_sum_multiple(listed[key][-1], d_max, key)
+            bn.power_sum_multiple(listed[key][-1], ds[-1], key)
     roots = [root_from_json(v) for v in _grid_list(grid, "xi", dict, "an object")]
     roots = [root_to_json(r) for r in sorted(roots, key=lambda r: (r.order, r.exponent))]
     return [(tag, [chars, roots, *(_key_values(tag, key, listed, n_max) for key in _IDENTITIES[tag].keys)])

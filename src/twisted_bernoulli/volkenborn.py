@@ -62,7 +62,7 @@ def integrand_spec(chi: DirichletCharacter, xi: RootOfUnity, moment: int) -> Int
         raise ValueError("moment must be >= 0")
     if chi.value_conductor() != 1:
         raise UnsupportedField("character must take rational values (orders one and two)")
-    return IntegrandSpec(chi=chi, xi=xi.normalized(), moment=moment, d=chi.modulus)
+    return IntegrandSpec(chi=chi, xi=xi, moment=moment, d=chi.modulus)
 
 
 def _validate_twist(spec: IntegrandSpec, p: int):

@@ -16,7 +16,29 @@ from math import comb, factorial
 
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
+from twisted_bernoulli.characters import _primitive_root
 from twisted_bernoulli.exact import as_cyclo, cyclo_field
+
+
+# --- reading output back, and the package's cyclic-units test ---------------
+
+def frac_from_str(s):
+    """The Fraction a "num/den" (or bare "num") string prints."""
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
+
+
+def cyclo_from_json(obj):
+    """The element a ``cyclo_to_json`` value prints: a "num/den" string or {conductor, coeffs}."""
+    if isinstance(obj, str):
+        return cyclo_field(1).rational(frac_from_str(obj))
+    field = cyclo_field(int(obj["conductor"]))
+    return field.element([frac_from_str(s) for s in obj["coeffs"]])
+
+
+def has_cyclic_units(d):
+    """Whether the package finds a primitive root mod d."""
+    return _primitive_root(d) is not None
 
 
 # --- integer/rational polynomials, ascending coefficients -------------------

@@ -11,7 +11,6 @@ from twisted_bernoulli.characters import (
     character_to_json,
     enumerate_cyclic,
     from_table,
-    has_cyclic_units,
     principal,
     root_from_json,
 )
@@ -25,6 +24,8 @@ from twisted_bernoulli.errors import (
 )
 from twisted_bernoulli.exact import RootOfUnity, as_cyclo, cyclo_field, totient
 
+from _oracles import has_cyclic_units
+
 
 def table_of(chi):
     out = []
@@ -32,7 +33,7 @@ def table_of(chi):
         if v is None:
             out.append(None)
         else:
-            out.append(v.normalized()._key())
+            out.append((v.order, v.exponent))
     return out
 
 
@@ -66,7 +67,7 @@ def test_from_table_rejects_wrong_support():
         from_table(4, [0, 1, 0, 0])
 
 
-def test_from_table_rejects_unnormalized():
+def test_from_table_rejects_chi_1_other_than_1():
     with pytest.raises(NotNormalized):
         from_table(3, [0, -1, 1])
 
@@ -99,16 +100,13 @@ def test_enumerate_d5_against_homomorphism_oracle():
     expected = set()
     for j in range(4):
         tab = tuple(
-            None if gcd(a, 5) > 1 else RootOfUnity(4, j * dlog[a % 5])._key() for a in range(5)
+            None if gcd(a, 5) > 1 else RootOfUnity(4, j * dlog[a % 5]) for a in range(5)
         )
         expected.add(tab)
-    got = {
-        tuple(None if v is None else v._key() for v in chi.values) for chi in chars
-    }
-    assert got == expected
+    assert {chi.values for chi in chars} == expected
     # the two order-4 characters take value zeta_4^(+-1) at the root 2
-    order4 = [chi for chi in chars if chi.value(2).normalized().order == 4]
-    assert {chi.value(2).normalized()._key() for chi in order4} == {(4, 1), (4, 3)}
+    order4 = [chi for chi in chars if chi.value(2).order == 4]
+    assert {chi.value(2) for chi in order4} == {RootOfUnity(4, 1), RootOfUnity(4, 3)}
 
 
 def test_enumerate_rejects_non_cyclic():
@@ -176,7 +174,7 @@ def test_value_orders_divide_group_exponent():
         for chi in enumerate_cyclic(d):
             for v in chi.values:
                 if v is not None:
-                    assert lam % v.normalized().order == 0
+                    assert lam % v.order == 0
 
 
 def test_characters_roots_and_elements_survive_pickling():
@@ -197,6 +195,14 @@ def test_characters_roots_and_elements_survive_pickling():
 
 
 # --- JSON specs -----------------------------------------------------------------
+
+def test_table_values_print_in_lowest_terms():
+    # mod 8 has no index, so this character prints as a table; zeta_4^2 is zeta_2
+    one, minus = {"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}
+    given = [None, one, None, {"order": 4, "exponent": 2}, None, one, None, {"order": 4, "exponent": 2}]
+    printed = character_to_json(character_from_json({"modulus": 8, "kind": "table", "values": given}))
+    assert printed == {"modulus": 8, "kind": "table", "values": [None, one, None, minus, None, one, None, minus]}
+
 
 def test_character_json_round_trip():
     for d in (1, 3, 4, 5):

@@ -16,7 +16,8 @@ from twisted_bernoulli import identities as idn
 from twisted_bernoulli import volkenborn as vk
 from twisted_bernoulli.characters import MAX_MODULUS
 from twisted_bernoulli.errors import ConfigError, NotMultiplicative
-from twisted_bernoulli.exact import cyclo_from_json, frac_from_str
+
+from _oracles import cyclo_from_json, frac_from_str
 
 # a child interpreter imports the package from this checkout, as pytest does
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -633,7 +634,7 @@ def test_writer_refuses_floats_and_unknown_types():
 
 # every tag; both characters mod 3 and two twists make blocks of each kind
 ALL_TAG_GRIDS = [
-    {"identity": [tag for tag in idn.IDENTITY_TAGS if tag not in ("eq_1_13", "power_sum_series_check")],
+    {"identity": [tag for tag in idn._IDENTITIES if tag not in ("eq_1_13", "power_sum_series_check")],
      "d": [1, 3], "character": "all", "xi": [{"order": 2, "exponent": 1}, {"order": 3, "exponent": 1}],
      "w1": [1, 2], "w2": [1, 2], "m": [1, 2], "n_max": 2},
     {"identity": ["eq_1_13", "power_sum_series_check"], "d": [3], "character": "all",
@@ -655,7 +656,7 @@ def test_record_texts_print_what_json_dumps_would(include_sides, altered, monkey
         series_h = idn._series_h
 
         def changed(block, n, m, wa, wb, *rest):
-            if block.chi.modulus == 3 and block.order == 3 and m == 2 and {wa, wb} == {1, 2}:
+            if block.chi.modulus == 3 and block.xi.order == 3 and m == 2 and {wa, wb} == {1, 2}:
                 raise NotMultiplicative("injected")
             h = series_h(block, n, m, wa, wb, *rest)
             return (h[0] + 1,) + h[1:] if wa < wb else h
@@ -663,7 +664,7 @@ def test_record_texts_print_what_json_dumps_would(include_sides, altered, monkey
         monkeypatch.setattr(idn, "_series_h", changed)
     config = {"grids": ALL_TAG_GRIDS, "include_sides": include_sides}
     records, summary = idn.sweep(ALL_TAG_GRIDS, include_sides=include_sides)
-    assert {r["identity"] for r in records} == set(idn.IDENTITY_TAGS)
+    assert {r["identity"] for r in records} == set(idn._IDENTITIES)
     assert summary == {
         "total": len(records),
         "holds": sum(1 for r in records if r["holds"]),
@@ -732,6 +733,9 @@ BOUNDED_KEYS = {
     "volkenborn_convergence": {"order", "modulus", "moments"},
     "volkenborn_shift": {"order", "modulus", "moments", "shift"},
 }
+# per example, whole values that must exit 2 naming the key they are given under:
+# a grid character whose own modulus is not the grid's d
+REFUSED = {"verify_small": [(("grids", 1, "character"), [{"modulus": 5, "kind": "index", "j": 1}])]}
 # wall seconds any one mutated config may run; a huge value must be refused, not run
 CASE_BUDGET_S = 10
 DELETE = object()
@@ -805,13 +809,16 @@ def config_mutations(config, bounded=frozenset()):
 def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
     # no mutation lets an exception escape or runs past its budget, a
     # configuration error names the mutated key or a key above it (the root
-    # has no key to name), and a huge value under a bounded key exits 2
-    # naming that key
+    # has no key to name), and a huge value under a bounded key, or a
+    # REFUSED value, exits 2 naming that key
     cfg = tmp_path / "config.json"
     cases = 0
     for path_to_example in sorted(EXAMPLES.glob("*.json")):
         stem = path_to_example.stem
-        mutations = config_mutations(json.loads(path_to_example.read_text()), BOUNDED_KEYS[stem])
+        example = json.loads(path_to_example.read_text())
+        refused = REFUSED.get(stem, [])
+        mutations = [*config_mutations(example, BOUNDED_KEYS[stem]),
+                     *((path, new, mutated(example, path, new)) for path, new in refused)]
         for path, new, config in mutations:
             cfg.write_text(json.dumps(config))
             with time_budget(CASE_BUDGET_S):
@@ -822,7 +829,7 @@ def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
             if code == 2:
                 keys = [key for key in path if isinstance(key, str)]
                 assert not keys or any(f"'{key}'" in err for key in keys), (case, err)
-            if new in HUGE:
+            if new in HUGE or (path, new) in refused:
                 assert code == 2 and f"'{last_key(path)}'" in err, (case, err)
             cases += 1
     # 17 nodes set a series length: n_max twice, n, k and its 4 values, and
@@ -831,5 +838,6 @@ def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
     # power_sum, and m with its 2 values; 21 more set a modulus or the
     # length of a power sum over w d or s d terms: modulus in the five
     # other examples, d of both grids with its value, w1 and w2 with their
-    # 2 values, shift with its 4 values, and the volkenborn shift
-    assert cases == 1355 + 2 * (17 + 7 + 21)
+    # 2 values, shift with its 4 values, and the volkenborn shift; and one
+    # REFUSED value
+    assert cases == 1355 + 2 * (17 + 7 + 21) + 1

@@ -16,7 +16,6 @@ from twisted_bernoulli.exact import (
     RootOfUnity,
     as_cyclo,
     cyclo_field,
-    cyclo_from_json,
     cyclo_to_json,
     cyclotomic_polynomial,
     embed,
@@ -26,7 +25,7 @@ from twisted_bernoulli.exact import (
     totient,
 )
 
-from _oracles import cyclotomic_oracle, poly_mul, reduce_mod, sylvester_resultant
+from _oracles import cyclo_from_json, cyclotomic_oracle, poly_mul, reduce_mod, sylvester_resultant
 
 
 def elem(m, *coeffs):
@@ -230,17 +229,22 @@ def test_as_cyclo_takes_minus_an_odd_root_as_one_root(m):
         for b in range(h):
             if gcd(b, h) == 1:
                 root = RootOfUnity(2, 1) * RootOfUnity(h, b)
-                assert root.normalized().order == 2 * h
+                assert root.order == 2 * h
                 assert as_cyclo(root, m) == minus * as_cyclo(RootOfUnity(h, b), m)
                 cases += 1
     assert cases == {3: 2, 5: 4, 15: 2 + 4 + 8}[m]
 
 
 def test_root_of_unity_normalization():
+    # a root is kept in lowest terms from the moment it is made
+    assert RootOfUnity.__slots__ == ("order", "exponent")
+    assert (RootOfUnity(4, 2).order, RootOfUnity(4, 2).exponent) == (2, 1)
+    assert (RootOfUnity(4, 6).order, RootOfUnity(4, 6).exponent) == (2, 1)
+    assert (RootOfUnity(6, 0).order, RootOfUnity(6, 0).exponent) == (1, 0)
     assert RootOfUnity(4, 2) == RootOfUnity(2, 1)
-    assert RootOfUnity(9, 3).normalized().order == 3
+    assert RootOfUnity(9, 3).order == 3
     assert RootOfUnity(6, 5) * RootOfUnity(6, 1) == RootOfUnity(1, 0)
-    assert (RootOfUnity(9, 1) ** 3).normalized() == RootOfUnity(3, 1)
+    assert RootOfUnity(9, 1) ** 3 == RootOfUnity(3, 1)
 
 
 # --- norm and valuation ----------------------------------------------------------

@@ -20,10 +20,10 @@ from twisted_bernoulli.characters import (
     root_to_json,
 )
 from twisted_bernoulli.errors import ConfigError, NotMultiplicative
-from twisted_bernoulli.exact import RootOfUnity, cyclo_field, cyclo_from_json
+from twisted_bernoulli.exact import RootOfUnity, cyclo_field
 
 import _oracles
-from _oracles import bernoulli_recurrence, classical_poly_at, evaluate, restrict_y0
+from _oracles import bernoulli_recurrence, classical_poly_at, cyclo_from_json, evaluate, restrict_y0
 
 ONE = RootOfUnity(1, 0)
 MINUS = RootOfUnity(2, 1)
@@ -429,11 +429,11 @@ def test_consecutive_blocks_report_their_own_params():
     table = {"kind": "table", "values": [None, {"order": 1, "exponent": 0}, {"order": 4, "exponent": 2}]}
     blocks = [
         ({"modulus": 3, "kind": "index", "j": 1}, {"order": 2, "exponent": 1}),
-        # equal roots that print differently
+        # equal roots given in two forms, both printed in lowest terms
         ({"modulus": 3, "kind": "index", "j": 1}, {"order": 4, "exponent": 2}),
         # an equal character from a table, and the same twist again
         ({"modulus": 3, **table}, {"order": 4, "exponent": 2}),
-        # equal characters whose tables print differently (mod 8 has no index)
+        # equal characters given by tables in two forms (mod 8 has no index)
         ({"modulus": 8, "kind": "table", "values": mod8(MINUS_JSON)}, {"order": 1, "exponent": 0}),
         ({"modulus": 8, "kind": "table", "values": mod8({"order": 4, "exponent": 2})}, {"order": 1, "exponent": 0}),
         ({"modulus": 3, "kind": "principal"}, {"order": 4, "exponent": 2}),
@@ -455,6 +455,25 @@ def test_consecutive_blocks_report_their_own_params():
         assert rep.params["xi"] == {"order": xi.order, "exponent": xi.exponent}
 
 
+def test_equal_roots_in_two_forms_share_one_block(monkeypatch):
+    # zeta_4^2 is zeta_2: a grid listing both prints zeta_2 in every record,
+    # builds one block for the two, and prints what listing zeta_2 twice prints
+    made = []
+    block = idn._Block
+    monkeypatch.setattr(idn, "_Block", lambda chi, xi: made.append(xi) or block(chi, xi))
+    half = {"order": 2, "exponent": 1}
+    grid = {"identity": ["m1_numbers", "theorem1"], "d": [3], "character": {"kind": "index", "j": 1},
+            "xi": [{"order": 4, "exponent": 2}, half], "w1": [1, 2], "w2": [1, 2], "m": [1, 2], "n_max": 2}
+    for sides in (False, True):
+        made.clear()
+        texts, summary = idn.sweep_text([grid], include_sides=sides)
+        assert made == [RootOfUnity(2, 1)]
+        # two roots, four weight pairs and three n, and for theorem1 two m
+        assert summary["total"] == len(texts) == 2 * 4 * 3 + 2 * 4 * 2 * 3
+        assert all(json.loads(text)["params"]["xi"] == half for text in texts)
+        assert (texts, summary) == idn.sweep_text([{**grid, "xi": [half, half]}], include_sides=sides)
+
+
 # --- swap checkers ---------------------------------------------------------------
 
 SWAP_TAGS = (
@@ -464,7 +483,7 @@ SWAP_TAGS = (
 ORDER_M_TAGS = ("theorem1", "corollary2", "theorem3", "corollary4")
 
 
-@pytest.mark.parametrize("tag", idn.IDENTITY_TAGS)
+@pytest.mark.parametrize("tag", tuple(idn._IDENTITIES))
 def test_swap_checkers_reject_bad_arguments(tag):
     # every checker holds a valid instance and rejects each argument below
     # its minimum: eq_1_13's k and shift n, the series check's n and order,
@@ -528,7 +547,7 @@ def test_sides_equal_the_literal_printed_sums(chi):
     for n, _, xi, wa, wb in side_cases([chi], 4):
         if block is None or block.xi is not xi:
             block = idn._Block(chi, xi)
-        cond = bn.ambient_conductor(chi, xi.normalized())
+        cond = bn.ambient_conductor(chi, xi)
         for tag, kw, ms in BUILDER_READINGS:
             for m in ms:
                 head = (n,) if m is None else (n, m)
@@ -628,6 +647,7 @@ def test_sweep_rejects_unknown_keys():
     xi = {"order": 1, "exponent": 0}
     eq = {"identity": "eq_1_13", "d": [1], "xi": xi, "k": [1]}
     thm = {"identity": "theorem1", "d": [1], "xi": xi, "n_max": 1}
+    m1 = {"identity": "m1_numbers", "d": [3, 4], "xi": xi, "n_max": 1}
     pss = {"identity": "power_sum_series_check", "d": [1], "xi": xi}
     for base, key, val in (
         (eq, "d", True),
@@ -668,6 +688,9 @@ def test_sweep_rejects_unknown_keys():
         (thm, "identity", 5),
         (thm, "xi", 5),
         (thm, "character", "some"),
+        # a character's own modulus is not the grid's d
+        (m1, "character", [{"modulus": 5, "kind": "index", "j": 1}]),
+        (m1, "character", {"modulus": 3, "kind": "index", "j": 1}),
         ({k: v for k, v in eq.items() if k != "k"}, "n_max", 0),
     ):
         with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -1075,7 +1098,7 @@ def test_block_records_equal_the_report_records(include_sides, monkeypatch):
     series_h = idn._series_h
 
     def failing(block, n, m, wa, wb, *rest):
-        if block.chi.modulus == 3 and block.order == 3 and 3 in (wa, wb) and wa != wb:
+        if block.chi.modulus == 3 and block.xi.order == 3 and 3 in (wa, wb) and wa != wb:
             raise NotMultiplicative("injected")
         return series_h(block, n, m, wa, wb, *rest)
 
