@@ -216,11 +216,11 @@ def polynomial(spec: TwistSpec, k: int, n: int) -> tuple[CycloElem, ...]:
 
 
 def evaluate(coeffs: tuple[CycloElem, ...], arg) -> CycloElem:
-    """Horner evaluation of ascending coefficients at a rational or an element of their field."""
-    field = coeffs[0].field
-    if isinstance(arg, (int, Fraction)):
-        arg = field.rational(arg)
-    acc = field.zero
+    """Horner evaluation of ascending coefficients at a rational or an element of their field.
+
+    A rational point stays a scalar, so each step scales the accumulator by it.
+    """
+    acc = coeffs[0].field.zero
     for c in reversed(coeffs):
         acc = acc * arg + c
     return acc

@@ -272,8 +272,11 @@ def root_to_json(r: RootOfUnity) -> dict:
 def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
     """Parse a character spec given under key 'character'.
 
-    Roots are stored and printed in lowest terms; a table that is not a
-    character is a configuration error naming 'values'.
+    ``modulus`` is the modulus the caller's config gives beside the spec,
+    if any.  The spec's own 'modulus' may be left out then, and must be
+    equal to it when given: a disagreement is a configuration error naming
+    'character'.  Roots are stored and printed in lowest terms; a table that
+    is not a character is a configuration error naming 'values'.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"key 'character' must be an object, got {spec!r}")
@@ -281,10 +284,14 @@ def character_from_json(spec, modulus: int | None = None) -> DirichletCharacter:
     for key in spec:
         if key not in known:
             raise ConfigError(f"unknown key '{key}' in 'character'")
+    if modulus is not None:
+        modulus = modulus_from_json(modulus)
     d = spec.get("modulus", modulus)
     if d is None:
         raise ConfigError("missing required key 'modulus' in 'character'")
     d = modulus_from_json(d)
+    if modulus is not None and d != modulus:
+        raise ConfigError(f"key 'character' gives modulus {d}, but the config gives {modulus}")
     kind = spec.get("kind")
     if kind == "principal":
         return principal(d)

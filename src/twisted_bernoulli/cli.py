@@ -15,7 +15,7 @@ by one encoder (``jsontext.text``) that writes only dicts with str keys,
 lists, str, int, bool and None, and raises TypeError on anything else: a
 float in a payload is refused, not merely absent.  CSV cells pass the same
 check.  verify encodes nothing but its summary: each record's text is made
-where its verdict is read (``identities.sweep_text``, in the worker that
+where its verdict is read (``identities.sweep_text``, in the process that
 read it at ``--jobs N``), and the texts are written one by one into the
 output buffer (``_verify_json_bytes``).
 Exit codes: 0 success / all checks hold, 1 at least one check failed,
@@ -37,16 +37,17 @@ from . import bernoulli as bn
 from . import identities as idn
 from . import jsontext
 from . import volkenborn as vk
-from .characters import DirichletCharacter, _json_int, character_from_json, modulus_from_json, root_from_json
+from .characters import _json_int, character_from_json, modulus_from_json, root_from_json
 from .errors import ConfigError, TwistedBernoulliError
 from .exact import INFINITY, _is_p_power, cyclo_to_json, frac_to_str, is_prime
 
 
-#: Most ``--jobs`` workers.  A forking pool starts all of its workers at
-#: once, each a copy of the interpreter that grows its own series caches
-#: (tens of MB), and workers beyond the cores add only forks and memory.
-#: 64 is above the cores a sweep can use on common machines, and keeps a
-#: mistyped value to a few GB of workers instead of thousands of processes.
+#: Most ``--jobs`` processes.  verify sweeps one share of the blocks itself
+#: and forks all of its other --jobs - 1 workers at once, each a copy of the
+#: interpreter that grows its own series caches (tens of MB), and processes
+#: beyond the cores add only forks and memory.  64 is above the cores a
+#: sweep can use on common machines, and keeps a mistyped value to a few GB
+#: of workers instead of thousands of processes.
 MAX_JOBS = 64
 
 
@@ -74,16 +75,9 @@ def _require_keys(params: dict, required: set, optional: set = frozenset()):
             raise ConfigError(f"unknown key '{key}' in config")
 
 
-def _character(params: dict) -> DirichletCharacter:
-    """The character of keys 'character' and 'modulus', which must agree."""
-    chi = character_from_json(params["character"], modulus=params["modulus"])
-    if chi.modulus != params["modulus"]:
-        raise ConfigError("key 'modulus' disagrees with the character spec")
-    return chi
-
-
 def _spec_from_params(params: dict) -> bn.TwistSpec:
-    return bn.twist_spec(_character(params), root_from_json(params["xi"]))
+    chi = character_from_json(params["character"], params["modulus"])
+    return bn.twist_spec(chi, root_from_json(params["xi"]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ def _cmd_volkenborn(params: dict):
         )
     if not is_prime(p):
         raise ConfigError(f"key 'p' must be a prime, got {p}")
-    chi = _character(params)
+    chi = character_from_json(params["character"], d)
     if chi.value_conductor() != 1:
         raise ConfigError("key 'character' must take rational values (orders one and two)")
     xi = root_from_json(params["xi"])

@@ -71,21 +71,25 @@ Sides are not kept: each is one slice or one scalar product of H.  A swap
 reading compares the side of (w1, w2) with that of (w2, w1), so its verdict
 compares two slices of H (``_verdicts``): an x, y side or a y = 0 column
 holds iff h_r = h'_r for every r <= n, and a scalar side n! h_n iff
-h_n = h'_n.  When w1 = w2 both sides read one H, so the verdict holds by
-construction and that H is not built unless a side is read.
-Each identity's reports come from one function of (tag, block, args, sides),
-for a sweep and a ``check_*`` call alike; ``_swap_report`` serves the eight
-swap identities.  It reads the verdict of each reading off H, reads a failed
-first reading's first mismatch off the same two slices, and builds that
-reading's two sides only when they are printed or it fails.  Nothing keeps a
-block at module level: a ``check_*`` call makes its own, and a sweep reads its
-blocks off the grids' axes (``_plan``) and runs each in one task
-(``_block_records``), which parses the block's chi and xi once, makes its
-one ``_Block``, and makes each record's JSON text where its verdict is
-read: a held swap instance without sides fills its run's template with the
-text of its values and verdicts, and makes no report or dict; any other
-record is its report's, made by ``report_to_record`` and encoded by
-``jsontext.text``.  ``sweep`` parses the texts back into records.
+h_n = h'_n.  So one scan of the two series, grown to the largest n, decides
+every n of a (w1, w2, m) at once.  When w1 = w2 both sides read one H, so
+the verdict holds by construction and that H is not built unless a side is
+read.  Each identity's reports come from one function of (tag, block, args,
+sides), for a sweep and a ``check_*`` call alike; ``_swap_report`` serves
+the eight swap identities.  It reads the verdict of each reading off H
+(the same scan, for its one n), reads a failed first reading's first
+mismatch off the same two slices, and builds that reading's two sides only
+when they are printed or it fails.  Nothing keeps a block at module level:
+a ``check_*`` call makes its own, and a sweep reads its blocks off the
+grids' axes (``_plan``) and runs each in one call of ``_block_records``,
+which parses the block's chi and xi once, makes its one ``_Block``, and
+makes each record's JSON text where its verdict is read: a held swap
+instance without sides fills its run's template with the text of its values
+and verdicts, and makes no report or dict; any other record is its
+report's, made by ``report_to_record`` and encoded by ``jsontext.text``.
+At ``--jobs`` N the blocks are cut into fixed shares, one swept by the
+calling process and each other by a worker it forks (``_sweep_blocks``).
+``sweep`` parses the texts back into records.
 
 Two identities are checked under two readings each (see the checker
 docstrings), and a reading changes only the inputs of H.  The printed
@@ -107,9 +111,10 @@ r* the largest index where the slices differ.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import comb, factorial, prod
 from typing import NamedTuple
 
@@ -304,25 +309,32 @@ def _side(tag, block, n, m, wa, wb, **reading):
     return _xy_matrix(h, wa * wb, with_y=reads == "xy")
 
 
-def _verdicts(block, tag, n, m, w1, w2) -> list:
-    """Whether each reading of a swap instance holds, read off the block's H series.
+def _verdicts(block, tag, ns, m, w1, w2) -> list:
+    """Whether each reading of the swap instances (w1, w2, m, n), n in ns, holds at each n.
 
     A reading compares the side of (w1, w2) with that of (w2, w1), so the
-    H series of its two keys: an x, y side or a y = 0 column holds iff
-    h_r = h'_r for every r <= n, and a scalar side n! h_n iff h_n = h'_n,
-    since n! != 0.  H is read through the module global ``_series_h``.  Two
-    equal keys (w1 = w2) name one series, which agrees with itself without
-    being read.
+    H series of its two keys, each grown once to the largest n: an x, y side
+    or a y = 0 column holds iff h_r = h'_r for every r <= n, so iff n is
+    below the first index where the slices differ, and a scalar side n! h_n
+    iff h_n = h'_n, since n! != 0.  H is read through the module global
+    ``_series_h``.  Two equal keys (w1 = w2) name one series, which agrees
+    with itself without being read.  Returns one list of verdicts a reading,
+    in the order of ns.
     """
     entry = _IDENTITIES[tag]
+    top = max(ns)
     out = []
     for _, left, right in entry.readings:
         left, right = _h_key(block, m, w1, w2, **left), _h_key(block, m, w2, w1, **right)
         if left == right:
-            out.append(True)
+            out.append([True] * len(ns))
             continue
-        h, other = _series_h(block, n, *left), _series_h(block, n, *right)
-        out.append(h[n] == other[n] if entry.reads == "h_n" else h == other)
+        h, other = _series_h(block, top, *left), _series_h(block, top, *right)
+        if entry.reads == "h_n":
+            out.append([h[n] == other[n] for n in ns])
+        else:
+            first = next((r for r in range(top + 1) if h[r] != other[r]), top + 1)
+            out.append([n < first for n in ns])
     return out
 
 
@@ -474,7 +486,7 @@ def _swap_report(tag, block, args, sides) -> IdentityReport:
     """
     entry = _IDENTITIES[tag]
     n, m, w1, w2 = args["n"], args.get("m", 1), args["w1"], args["w2"]
-    verdicts = _verdicts(block, tag, n, m, w1, w2)
+    verdicts = [held[0] for held in _verdicts(block, tag, [n], m, w1, w2)]
     readings = None
     if len(verdicts) > 1:
         readings = {name: held for (name, _, _), held in zip(entry.readings, verdicts)}
@@ -685,11 +697,7 @@ def _resolve_characters(grid, d: int) -> tuple[DirichletCharacter, ...]:
         except NonCyclicUnitGroup as exc:
             raise ConfigError(f"character \"all\" needs a cyclic unit group: {exc}")
     specs = _grid_list(grid, "character", dict, '"all", an object')
-    chars = tuple(character_from_json(s, modulus=d) for s in specs)
-    for chi in chars:
-        if chi.modulus != d:
-            raise ConfigError(f"key 'character' gives modulus {chi.modulus}, but key 'd' lists {d}")
-    return chars
+    return tuple(character_from_json(s, d) for s in specs)
 
 
 def _grid_axes(grid: dict) -> list:
@@ -811,14 +819,18 @@ def _block_records(plan_block, include_sides) -> tuple:
     Each text is one record's JSON at ``RECORD_PAD``; holds and errors count
     the records that hold and those that carry an error.  The block's chi and
     xi are parsed once into its ``_Block``, which lives as long as this call,
-    and each run's axes are expanded in place.  A held swap instance without
-    sides is its run's template (``_held_template``) filled with the text of
-    its values and verdicts, with no report or dict of its own.  Any other
-    record is its report's (its tag's report function on this block, called
-    through its module global) made by ``report_to_record`` and encoded by
-    ``jsontext.text``; a package error raised inside one instance fails
-    that instance only.  Axes from ``_grid_axes`` meet every minimum, so no
-    instance is checked here.
+    and each run's axes are expanded in place.  Without sides, a swap run is
+    decided once per (w1, w2, m): ``_verdicts`` reads every n of the run off
+    H in one scan, and each held instance is the run's template
+    (``_held_template``) filled with the texts of its values and verdicts,
+    those of w1, w2 and m made once per pair and those of n once per run,
+    with no report or dict of its own.  Any other record is its report's
+    (its tag's report function on this block, called through its module
+    global) made by ``report_to_record`` and encoded by ``jsontext.text``;
+    so is every instance of a pair whose scan raised a package error, so
+    that each one fails or holds as it would alone.  A package error raised
+    inside one report fails that instance only.  Axes from ``_grid_axes``
+    meet every minimum, so no instance is checked here.
     """
     _, chi_json, xi_json, runs = plan_block
     block = _Block(character_from_json(chi_json), root_from_json(xi_json))
@@ -826,36 +838,149 @@ def _block_records(plan_block, include_sides) -> tuple:
     scalar = jsontext.scalar
     pad = RECORD_PAD + "    "  # a "params" item's
     chi_text, xi_text = jsontext.text(block.chi_json, pad), jsontext.text(block.xi_json, pad)
+
+    def add(tag, args):  # the record of one instance's report
+        nonlocal holds, errors
+        try:
+            rep = globals()[_IDENTITIES[tag].report](tag, block, args, include_sides)
+            holds += rep.holds
+        except TwistedBernoulliError as exc:
+            rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
+            errors += 1
+        texts.append(jsontext.text(report_to_record(rep, include_sides), RECORD_PAD))
+
     for _, _, tag, axes in runs:
         entry = _IDENTITIES[tag]
         names = [key.name for key in entry.keys]
-        held = None
-        if entry.side is not None and not include_sides:
-            held = _held_template(tag, names, block, chi_text, xi_text)
-        for values in product(*axes):
+        if entry.side is None or include_sides:
+            for values in product(*axes):
+                add(tag, dict(zip(names, values)))
+            continue
+        held = _held_template(tag, names, block, chi_text, xi_text)
+        ns = axes[-1]  # swap keys: w1, w2, m if a key, n
+        n_texts = [scalar(n) for n in ns]
+        for pair in product(*axes[:-1]):
+            w1, w2, *m = pair
             try:
-                if held is not None:  # swap keys: w1, w2, m if a key, n
-                    w1, w2, n = values[0], values[1], values[-1]
-                    m = values[2] if len(values) == 4 else 1
-                    verdicts = _verdicts(block, tag, n, m, w1, w2)
-                    if verdicts[0]:
-                        head = (n, m, w1, w2) if len(values) == 4 else (n, w1, w2)
-                        if len(verdicts) > 1:  # a record prints several readings' verdicts
-                            head += tuple(verdicts)
-                        texts.append(held % tuple(map(scalar, head)))
-                        holds += 1
-                        continue
-                args = dict(zip(names, values))
-                rep = globals()[entry.report](tag, block, args, include_sides)
-            except TwistedBernoulliError as exc:
-                args = dict(zip(names, values))
-                rep = IdentityReport(tag, _params(block, **args), False, None, None, error=str(exc))
-            texts.append(jsontext.text(report_to_record(rep, include_sides), RECORD_PAD))
-            if rep.error is not None:
-                errors += 1
-            elif rep.holds:
+                verdicts = _verdicts(block, tag, ns, m[0] if m else 1, w1, w2)
+            except TwistedBernoulliError:
+                verdicts = None
+            pair_texts = tuple(map(scalar, (*m, w1, w2)))
+            for i, n in enumerate(ns):
+                if verdicts is None or not verdicts[0][i]:
+                    add(tag, dict(zip(names, (*pair, n))))
+                    continue
+                read = tuple(scalar(v[i]) for v in verdicts) if len(verdicts) > 1 else ()
+                texts.append(held % (n_texts[i], *pair_texts, *read))
                 holds += 1
     return texts, holds, errors
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a forked sweep worker."""
+
+
+def _fork_worker(share, include_sides) -> tuple:
+    """Fork a worker that sweeps the blocks of share: (its pid, its pipe's read end as a file).
+
+    The worker sweeps its whole share, then writes one pickle a block into
+    the pipe, that block's ``_block_records`` result, or instead one pickle
+    of the exception the sweep raised with its traceback's text.  It writes
+    only once its share is swept, since the caller reads no pipe before its
+    own share is done and a full pipe would stall the worker.  It leaves by
+    ``os._exit``, so it never returns into its caller's code, with status 1
+    if writing failed.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status = 1
+    try:
+        import pickle  # pickle, traceback and signal: only a sweep that forks imports them
+
+        os.close(read)
+        try:
+            parts = [_block_records(block, include_sides) for block in share]
+        except BaseException as exc:  # reported to the caller, which raises it
+            import traceback
+
+            parts = [(exc, traceback.format_exc())]
+        with open(write, "wb") as pipe:
+            for part in parts:
+                pickle.dump(part, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _worker_parts(pipe) -> list:
+    """Each ``_block_records`` result a worker wrote into pipe, read to EOF; closes pipe.
+
+    An exception the worker wrote is raised here, with its type, from a
+    ``WorkerTraceback`` that holds the worker's traceback.  A pickle cut
+    short (a worker killed while writing) ends the reading like EOF.
+    """
+    import pickle
+
+    parts = []
+    with pipe:
+        while True:
+            try:
+                part = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                return parts
+            if isinstance(part[0], BaseException):
+                raise part[0] from WorkerTraceback(part[1])
+            parts.append(part)
+
+
+def _sweep_blocks(blocks, include_sides, jobs) -> list:
+    """The ``_block_records`` result of each block, in the order of blocks.
+
+    With k = min(jobs, blocks) > 1 the blocks are cut into k fixed shares,
+    blocks[i::k]: this process forks a worker for every share but the first
+    (``_fork_worker``), sweeps the first itself, then reads each worker's
+    results to EOF (``_worker_parts``) and reaps it.  A worker that ends
+    with a nonzero status (killed by a signal, say) or with results missing
+    is a RuntimeError.  If anything fails, this process's own share
+    included, every worker not yet reaped is killed and reaped before the
+    exception goes on, so no worker outlives the call.
+    """
+    k = min(jobs, len(blocks))
+    if k < 2:
+        return [_block_records(block, include_sides) for block in blocks]
+    shares = [blocks[i::k] for i in range(k)]
+    workers = []  # (pid, pipe) of each worker not yet reaped, in share order
+    try:
+        for share in shares[1:]:
+            workers.append(_fork_worker(share, include_sides))
+        parts = [None] * len(blocks)
+        parts[0::k] = [_block_records(block, include_sides) for block in shares[0]]
+        for i in range(1, k):
+            pid, pipe = workers[0]
+            got = _worker_parts(pipe)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if code or len(got) != len(shares[i]):
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"verify worker {pid} {how} after {len(got)} of {len(shares[i])} blocks")
+            parts[i::k] = got
+    except BaseException:
+        import signal
+
+        for pid, pipe in workers:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+        raise
+    return parts
 
 
 def sweep_text(grids, include_sides: bool = False, jobs: int = 1):
@@ -863,13 +988,13 @@ def sweep_text(grids, include_sides: bool = False, jobs: int = 1):
 
     ``texts`` holds each record's JSON text at ``RECORD_PAD``, in the
     deterministic expansion order.  Instances run grouped by the (chi, xi)
-    blocks ``_plan`` reads off the grids' axes, across grids and tags, in the
-    order in which blocks first appear, one ``_block_records`` task a block,
-    so each block is built once per sweep; each run's texts go back to its
-    place in the expansion order at any number of worker processes.  With
-    several jobs and blocks the pool hands each worker about eight batches of
-    whole blocks (its ``chunksize``), so no two workers build the series of
-    one block, and no more workers start than there are blocks.  More than
+    blocks ``_plan`` reads off the grids' axes, across grids and tags, one
+    ``_block_records`` call a block, so each block is built once per sweep;
+    each run's texts go back to its place in the expansion order.  At
+    ``jobs`` > 1 the blocks are cut into min(jobs, blocks) fixed shares of
+    whole blocks, this process sweeps one and a forked worker each other
+    (``_sweep_blocks``), so no two processes build the series of one block
+    and no more processes run than there are blocks.  More than
     ``MAX_INSTANCES`` instances is a configuration error naming 'grids',
     raised before any instance runs.
     """
@@ -878,15 +1003,7 @@ def sweep_text(grids, include_sides: bool = False, jobs: int = 1):
     total, blocks = _plan(grids)
     if total > MAX_INSTANCES:
         raise ConfigError(f"key 'grids' expands to {total} instances, more than {MAX_INSTANCES}")
-    if jobs > 1 and len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a forking pool starts all its workers at once: none beyond the blocks
-        chunksize = max(1, len(blocks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
-            parts = list(pool.map(_block_records, blocks, repeat(include_sides), chunksize=chunksize))
-    else:
-        parts = [_block_records(block, include_sides) for block in blocks]
+    parts = _sweep_blocks(blocks, include_sides, jobs)
     texts = [None] * total
     for (*_, runs), (block_texts, _, _) in zip(blocks, parts):
         done = 0

@@ -10,6 +10,8 @@ which read every side off one series product, are checked against the sums
 as printed.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -18,6 +20,24 @@ from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
 from twisted_bernoulli.characters import _primitive_root
 from twisted_bernoulli.exact import as_cyclo, cyclo_field
+
+
+# --- a bound on a test's wall time ------------------------------------------
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the body once it has run for ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past its {seconds} s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # --- reading output back, and the package's cyclic-units test ---------------

@@ -159,6 +159,10 @@ def test_evaluate_embeds_or_rejects():
         bn.evaluate(bn.polynomial(bn.twist_spec(principal(1), RootOfUnity(4, 1)), 1, 2), arg)
     val = bn.evaluate(poly, 0)
     assert val.rational_value() == Fraction(1, 6)
+    # a rational point is a scalar of each Horner step; a float is no point
+    assert bn.evaluate(poly, Fraction(1, 2)) == bn.evaluate(poly, poly[0].field.rational(Fraction(1, 2)))
+    with pytest.raises(TypeError):
+        bn.evaluate(poly, 0.5)
 
 
 def test_power_sum_examples():

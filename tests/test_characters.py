@@ -270,6 +270,17 @@ def test_character_spec_forms():
     assert character_from_json(idx) == enumerate_cyclic(3)[1]
 
 
+def test_character_spec_must_agree_with_the_given_modulus():
+    # the caller's modulus fills in a spec without one; a spec's own modulus
+    # must equal it, and a disagreement names 'character', not the caller's key
+    assert character_from_json({"kind": "principal"}, 4) == principal(4)
+    assert character_from_json({"modulus": 4, "kind": "principal"}, 4) == principal(4)
+    with pytest.raises(ConfigError, match="key 'character' gives modulus 5, but the config gives 4"):
+        character_from_json({"modulus": 5, "kind": "principal"}, 4)
+    with pytest.raises(ConfigError, match="'modulus'"):  # the given modulus is checked too
+        character_from_json({"modulus": 4, "kind": "principal"}, True)
+
+
 def test_character_spec_reduces_exponents_on_load():
     spec = {
         "modulus": 3,

@@ -1,10 +1,8 @@
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +15,7 @@ from twisted_bernoulli import volkenborn as vk
 from twisted_bernoulli.characters import MAX_MODULUS
 from twisted_bernoulli.errors import ConfigError, NotMultiplicative
 
-from _oracles import cyclo_from_json, frac_from_str
+from _oracles import cyclo_from_json, frac_from_str, time_budget
 
 # a child interpreter imports the package from this checkout, as pytest does
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -474,27 +472,17 @@ def test_jobs_above_max_rejected(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_sweep_starts_no_more_workers_than_chunks(tmp_path, capsys, monkeypatch):
-    # a fake executor stands in for the process pool, so no process starts:
-    # three (chi, xi) blocks make three chunks at any --jobs above 2
-    import concurrent.futures
+def test_sweep_starts_no_more_processes_than_blocks(tmp_path, capsys, monkeypatch):
+    # three (chi, xi) blocks make three shares at any --jobs above 2: the
+    # command sweeps one share itself and forks a worker for each other one
+    forks = []
+    fork = os.fork
 
-    started = []
+    def counted():
+        forks.append(os.getpid())
+        return fork()
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "fork", counted)
     grid = {
         "identity": "remark_m1",
         "d": [1, 3],
@@ -505,17 +493,20 @@ def test_sweep_starts_no_more_workers_than_chunks(tmp_path, capsys, monkeypatch)
         "n_max": 3,
     }
     serial = idn.sweep(grid)
-    for jobs, workers in ((2, 2), (3, 3), (cli.MAX_JOBS, 3)):
-        started.clear()
+    assert forks == []
+    for jobs, workers in ((2, 1), (3, 2), (cli.MAX_JOBS, 2)):
+        forks.clear()
         assert idn.sweep(grid, jobs=jobs) == serial
-        assert started == [workers], jobs
+        assert forks == [os.getpid()] * workers, jobs
     # the largest --jobs the command takes starts no more workers either
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(grid))
-    started.clear()
+    forks.clear()
     assert cli.main(["verify", "--config", str(cfg), "--jobs", str(cli.MAX_JOBS)]) == 0
-    assert started == [3]
+    assert len(forks) == 2
     assert json.loads(capsys.readouterr().out)["reports"] == serial[0]
+    with pytest.raises(ChildProcessError):  # every worker is reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_jobs_flag_preserves_output(tmp_path):
@@ -692,8 +683,8 @@ def test_record_texts_refuse_floats(monkeypatch):
     verdicts = idn._verdicts
     report = idn._eq_1_13_report
 
-    def half_verdict(block, tag, n, m, w1, w2):
-        return [True, 0.5]
+    def half_verdict(block, tag, ns, m, w1, w2):
+        return [[True] * len(ns), [0.5] * len(ns)]
 
     def float_param(tag, block, args, sides):
         rep = report(tag, block, args, sides)
@@ -734,27 +725,15 @@ BOUNDED_KEYS = {
     "volkenborn_shift": {"order", "modulus", "moments", "shift"},
 }
 # per example, whole values that must exit 2 naming the key they are given under:
-# a grid character whose own modulus is not the grid's d
-REFUSED = {"verify_small": [(("grids", 1, "character"), [{"modulus": 5, "kind": "index", "j": 1}])]}
+# a character whose own modulus is not the one its config gives (a grid's d, a
+# command's modulus)
+REFUSED = {
+    "verify_small": [(("grids", 1, "character"), [{"modulus": 5, "kind": "index", "j": 1}])],
+    "compute_numbers": [(("character",), {"modulus": 5, "kind": "principal"})],
+}
 # wall seconds any one mutated config may run; a huge value must be refused, not run
 CASE_BUDGET_S = 10
 DELETE = object()
-
-
-@contextmanager
-def time_budget(seconds):
-    """Raise TimeoutError in the body once it has run for ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past its {seconds} s budget")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def json_paths(value, path=()):
@@ -838,6 +817,6 @@ def test_example_config_mutations_exit_cleanly(tmp_path, capsys):
     # power_sum, and m with its 2 values; 21 more set a modulus or the
     # length of a power sum over w d or s d terms: modulus in the five
     # other examples, d of both grids with its value, w1 and w2 with their
-    # 2 values, shift with its 4 values, and the volkenborn shift; and one
-    # REFUSED value
-    assert cases == 1355 + 2 * (17 + 7 + 21) + 1
+    # 2 values, shift with its 4 values, and the volkenborn shift; and two
+    # REFUSED values
+    assert cases == 1355 + 2 * (17 + 7 + 21) + 2

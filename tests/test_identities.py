@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import re
+import signal
+import time
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
@@ -10,6 +14,7 @@ import pytest
 from twisted_bernoulli import _kernel
 from twisted_bernoulli import bernoulli as bn
 from twisted_bernoulli import identities as idn
+from twisted_bernoulli import jsontext
 from twisted_bernoulli.characters import (
     character_from_json,
     character_to_json,
@@ -23,7 +28,7 @@ from twisted_bernoulli.errors import ConfigError, NotMultiplicative
 from twisted_bernoulli.exact import RootOfUnity, cyclo_field
 
 import _oracles
-from _oracles import bernoulli_recurrence, classical_poly_at, cyclo_from_json, evaluate, restrict_y0
+from _oracles import bernoulli_recurrence, classical_poly_at, cyclo_from_json, evaluate, restrict_y0, time_budget
 
 ONE = RootOfUnity(1, 0)
 MINUS = RootOfUnity(2, 1)
@@ -776,30 +781,110 @@ def test_parallel_sweep_matches_serial():
     assert s1 == s2
 
 
-def test_many_blocks_reach_the_workers_in_batches(monkeypatch):
-    # 100 blocks: the pool gets several whole blocks a batch (its chunksize
-    # len(blocks) // (8 jobs) is 6 at --jobs 2 and 4 at --jobs 3), and the
-    # records and summary are those of one process
-    import concurrent.futures
+#: 100 (chi, xi) blocks of 8 instances each
+MANY_BLOCKS = {"identity": "remark_m1", "d": [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13], "character": "all",
+               "xi": [{"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}],
+               "w1": [1, 2], "w2": [1, 2], "n_max": 1}
 
-    grid = {"identity": "remark_m1", "d": [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13], "character": "all",
-            "xi": [{"order": 1, "exponent": 0}, {"order": 2, "exponent": 1}],
-            "w1": [1, 2], "w2": [1, 2], "n_max": 1}
-    total, blocks = idn._plan([grid])
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_each_process_sweeps_one_fixed_share(tmp_path, monkeypatch):
+    # 100 blocks at --jobs k: this process sweeps blocks[0::k] and k - 1
+    # forked workers blocks[i::k], so k processes in all, and the records
+    # and summary are those of one process.  Each call logs its block and
+    # process to a file, since a worker's memory is its own.
+    total, blocks = idn._plan([MANY_BLOCKS])
     assert (total, len(blocks)) == (800, 100)
-    serial = idn.sweep(grid)
+    serial = idn.sweep(MANY_BLOCKS)
     assert serial[1] == {"total": 800, "holds": 800, "failures": 0, "errors": 0}
-    chunksizes = []
+    log = tmp_path / "log"
+    records = idn._block_records
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1):
-            chunksizes.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize)
+    def logged(plan_block, include_sides):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {blocks.index(plan_block)}\n")
+        return records(plan_block, include_sides)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(idn, "_block_records", logged)
     for jobs in (2, 3):
-        assert idn.sweep(grid, jobs=jobs) == serial, jobs
-    assert chunksizes == [6, 4]
+        log.write_text("")
+        with time_budget(60):
+            assert idn.sweep(MANY_BLOCKS, jobs=jobs) == serial, jobs
+        swept = {}
+        for line in log.read_text().splitlines():
+            pid, index = map(int, line.split())
+            swept.setdefault(pid, []).append(index)
+        assert swept.pop(os.getpid()) == list(range(100))[0::jobs]
+        assert sorted(swept.values()) == [list(range(100))[i::jobs] for i in range(1, jobs)]
+        assert_no_worker_left()
+
+
+@pytest.mark.parametrize("jobs", (2, 3))
+def test_a_worker_exception_is_raised_with_its_type(jobs, monkeypatch):
+    # a non-package exception in a worker's block ends the sweep with that
+    # exception, here in the last worker's first block; every worker is reaped
+    _, blocks = idn._plan([MANY_BLOCKS])
+    records = idn._block_records
+
+    def failing(plan_block, include_sides):
+        if plan_block is blocks[jobs - 1]:
+            raise LookupError(f"injected in {plan_block[0]}")
+        return records(plan_block, include_sides)
+
+    monkeypatch.setattr(idn, "_plan", lambda grids: (800, blocks))
+    monkeypatch.setattr(idn, "_block_records", failing)
+    with pytest.raises(LookupError, match=re.escape(f"injected in {blocks[jobs - 1][0]}")) as raised:
+        with time_budget(60):
+            idn.sweep(MANY_BLOCKS, jobs=jobs)
+    assert_no_worker_left()
+    # the worker's traceback comes along as the cause
+    cause = raised.value.__cause__
+    assert isinstance(cause, idn.WorkerTraceback)
+    assert "in failing" in str(cause) and str(cause).rstrip().endswith(f"LookupError: {raised.value}")
+
+
+def test_a_failing_own_share_kills_the_workers(monkeypatch):
+    # an exception in this process's own share kills the workers, still
+    # sweeping their first blocks, and reaps them before it goes on: it
+    # does not wait for them
+    _, blocks = idn._plan([MANY_BLOCKS])
+    records = idn._block_records
+
+    def failing(plan_block, include_sides):
+        if plan_block is blocks[0]:
+            raise LookupError("own share")
+        if plan_block in blocks[1:3]:  # each worker's first block
+            time.sleep(30)
+        return records(plan_block, include_sides)
+
+    monkeypatch.setattr(idn, "_plan", lambda grids: (800, blocks))
+    monkeypatch.setattr(idn, "_block_records", failing)
+    with pytest.raises(LookupError, match="own share"), time_budget(15):
+        idn.sweep(MANY_BLOCKS, jobs=3)
+    assert_no_worker_left()
+
+
+def test_a_killed_worker_fails_the_sweep(monkeypatch):
+    # a worker killed by a signal writes no result: the sweep raises, naming
+    # the signal, and leaves no worker behind
+    _, blocks = idn._plan([MANY_BLOCKS])
+    records = idn._block_records
+
+    def killed(plan_block, include_sides):
+        if plan_block is blocks[1]:  # the worker's first block at --jobs 2
+            os.kill(os.getpid(), signal.SIGKILL)
+        return records(plan_block, include_sides)
+
+    monkeypatch.setattr(idn, "_plan", lambda grids: (800, blocks))
+    monkeypatch.setattr(idn, "_block_records", killed)
+    with pytest.raises(RuntimeError, match=f"killed by signal {signal.SIGKILL.value} after 0 of 50 blocks"):
+        with time_budget(60):
+            idn.sweep(MANY_BLOCKS, jobs=2)
+    assert_no_worker_left()
 
 
 def test_chunks_never_split_a_block(monkeypatch):
@@ -1086,6 +1171,16 @@ def test_side_builders_run_for_failing_readings_only(perturb, monkeypatch):
         assert {tag for tag, count in failing_readings(records).items() if count} == {"theorem1", "remark_2_11"}
 
 
+def reference_record(desc, include_sides):
+    """The record of one instance descriptor, from its checker's report alone."""
+    try:
+        return idn.report_to_record(idn.run_instance(desc), include_sides)
+    except NotMultiplicative as exc:
+        args = {key.name: desc[key.name] for key in idn._IDENTITIES[desc["identity"]].keys}
+        params = idn._params(idn._Block(character_from_json(desc["chi"]), root_from_json(desc["xi"])), **args)
+        return {"identity": desc["identity"], "params": params, "holds": False, "error": str(exc)}
+
+
 @pytest.mark.parametrize("include_sides", (False, True), ids=("verdicts", "sides"))
 def test_block_records_equal_the_report_records(include_sides, monkeypatch):
     # a sweep reports each instance of a block from that block's tables; the
@@ -1111,15 +1206,7 @@ def test_block_records_equal_the_report_records(include_sides, monkeypatch):
          "k": [1, 2], "n": [1, 2], "series_order": 3},
     ]
 
-    def reference(desc):
-        try:
-            return idn.report_to_record(idn.run_instance(desc), include_sides)
-        except NotMultiplicative as exc:
-            args = {key.name: desc[key.name] for key in idn._IDENTITIES[desc["identity"]].keys}
-            params = idn._params(idn._Block(character_from_json(desc["chi"]), root_from_json(desc["xi"])), **args)
-            return {"identity": desc["identity"], "params": params, "holds": False, "error": str(exc)}
-
-    expected = [reference(desc) for grid in grids for desc in idn.expand_grid(grid)]
+    expected = [reference_record(desc, include_sides) for grid in grids for desc in idn.expand_grid(grid)]
     kinds = {("error" in r, r["holds"], all(r.get("readings", {}).values())) for r in expected}
     assert kinds == {(True, False, True), (False, True, True), (False, True, False)}
     for jobs in (1, 2):
@@ -1127,6 +1214,42 @@ def test_block_records_equal_the_report_records(include_sides, monkeypatch):
         assert records == expected, jobs
         assert all(json.dumps(a) == json.dumps(b) for a, b in zip(records, expected))  # key order
         assert summary["errors"] == sum(1 for r in expected if "error" in r) > 0
+
+
+@pytest.mark.parametrize("include_sides", (False, True), ids=("verdicts", "sides"))
+@pytest.mark.parametrize("fault", ("perturbed", "raising"))
+def test_a_run_scan_gives_the_per_instance_texts(fault, include_sides, monkeypatch):
+    # a sweep decides the n of a swap run in one scan per (w1, w2, m); an H
+    # that first differs at index 2 (one coefficient h_2 of one key changed)
+    # fails the run from n = 2 on, and an H that raises from n = 3 on fails
+    # those instances with the error and holds below: each text must be the
+    # one an instance's own report gives, at any --jobs.  Both keys have
+    # w1 != w2, whose verdict reads H whether sides are built or not.
+    series_h = idn._series_h
+
+    def faulty(block, n, m, wa, wb, *rest):
+        hit = block.xi.order == 3 and (m, wa, wb) == (2, 1, 3)
+        if hit and fault == "raising" and n >= 3:
+            raise NotMultiplicative("injected")
+        h = series_h(block, n, m, wa, wb, *rest)
+        if hit and fault == "perturbed" and n >= 2:
+            h = h[:2] + (h[2] + 1,) + h[3:]
+        return h
+
+    monkeypatch.setattr(idn, "_series_h", faulty)
+    grid = {"identity": list(SWAP_TAGS), "d": [1, 3], "character": "all",
+            "xi": [{"order": 2, "exponent": 1}, {"order": 3, "exponent": 1}],
+            "w1": [1, 3], "w2": [1, 3], "m": [1, 2], "n_max": 5}
+    descs = list(idn.expand_grid(grid))
+    records = [reference_record(desc, include_sides) for desc in descs]
+    first = 2 if fault == "perturbed" else 3
+    run = [(r["params"]["n"], r["holds"], "error" in r) for desc, r in zip(descs, records)
+           if desc["identity"] == "theorem3" and desc["xi"]["order"] == 3
+           and (desc["w1"], desc["w2"], desc["m"]) == (1, 3, 2)]
+    assert run == [(n, n < first, n >= first and fault == "raising") for n in range(6)] * 3  # three chi
+    expected = [jsontext.text(record, idn.RECORD_PAD) for record in records]
+    for jobs in (1, 2):
+        assert idn.sweep_text(grid, include_sides, jobs)[0] == expected, jobs
 
 
 # --- the records of mixed verdicts, frozen ------------------------------------------
